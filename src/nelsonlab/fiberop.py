@@ -9,19 +9,21 @@ which is closed under the mode displacement b_m -> b_m + h_m (real h).  The
 displacement is applied exactly at coefficient level -- never by matrix
 exponentiation -- so conjugation by a Weyl operator is free of truncation
 error.  Matrices are assembled as the exact compression of the full operator
-to the truncated basis: the square |A|^2 is evaluated through an extended
-basis with one more photon, which keeps variational monotonicity intact.
+to the truncated basis.  For |A|^2 that is the compression of the square, not
+the square of the compression, which keeps variational monotonicity intact.
+It never leaves the basis: only creations on the top photon sector escape the
+cap, and there b_m b*_m' = delta_mm' + b*_m' b_m folds them back (see
+`assemble`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, build_basis
+from .fock import FockBasis
 from .grid import ModelParams, MomentumGrid, form_factor
 
 __all__ = [
@@ -65,21 +67,6 @@ class FiberOperator:
     def n_modes(self) -> int:
         return self.K.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": "fiber",
-            "w": self.w.tolist(), "K": self.K.tolist(), "C": self.C.tolist(),
-            "d": self.d.tolist(), "g": self.g.tolist(), "e": self.e,
-        }, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FiberOperator":
-        obj = json.loads(text)
-        if obj.get("kind") != "fiber":
-            raise ValueError("not a FiberOperator payload")
-        return FiberOperator(np.array(obj["w"]), np.array(obj["K"]), np.array(obj["C"]),
-                             np.array(obj["d"]), np.array(obj["g"]), obj["e"])
-
 
 @dataclass(frozen=True)
 class VectorFiberOperator:
@@ -106,17 +93,6 @@ class VectorFiberOperator:
 
     def plus_const(self, c) -> "VectorFiberOperator":
         return VectorFiberOperator(self.w + np.asarray(c, dtype=float), self.K, self.C)
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": "vector", "w": self.w.tolist(),
-                           "K": self.K.tolist(), "C": self.C.tolist()}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "VectorFiberOperator":
-        obj = json.loads(text)
-        if obj.get("kind") != "vector":
-            raise ValueError("not a VectorFiberOperator payload")
-        return VectorFiberOperator(np.array(obj["w"]), np.array(obj["K"]), np.array(obj["C"]))
 
 
 def nelson_hamiltonian(params: ModelParams, grid: MomentumGrid) -> FiberOperator:
@@ -275,76 +251,19 @@ def canonical_distance(op1: FiberOperator, op2: FiberOperator) -> float:
 # assembly to sparse matrices
 
 
-def extended_basis(basis: FockBasis) -> FockBasis:
-    """Basis with one extra photon of headroom (cached on the basis object);
-    used as the intermediate space when squaring affine vector operators."""
-    ext = getattr(basis, "_extended", None)
-    if ext is None:
-        ext = build_basis(basis.n_modes, basis.n_max + 1, basis.per_mode_cap + 1)
-        basis._extended = ext
-    return ext
-
-
-def _inclusion_map(basis: FockBasis, ext: FockBasis) -> np.ndarray:
-    key = id(ext)
-    cache = getattr(basis, "_inclusion_cache", None)
-    if cache is None:
-        cache = {}
-        basis._inclusion_cache = cache
-    if key not in cache:
-        eindex = ext.index
-        cache[key] = np.fromiter((eindex[s] for s in basis.states),
-                                 dtype=np.int64, count=basis.dim)
-    return cache[key]
-
-
-def _affine_rect_matrix(basis: FockBasis, ext: FockBasis, const: float,
-                        num_coeff, field_coeff) -> sp.csr_matrix:
-    """Rectangular matrix (ext.dim x basis.dim) of an affine operator
-    const + sum num_coeff[m] n_m + sum field_coeff[m] x_m, exact on the
-    truncated domain (one photon of headroom in ext absorbs every creation)."""
-    num_coeff = np.asarray(num_coeff, dtype=float)
-    field_coeff = np.asarray(field_coeff, dtype=float)
-    incl = _inclusion_map(basis, ext)
-    cols_parts, rows_parts, vals_parts = [], [], []
-
-    diag = basis.number_diagonal(num_coeff) + const if basis.n_modes \
-        else np.full(basis.dim, const)
-    rows_parts.append(incl)
-    cols_parts.append(np.arange(basis.dim, dtype=np.int64))
-    vals_parts.append(diag)
-
-    if basis.n_modes and np.any(field_coeff):
-        active = np.flatnonzero(field_coeff)
-        cidx, camp = basis.creation_table(ext)
-        sub_idx = cidx[:, active]
-        sub_val = camp[:, active] * field_coeff[active][None, :]
-        cols = np.repeat(np.arange(basis.dim, dtype=np.int64), len(active))
-        ok = (sub_idx >= 0).ravel()
-        rows_parts.append(sub_idx.ravel()[ok])
-        cols_parts.append(cols[ok])
-        vals_parts.append(sub_val.ravel()[ok])
-
-        src, mode, tgt, amp = basis.annihilation_arrays()
-        sel = field_coeff[mode] != 0.0
-        rows_parts.append(incl[tgt[sel]])
-        cols_parts.append(src[sel])
-        vals_parts.append(field_coeff[mode[sel]] * amp[sel])
-
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    vals = np.concatenate(vals_parts)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(ext.dim, basis.dim))
-
-
 def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix:
     """Exact compression of the operator to the truncated basis.
 
-    Matrix elements of |A|^2 are summed over intermediate states with one
-    photon above the cap (the compression of the square, not the square of
-    the compression); this is what makes enlarging the basis variational.
-    When A has no field part it is diagonal in occupation and the square is
-    taken directly.
+    With P the projector onto the basis, |A|^2 is compressed as P A_j^2 P,
+    not as (P A_j P)^2; this is what makes enlarging the basis variational.
+    Only b*_m acting on the top photon sector leaves the basis (the total
+    cap is the only cap), and b_m b*_m' = delta_mm' + b*_m' b_m there, so
+
+        P A_j^2 P = (P A_j P)^2 + Pi_Q (|C_j|^2 + L_j^T L_j) Pi_Q
+
+    with L_j = sum_m C[m,j] b_m, which stays inside the basis, and Pi_Q the
+    projector onto the top sector.  When A has no field part it is diagonal
+    in occupation and the square is taken directly.
     """
     if op.n_modes != basis.n_modes:
         raise ValueError("operator and basis mode counts differ")
@@ -363,10 +282,20 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix:
                 else np.full(dim, op.w[j])
             diag += 0.5 * a * a
     else:
-        ext = extended_basis(basis)
+        vop = VectorFiberOperator(op.w, op.K, op.C)
+        top = basis.photon_count == basis.n_max
+        src, mode, tgt, amp = basis.annihilation_arrays()
+        from_top = top[src]
         for j in range(3):
-            R = _affine_rect_matrix(basis, ext, op.w[j], op.K[:, j], op.C[:, j])
-            H = H + 0.5 * (R.T @ R)
+            A = assemble_vector_component(vop, j, basis)
+            H = H + 0.5 * (A @ A)
+            c = op.C[:, j]
+            if np.any(c):
+                sel = from_top & (c[mode] != 0.0)
+                L = sp.csr_matrix((c[mode[sel]] * amp[sel], (tgt[sel], src[sel])),
+                                  shape=(dim, dim))
+                H = H + 0.5 * (L.T @ L)
+                diag[top] += 0.5 * float(c @ c)
     H = H + sp.diags(diag)
     H = ((H + H.T) * 0.5).tocsr()  # symmetrize rounding noise
     return H

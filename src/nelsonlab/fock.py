@@ -1,12 +1,11 @@
 """Truncated symmetric Fock space over a finite mode set.
 
 Basis states are photon-occupation patterns with a cap on the total photon
-number (and optionally per mode).  States are stored as sorted tuples of
-occupied mode indices, ordered by total photon number first and
-lexicographically within each sector, with the vacuum at index 0.  That
-ordering is deterministic and survives grid refinement: because refined grids
-keep parent modes as a prefix, every parent basis state is literally a valid
-state of the refined basis.
+number.  States are stored as sorted tuples of occupied mode indices, ordered
+by total photon number first and lexicographically within each sector, with
+the vacuum at index 0.  That ordering is deterministic and survives grid
+refinement: because refined grids keep parent modes as a prefix, every parent
+basis state is literally a valid state of the refined basis.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import math
 from collections import Counter
 
@@ -27,16 +25,10 @@ __all__ = ["FockBasis", "StateVector", "build_basis", "embed", "displacement_gen
            "apply_displacement"]
 
 
-def _enumerate_states(n_modes: int, n_max: int, per_mode_cap: int):
+def _enumerate_states(n_modes: int, n_max: int):
     states = [()]
     for q in range(1, n_max + 1):
-        for tup in itertools.combinations_with_replacement(range(n_modes), q):
-            if per_mode_cap >= q:
-                states.append(tup)
-            else:
-                counts = Counter(tup)
-                if max(counts.values()) <= per_mode_cap:
-                    states.append(tup)
+        states.extend(itertools.combinations_with_replacement(range(n_modes), q))
     return states
 
 
@@ -47,21 +39,18 @@ class FockBasis:
     ----------
     n_modes : number of photon modes M
     n_max : total photon cap Q
-    per_mode_cap : per-mode occupation cap (defaults to n_max)
     states : list of sorted mode tuples, vacuum first
     index : dict mapping state tuple -> position
     """
 
-    def __init__(self, n_modes: int, n_max: int, per_mode_cap: int | None = None):
+    def __init__(self, n_modes: int, n_max: int):
         if n_modes < 0 or n_max < 0:
             raise ValueError("n_modes and n_max must be nonnegative")
         self.n_modes = int(n_modes)
         self.n_max = int(n_max)
-        self.per_mode_cap = int(per_mode_cap) if per_mode_cap is not None else int(n_max)
-        self.states = _enumerate_states(self.n_modes, self.n_max, self.per_mode_cap)
+        self.states = _enumerate_states(self.n_modes, self.n_max)
         self.index = {s: i for i, s in enumerate(self.states)}
         self._build_occupancy_arrays()
-        self._creation_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def dim(self) -> int:
@@ -83,20 +72,16 @@ class FockBasis:
         self.photon_count = np.fromiter((len(s) for s in self.states),
                                         dtype=np.int64, count=self.dim)
 
-    def occupation_of(self, i: int) -> Counter:
-        return Counter(self.states[i])
-
     def index_of(self, state) -> int:
         tup = tuple(sorted(state))
         try:
             return self.index[tup]
         except KeyError:
-            raise KeyError(f"occupation {tup} not in basis (caps Q={self.n_max}, "
-                           f"per-mode {self.per_mode_cap})") from None
+            raise KeyError(f"occupation {tup} not in basis (cap Q={self.n_max})") from None
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        h.update(f"fock:{self.n_modes}:{self.n_max}:{self.per_mode_cap}".encode())
+        h.update(f"fock:{self.n_modes}:{self.n_max}".encode())
         return h.hexdigest()[:16]
 
     def number_diagonal(self, f) -> np.ndarray:
@@ -110,32 +95,6 @@ class FockBasis:
         if len(nonempty):
             out[nonempty] = np.add.reduceat(vals, self.occ_ptr[nonempty])
         return out
-
-    def creation_table(self, target: "FockBasis" | None = None):
-        """(dim, M) arrays: index in `target` of b*_m applied to each state
-        (-1 where the result exceeds the target caps) and amplitude
-        sqrt(n_m + 1).  target defaults to self.  Cached per target."""
-        target = target or self
-        key = id(target)
-        if key in self._creation_cache:
-            return self._creation_cache[key]
-        M = self.n_modes
-        idx = np.full((self.dim, M), -1, dtype=np.int64)
-        amp = np.zeros((self.dim, M))
-        tindex = target.index
-        for i, s in enumerate(self.states):
-            if len(s) + 1 > target.n_max:
-                continue
-            c = Counter(s)
-            for m in range(M):
-                if c[m] + 1 > target.per_mode_cap:
-                    continue
-                t = tindex.get(tuple(sorted(s + (m,))))
-                if t is not None:
-                    idx[i, m] = t
-                    amp[i, m] = math.sqrt(c[m] + 1.0)
-        self._creation_cache[key] = (idx, amp)
-        return idx, amp
 
     def annihilation_arrays(self):
         """COO-style arrays for all b_m actions inside the basis:
@@ -157,14 +116,6 @@ class FockBasis:
                             np.array(tgt, dtype=np.int64), np.array(amp))
         return self._ann_arrays
 
-    def lowering_matrix(self, m: int) -> sp.csr_matrix:
-        """Sparse matrix of b_m on the truncated basis (exact: lowering never
-        leaves the space).  Its transpose is the truncated raising operator."""
-        src, mode, tgt, amp = self.annihilation_arrays()
-        sel = mode == m
-        return sp.csr_matrix((amp[sel], (tgt[sel], src[sel])),
-                             shape=(self.dim, self.dim))
-
     def field_matrix(self, coeff) -> sp.csr_matrix:
         """sum_m coeff[m] * (b_m + b*_m) on the truncated basis."""
         coeff = np.asarray(coeff, dtype=float)
@@ -173,30 +124,9 @@ class FockBasis:
         lower = sp.csr_matrix((vals, (tgt, src)), shape=(self.dim, self.dim))
         return lower + lower.T
 
-    def apply_annihilate(self, m: int, v: np.ndarray) -> np.ndarray:
-        src, mode, tgt, amp = self.annihilation_arrays()
-        sel = mode == m
-        out = np.zeros(self.dim, dtype=np.asarray(v).dtype)
-        np.add.at(out, tgt[sel], amp[sel] * np.asarray(v)[src[sel]])
-        return out
-
-    def apply_create(self, m: int, v: np.ndarray):
-        """b*_m with truncation: returns (vector, leakage), leakage being the
-        squared norm of components dropped at the caps."""
-        idx, amp = self.creation_table()
-        v = np.asarray(v)
-        out = np.zeros(self.dim, dtype=v.dtype)
-        col_idx, col_amp = idx[:, m], amp[:, m]
-        ok = col_idx >= 0
-        np.add.at(out, col_idx[ok], col_amp[ok] * v[ok])
-        dropped = v[~ok]
-        occ = np.array([Counter(self.states[i])[m] for i in np.flatnonzero(~ok)])
-        leak = float(np.sum((occ + 1.0) * np.abs(dropped) ** 2)) if len(dropped) else 0.0
-        return out, leak
-
 
 class StateVector:
-    """Coefficient vector over a FockBasis, serializable to CSV + JSON header."""
+    """Coefficient vector over a FockBasis, serializable to CSV."""
 
     def __init__(self, data: np.ndarray, basis: FockBasis):
         data = np.asarray(data)
@@ -204,10 +134,6 @@ class StateVector:
             raise ValueError(f"vector shape {data.shape} does not match basis dim {basis.dim}")
         self.data = data
         self.basis = basis
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
@@ -220,17 +146,6 @@ class StateVector:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
-
-    def header_json(self, grid_hash: str = "") -> str:
-        return json.dumps({
-            "basisHash": self.basis.content_hash(),
-            "gridHash": grid_hash,
-            "nModes": self.basis.n_modes,
-            "nMax": self.basis.n_max,
-            "perModeCap": self.basis.per_mode_cap,
-            "dim": self.basis.dim,
-            "norm": repr(self.norm),
-        }, indent=2, sort_keys=True)
 
     @staticmethod
     def from_csv(text: str, basis: FockBasis) -> "StateVector":
@@ -247,22 +162,20 @@ class StateVector:
         return StateVector(re, basis)
 
 
-def build_basis(n_modes: int, n_max: int, per_mode_cap: int | None = None,
-                dim_cap: int = 2_000_000) -> FockBasis:
+def build_basis(n_modes: int, n_max: int, dim_cap: int = 2_000_000) -> FockBasis:
     """Enumerate the truncated basis; refuses to exceed dim_cap states."""
     # stars-and-bars upper bound on the dimension before enumerating
     bound = sum(math.comb(n_modes + q - 1, q) for q in range(n_max + 1)) if n_modes else 1
     if bound > dim_cap:
         raise ValueError(f"basis dimension bound {bound} exceeds cap {dim_cap} "
                          f"(M={n_modes}, Q={n_max})")
-    return FockBasis(n_modes, n_max, per_mode_cap)
+    return FockBasis(n_modes, n_max)
 
 
 def embed(v: np.ndarray, parent: FockBasis, child: FockBasis) -> np.ndarray:
     """Isometric embedding of a parent-basis vector into a child basis whose
     mode list extends the parent's (parent modes as a prefix)."""
-    if child.n_modes < parent.n_modes or child.n_max < parent.n_max \
-            or child.per_mode_cap < parent.per_mode_cap:
+    if child.n_modes < parent.n_modes or child.n_max < parent.n_max:
         raise ValueError("child basis does not contain the parent basis")
     v = np.asarray(v)
     out = np.zeros(child.dim, dtype=v.dtype)

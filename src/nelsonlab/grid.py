@@ -10,10 +10,7 @@ list), which makes truncated Fock spaces nested across scales.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -209,53 +206,6 @@ class MomentumGrid:
         h.update(self.w.tobytes())
         h.update(self.shell.astype(np.int64).tobytes())
         return h.hexdigest()[:16]
-
-    def rotated(self, R) -> "MomentumGrid":
-        """Grid with every mode mapped through the orthogonal matrix R.
-        For signed-permutation R the mode coordinates are exact."""
-        R = np.asarray(R, dtype=float)
-        return MomentumGrid(self.k @ R.T, self.w.copy(), self.shell.copy(),
-                            self.shell_bounds, self.sigma, self.kappa, self.spec)
-
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "kx", "ky", "kz", "|k|", "w", "shellIndex"])
-        for i in range(self.n_modes):
-            writer.writerow([i, repr(float(self.k[i, 0])), repr(float(self.k[i, 1])),
-                             repr(float(self.k[i, 2])), repr(float(self.r[i])),
-                             repr(float(self.w[i])), int(self.shell[i])])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    def meta_json(self) -> str:
-        return json.dumps({
-            "sigma": self.sigma,
-            "kappa": self.kappa,
-            "nModes": self.n_modes,
-            "shellsPerDecade": self.spec.shells_per_decade,
-            "nPolar": self.spec.n_polar,
-            "nAzimuthal": self.spec.n_azimuthal,
-            "shellBounds": self.shell_bounds,
-            "gridHash": self.content_hash(),
-        }, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_csv(text: str, sigma: float, kappa: float, spec: GridSpec,
-                 shell_bounds=None) -> "MomentumGrid":
-        rows = list(csv.reader(io.StringIO(text)))
-        if rows[0] != ["index", "kx", "ky", "kz", "|k|", "w", "shellIndex"]:
-            raise ValueError("unexpected grid CSV header")
-        k, w, shell = [], [], []
-        for row in rows[1:]:
-            k.append([float(row[1]), float(row[2]), float(row[3])])
-            w.append(float(row[5]))
-            shell.append(int(row[6]))
-        return MomentumGrid(np.array(k), np.array(w), np.array(shell),
-                            shell_bounds or [], sigma, kappa, spec)
 
 
 def _radial_shells(r_lo: float, r_hi: float, shells_per_decade: int):

@@ -61,6 +61,12 @@ __all__ = [
     "cancellation_demo",
 ]
 
+# Version of the numerics behind every checkpointed number.  It is part of
+# SweepConfig.content_hash, so bumping it makes old checkpoints recompute
+# instead of resuming; bump it whenever a change moves computed values, even
+# in the last digits.
+NUMERICS_VERSION = 2
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -88,7 +94,8 @@ class SweepConfig:
         return self.params.kappa * self.epsilon**n
 
     def content_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        blob = json.dumps({"numerics": NUMERICS_VERSION, **asdict(self)},
+                          sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 

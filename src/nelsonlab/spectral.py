@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, cg, eigsh, minres
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
 
 __all__ = [
     "GroundStateRecord",
@@ -62,7 +62,8 @@ def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
 
     Dense diagonalization below DENSE_CUTOFF, else Lanczos (ARPACK) with a
     fixed vacuum-weighted start vector; falls back to shift-invert from a
-    Gershgorin bound if plain Lanczos stalls.  The returned vector is
+    Gershgorin bound if plain Lanczos does not converge, and records that in
+    `method`.  Any other solver error propagates.  The returned vector is
     normalized with a positive vacuum component (positive largest component
     if the vacuum one vanishes).
     """
@@ -87,7 +88,7 @@ def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
         vals, vecs = eigsh(Hs, k=2, which="SA", v0=v0, tol=tol,
                            maxiter=10_000, ncv=min(dim - 1, 48))
         method = "lanczos"
-    except Exception:
+    except ArpackNoConvergence:
         diag = Hs.diagonal()
         lower = float(np.min(diag - (_row_abs_sums(Hs) - np.abs(diag)))) - 0.1
         vals, vecs = eigsh(Hs, k=2, sigma=lower, which="LM", v0=v0, tol=tol)
@@ -138,41 +139,23 @@ def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
     return x
 
 
-def solve_shifted(H, z: complex, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """x = (H - z)^{-1} rhs for z off the spectrum (real or complex).
-
-    Complex shifts reduce to one real SPD solve of ((H-a)^2 + b^2) y = rhs
-    via x = (H-a) y + i b y.
-    """
+def solve_shifted(H, z: float, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """x = (H - z)^{-1} rhs for a real shift z off the spectrum."""
+    if np.iscomplexobj(z):
+        raise TypeError(f"solve_shifted takes a real shift, got {z!r}")
     dim = H.shape[0]
-    z = complex(z)
-    a, b = z.real, z.imag
+    z = float(z)
     if dim <= DENSE_CUTOFF:
         Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        if b == 0.0:
-            return np.linalg.solve(Hd - a * np.eye(dim), np.asarray(rhs))
-        return np.linalg.solve(Hd - z * np.eye(dim), np.asarray(rhs, dtype=complex))
+        return np.linalg.solve(Hd - z * np.eye(dim), np.asarray(rhs))
     Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
     rhs = np.asarray(rhs, dtype=float)
     rnorm = max(1.0, float(np.linalg.norm(rhs)))
-    if b == 0.0:
-        x, _ = minres(Hs - a * sp.eye(dim), rhs, rtol=max(1e-13, tol / 100.0),
-                      maxiter=40 * dim)
-        resid = np.linalg.norm(Hs @ x - a * x - rhs)
-        if resid > 1e3 * tol * rnorm:
-            raise ArithmeticError(f"shifted solve residual {resid:.3e} over budget")
-        return x
-
-    def apply(v):
-        u = Hs @ v - a * v
-        return Hs @ u - a * u + b * b * v
-
-    op = LinearOperator((dim, dim), matvec=apply, dtype=float)
-    y, _ = cg(op, rhs, rtol=max(1e-14, (tol / 100.0) ** 2), maxiter=40 * dim)
-    x = (Hs @ y - a * y) + 1j * b * y
+    x, _ = minres(Hs - z * sp.eye(dim), rhs, rtol=max(1e-13, tol / 100.0),
+                  maxiter=40 * dim)
     resid = np.linalg.norm(Hs @ x - z * x - rhs)
     if resid > 1e3 * tol * rnorm:
-        raise ArithmeticError(f"complex shifted solve residual {resid:.3e} over budget")
+        raise ArithmeticError(f"shifted solve residual {resid:.3e} over budget")
     return x
 
 

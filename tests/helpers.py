@@ -4,15 +4,26 @@ The dense product-space construction here is deliberately independent of the
 package's assembly path: single-mode ladder matrices combined with Kronecker
 products, operators multiplied as dense matrices, then compressed to the
 total-photon-capped subspace.  Agreement with the package validates the
-normal-ordering and extended-basis machinery.
+normal-ordering and the top-sector compression.
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from nelsonlab.fock import FockBasis
 from nelsonlab.grid import GridSpec, MomentumGrid
+
+
+def lowering_matrix(basis: FockBasis, m: int) -> sp.csr_matrix:
+    """Sparse matrix of b_m on the truncated basis, from the package's
+    annihilation_arrays (exact: lowering never leaves the space).  Its
+    transpose is the truncated raising operator."""
+    src, mode, tgt, amp = basis.annihilation_arrays()
+    sel = mode == m
+    return sp.csr_matrix((amp[sel], (tgt[sel], src[sel])),
+                         shape=(basis.dim, basis.dim))
 
 
 def single_mode_ladder(dim):

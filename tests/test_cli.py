@@ -10,11 +10,15 @@ and the sweep ledger must carry the documented column layout.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import nelsonlab
 from nelsonlab.cli import main
 
 LEDGER_HEADER = (
@@ -182,6 +186,32 @@ def test_env_var_sets_out_dir_but_flag_wins(tmp_path, small_ini, monkeypatch):
     assert main(["ground-state", "--config", str(small_ini),
                  "--out", str(flag_dir)]) == 0
     assert (flag_dir / "ground_state.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread cap
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the thread variables only take effect if numpy is not loaded yet
+    src = str(Path(nelsonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, nelsonlab.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_config_file_jobs_caps_blas_threads(tmp_path, small_ini, monkeypatch):
+    ini = tmp_path / "jobs.ini"
+    ini.write_text(small_ini.read_text().replace("[run]\n", "[run]\njobs = 1\n"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert main(["ground-state", "--config", str(ini),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
 # ---------------------------------------------------------------------------

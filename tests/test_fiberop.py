@@ -13,7 +13,7 @@ from nelsonlab.fiberop import (FiberOperator, VectorFiberOperator, alpha_factors
                                nelson_hamiltonian, pf_diagonals,
                                transformed_hamiltonian,
                                transformed_hamiltonian_routes, weyl_coefficients)
-from nelsonlab.fock import build_basis
+from nelsonlab.fock import FockBasis, build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid
 
 
@@ -44,14 +44,32 @@ def test_single_mode_two_level_oracle():
 
 
 def test_assemble_matches_dense_brute_force():
-    # the extended-basis square against a dense product-space oracle
+    # the top-sector compression of |A|^2 against a dense product-space oracle
     rng = np.random.default_rng(42)
-    for trial in range(4):
-        op = random_fiber_operator(rng, 2)
-        basis = build_basis(2, 3)
+    for M, Q in [(2, 3), (3, 1), (3, 2), (1, 4)]:
+        op = random_fiber_operator(rng, M)
+        if M == 3 and Q == 2:
+            # a component without field part takes the per-component skip
+            C = op.C.copy()
+            C[:, 1] = 0.0
+            op = FiberOperator(op.w, op.K, C, op.d, op.g, op.e)
+        basis = build_basis(M, Q)
         H = assemble(op, basis).toarray()
         H_dense = dense_compressed(op, basis)
         assert np.max(np.abs(H - H_dense)) <= 1e-12 * max(1.0, np.max(np.abs(H_dense)))
+
+
+def test_assemble_builds_no_auxiliary_basis(monkeypatch):
+    rng = np.random.default_rng(8)
+    op = random_fiber_operator(rng, 3)
+    basis = build_basis(3, 2)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("assemble constructed a FockBasis")
+
+    monkeypatch.setattr(FockBasis, "__init__", refuse)
+    H = assemble(op, basis)
+    assert H.shape == (basis.dim, basis.dim)
 
 
 def test_assemble_diagonal_fast_path_matches_dense():
@@ -250,14 +268,3 @@ def test_pf_diagonals_matches_number_diagonal():
     pf = pf_diagonals(basis, grid)
     for j in range(3):
         assert np.allclose(pf[:, j], basis.number_diagonal(grid.k[:, j]), atol=1e-15)
-
-
-def test_fiber_operator_json_round_trip():
-    rng = np.random.default_rng(19)
-    op = random_fiber_operator(rng, 3)
-    back = FiberOperator.from_json(op.to_json())
-    assert canonical_distance(op, back) == 0.0
-    vop = gamma_operator(ModelParams(coupling=0.1, sigma=0.2),
-                         random_momentum_grid(rng, 2, sigma=0.2), np.zeros(3))
-    vback = VectorFiberOperator.from_json(vop.to_json())
-    assert np.array_equal(vback.C, vop.C)

@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nelsonlab.fock import (FockBasis, StateVector, apply_displacement,
-                            build_basis, displacement_generator, embed)
+from helpers import lowering_matrix
+from nelsonlab.fock import (StateVector, apply_displacement, build_basis,
+                            displacement_generator, embed)
 
 
 def test_dimension_small_enumeration():
@@ -16,11 +17,6 @@ def test_dimension_small_enumeration():
 def test_dimension_stars_and_bars():
     for M, Q in [(2, 3), (4, 3), (5, 2), (1, 6)]:
         assert build_basis(M, Q).dim == math.comb(M + Q, Q)
-
-
-def test_per_mode_cap():
-    b = build_basis(2, 4, per_mode_cap=1)
-    assert b.states == [(), (0,), (1,), (0, 1)]
 
 
 def test_ordering_photon_major_then_lex():
@@ -48,9 +44,9 @@ def test_ccr_on_interior_states():
     b = build_basis(3, 3)
     interior = np.array([len(s) <= b.n_max - 1 for s in b.states])
     for m in range(3):
-        Bm = b.lowering_matrix(m).toarray()
+        Bm = lowering_matrix(b, m).toarray()
         for mp in range(3):
-            Bp = b.lowering_matrix(mp).toarray()
+            Bp = lowering_matrix(b, mp).toarray()
             comm = Bm @ Bp.T - Bp.T @ Bm
             expected = (1.0 if m == mp else 0.0) * np.eye(b.dim)
             block = (comm - expected)[np.ix_(interior, interior)]
@@ -62,7 +58,7 @@ def test_adjointness_exact():
     b = build_basis(3, 3)
     u, v = rng.normal(size=b.dim), rng.normal(size=b.dim)
     for m in range(3):
-        B = b.lowering_matrix(m)
+        B = lowering_matrix(b, m)
         assert abs(u @ (B @ v) - (B.T @ u) @ v) <= 1e-13
 
 
@@ -79,32 +75,25 @@ def test_apply_annihilate_amplitudes():
     b = build_basis(2, 3)
     v = np.zeros(b.dim)
     v[b.index_of((0, 0, 1))] = 1.0
-    out = b.apply_annihilate(0, v)
+    out = lowering_matrix(b, 0) @ v
     assert abs(out[b.index_of((0, 1))] - math.sqrt(2.0)) <= 1e-15
     assert abs(np.linalg.norm(out) - math.sqrt(2.0)) <= 1e-15
 
 
-def test_apply_create_amplitude_and_leak():
-    b = build_basis(2, 2)
-    v = np.zeros(b.dim)
-    v[b.index_of((0,))] = 1.0
-    out, leak = b.apply_create(0, v)
-    assert abs(out[b.index_of((0, 0))] - math.sqrt(2.0)) <= 1e-15
-    assert leak == 0.0
-    # creating on a state at the cap drops everything: leak = (n_m + 1) |v|^2
-    v2 = np.zeros(b.dim)
-    v2[b.index_of((0, 0))] = 1.0
-    out2, leak2 = b.apply_create(0, v2)
-    assert np.all(out2 == 0.0)
-    assert abs(leak2 - 3.0) <= 1e-15
-
-
 def test_raising_is_lowering_transpose_on_truncation():
+    # b*_m |s> = sqrt(n_m + 1) |s + m> below the cap; the top sector maps to 0
     b = build_basis(2, 2)
+    for m in range(2):
+        R = lowering_matrix(b, m).T.toarray()
+        expected = np.zeros((b.dim, b.dim))
+        for i, s in enumerate(b.states):
+            if len(s) < b.n_max:
+                expected[b.index_of(s + (m,)), i] = math.sqrt(Counter(s)[m] + 1.0)
+        assert np.max(np.abs(R - expected)) <= 1e-15
     v = np.zeros(b.dim)
     v[b.index_of((1,))] = 2.0
-    out, _ = b.apply_create(1, v)
-    assert np.allclose(out, b.lowering_matrix(1).T @ v)
+    out = lowering_matrix(b, 1).T @ v
+    assert abs(out[b.index_of((1, 1))] - 2.0 * math.sqrt(2.0)) <= 1e-15
 
 
 def test_embed_isometry_and_placement():
@@ -126,8 +115,8 @@ def test_embed_commutes_with_operators():
     child = build_basis(3, 2)
     rng = np.random.default_rng(11)
     v = rng.normal(size=parent.dim)
-    lhs = embed(parent.apply_annihilate(1, v), parent, child)
-    rhs = child.apply_annihilate(1, embed(v, parent, child))
+    lhs = embed(lowering_matrix(parent, 1) @ v, parent, child)
+    rhs = lowering_matrix(child, 1) @ embed(v, parent, child)
     assert np.allclose(lhs, rhs, atol=1e-15)
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nelsonlab.grid import (GridSpec, ModelParams, MomentumGrid, build_grid,
-                            cutoff_chi, form_factor, refine_annulus)
+from nelsonlab.grid import (GridSpec, ModelParams, build_grid, cutoff_chi,
+                            form_factor, refine_annulus)
 
 
 def test_annulus_volume_exact():
@@ -148,25 +148,6 @@ def test_refine_chain_matches_repeated_refine():
     assert g3.sigma == 0.125
     assert len(g3.shell_bounds) == len(g2.shell_bounds) + len(g3.shell_bounds) - len(g2.shell_bounds)
     assert np.all(np.diff([b[0] for b in g3.shell_bounds[len(g1.shell_bounds):]]) != 0)
-
-
-def test_grid_csv_round_trip():
-    grid = build_grid(ModelParams(sigma=0.25, kappa=1.0), GridSpec(2, 2, 3))
-    text = grid.to_csv()
-    back = MomentumGrid.from_csv(text, grid.sigma, grid.kappa, grid.spec, grid.shell_bounds)
-    assert np.array_equal(back.k, grid.k)
-    assert np.array_equal(back.w, grid.w)
-    assert np.array_equal(back.shell, grid.shell)
-    assert back.to_csv() == text
-
-
-def test_rotated_grid_signed_permutation_exact():
-    grid = build_grid(ModelParams(sigma=0.3, kappa=1.0), GridSpec(2, 4, 4))
-    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # 90 deg about z
-    rot = grid.rotated(R)
-    assert np.array_equal(rot.k, grid.k @ R.T)
-    assert np.array_equal(np.sort(rot.r), np.sort(grid.r))
-    assert np.array_equal(rot.w, grid.w)
 
 
 def test_params_validation():

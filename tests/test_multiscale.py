@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from nelsonlab import multiscale
 from nelsonlab.fiberop import weyl_coefficients
 from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
@@ -194,7 +195,7 @@ def test_csv_ledger_layout(tmp_path, sweep):
     assert float(first["energy"]) == sweep.rows[0].energy
 
 
-def test_checkpoints_resume_and_invalidate(tmp_path):
+def test_checkpoints_resume_and_invalidate(tmp_path, monkeypatch):
     cfg = small_config(n_scales=3, with_contour=False, with_dispersion=False,
                        with_f1=False, with_derivatives=False)
     seen = []
@@ -219,6 +220,17 @@ def test_checkpoints_resume_and_invalidate(tmp_path):
                                         with_derivatives=False),
                            checkpoint_dir=tmp_path)
     assert abs(recomputed.rows[1].energy - original) < 1e-8
+
+    # so do other numerics: checkpoints written under another
+    # NUMERICS_VERSION are recomputed, not resumed
+    with monkeypatch.context() as m:
+        m.setattr(multiscale, "NUMERICS_VERSION", multiscale.NUMERICS_VERSION - 1)
+        run_sweep(cfg, checkpoint_dir=tmp_path)
+    payload = json.loads(meta.read_text())
+    payload["row"]["energy"] = original + 1.0
+    meta.write_text(json.dumps(payload))
+    current = run_sweep(cfg, checkpoint_dir=tmp_path)
+    assert abs(current.rows[1].energy - original) < 1e-8
 
 
 def test_dimension_cap_stops_the_sweep():
