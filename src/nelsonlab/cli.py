@@ -346,17 +346,16 @@ def cmd_ground_state(cfg: RunConfig) -> int:
 def cmd_derivatives(cfg: RunConfig) -> int:
     import numpy as np
     from .derivatives import (hessian_E, phi_first_derivatives,
-                              scaling_norms, third_derivative_E)
+                              radial_direction, scaling_norms,
+                              third_derivative_E)
     ctx = RunContext("derivatives", cfg)
     state = _solve_state(cfg, ctx)
+    radial = radial_direction(state)
     with ctx.timed("derivatives"):
-        hess = hessian_E(state, cfg.tol)
-        cols = phi_first_derivatives(state, cfg.tol)
-        norms = scaling_norms(state, tol=cfg.tol)
-        d3 = third_derivative_E(state, tol=cfg.tol)
-    radial = np.array(state.grad_e)
-    nr = np.linalg.norm(radial)
-    radial = radial / nr if nr > 0 else np.array([1.0, 0.0, 0.0])
+        hess = hessian_E(state)
+        cols = phi_first_derivatives(state)
+        norms = scaling_norms(state, radial)
+        d3 = third_derivative_E(state, radial)
     record = {
         "grad_e": [float(x) for x in state.grad_e],
         "hessian": [[float(x) for x in row] for row in hess],

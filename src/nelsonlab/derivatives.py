@@ -9,6 +9,14 @@ the same family must reproduce them to quadrature order.
 
 Small gradient defects gamma_i = <phi, Gamma_i phi> (nonzero only through
 truncation) are kept in the formulas rather than assumed away.
+
+The DressedScaleState owns the first-order data: Gamma_i (`state.gamma`),
+Gamma_i phi (`state.gamma_phi`) and d_i phi = R0 Gamma_i phi
+(`state.phi_derivs`, three reduced solves at `state.tol`).  Along a unit
+direction n everything follows by linearity of R0: G = n . Gamma,
+G phi = gamma_phi n and u = R0 G phi = phi_derivs n.  The third derivative
+then needs no further solve (Wigner's 2n+1 rule); the second eigenvector
+derivative and the two higher chain norms take two solves each.
 """
 
 from __future__ import annotations
@@ -16,12 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dressing import DressedScaleState
-from .fiberop import assemble_vector_component, gamma_operator
 from .fock import apply_displacement
 from .spectral import solve_reduced_resolvent
 
 __all__ = [
-    "gamma_matrices",
     "grad_E_dressed",
     "phi_first_derivatives",
     "hessian_E",
@@ -34,82 +40,45 @@ __all__ = [
 ]
 
 
-def gamma_matrices(state: DressedScaleState):
-    """Compressed components of the dressed momentum defect Gamma (cached)."""
-    mats = getattr(state, "_gamma_mats", None)
-    if mats is None:
-        gam = gamma_operator(state.params, state.grid, state.grad_e)
-        mats = [assemble_vector_component(gam, j, state.basis) for j in range(3)]
-        state._gamma_mats = mats
-    return mats
-
-
-def _gamma_defect(state: DressedScaleState, B: np.ndarray) -> np.ndarray:
-    return B.T @ state.phi
-
-
-def _gamma_applied(state: DressedScaleState) -> np.ndarray:
-    """(dim, 3) array with columns Gamma_j phi (cached)."""
-    B = getattr(state, "_gamma_phi", None)
-    if B is None:
-        B = np.column_stack([G @ state.phi for G in gamma_matrices(state)])
-        state._gamma_phi = B
-    return B
-
-
 def grad_E_dressed(state: DressedScaleState) -> np.ndarray:
     """Exact gradient of the truncated dressed eigenvalue:
     gradE0_i - <phi, Gamma_i phi>."""
-    return state.grad_e - _gamma_defect(state, _gamma_applied(state))
+    return state.grad_e - state.phi @ state.gamma_phi
 
 
-def phi_first_derivatives(state: DressedScaleState, tol: float = 1e-10) -> np.ndarray:
+def phi_first_derivatives(state: DressedScaleState) -> np.ndarray:
     """(dim, 3) array of eigenvector derivatives d(phi)/dP_i = R0 Gamma_i phi
-    in the norm-preserving gauge <phi, d(phi)> = 0 (cached)."""
-    U = getattr(state, "_phi_derivs", None)
-    if U is None:
-        B = _gamma_applied(state)
-        U = np.column_stack([
-            solve_reduced_resolvent(state.Hw, state.energy_w, state.phi,
-                                    B[:, i], tol)
-            for i in range(3)
-        ])
-        state._phi_derivs = U
-    return U
+    in the norm-preserving gauge <phi, d(phi)> = 0."""
+    return state.phi_derivs
 
 
-def hessian_E(state: DressedScaleState, tol: float = 1e-10) -> np.ndarray:
+def hessian_E(state: DressedScaleState) -> np.ndarray:
     """3x3 matrix d2 E / dP_i dP_j = delta_ij - <Gamma_i phi, R0 Gamma_j phi>
     - <Gamma_j phi, R0 Gamma_i phi>."""
-    B = _gamma_applied(state)
-    U = phi_first_derivatives(state, tol)
-    S = B.T @ U
+    S = state.gamma_phi.T @ state.phi_derivs
     return np.eye(3) - S - S.T
 
 
-def directional_hessian(state: DressedScaleState, direction, tol: float = 1e-10) -> float:
+def directional_hessian(state: DressedScaleState, direction) -> float:
     """n . Hess E . n for a unit direction n; equals 1 - 2 <G phi, R0 G phi>
     with G = n . Gamma, hence never exceeds 1 (R0 is PSD off the ground state)."""
-    n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
-    return float(n @ hessian_E(state, tol) @ n)
+    n = _unit(state, direction)
+    return float(n @ hessian_E(state) @ n)
 
 
-def phi_second_derivative(state: DressedScaleState, i: int, j: int,
-                          tol: float = 1e-10) -> np.ndarray:
+def phi_second_derivative(state: DressedScaleState, i: int, j: int) -> np.ndarray:
     """d2 phi / dP_i dP_j:
 
         R0 (Gamma_i - gamma_i) d_j phi + R0 (Gamma_j - gamma_j) d_i phi
         - <d_i phi, d_j phi> phi.
     """
-    G = gamma_matrices(state)
-    B = _gamma_applied(state)
-    gam = _gamma_defect(state, B)
-    U = phi_first_derivatives(state, tol)
+    G = state.gamma
+    gam = state.phi @ state.gamma_phi
+    U = state.phi_derivs
     t1 = solve_reduced_resolvent(state.Hw, state.energy_w, state.phi,
-                                 G[i] @ U[:, j] - gam[i] * U[:, j], tol)
+                                 G[i] @ U[:, j] - gam[i] * U[:, j], state.tol)
     t2 = solve_reduced_resolvent(state.Hw, state.energy_w, state.phi,
-                                 G[j] @ U[:, i] - gam[j] * U[:, i], tol)
+                                 G[j] @ U[:, i] - gam[j] * U[:, i], state.tol)
     return t1 + t2 - float(U[:, i] @ U[:, j]) * state.phi
 
 
@@ -122,48 +91,45 @@ def radial_direction(state: DressedScaleState) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0])
 
 
-def _directional_gamma(state: DressedScaleState, n: np.ndarray):
-    G = gamma_matrices(state)
-    return n[0] * G[0] + n[1] * G[1] + n[2] * G[2]
+def _unit(state: DressedScaleState, direction) -> np.ndarray:
+    """`direction` normalised, or the radial direction when it is None."""
+    if direction is None:
+        return radial_direction(state)
+    n = np.asarray(direction, dtype=float)
+    return n / np.linalg.norm(n)
 
 
-def third_derivative_E(state: DressedScaleState, direction=None,
-                       tol: float = 1e-10) -> float:
+def _along(state: DressedScaleState, n: np.ndarray):
+    """(G, G phi, u = R0 G phi) for G = n . Gamma, by linearity."""
+    G = n[0] * state.gamma[0] + n[1] * state.gamma[1] + n[2] * state.gamma[2]
+    return G, state.gamma_phi @ n, state.phi_derivs @ n
+
+
+def third_derivative_E(state: DressedScaleState, direction=None) -> float:
     """d3 E / dt3 along P(t) = P + t n:
 
-        2 <u, (gamma - G) u> - 4 <(gamma - G) phi, R0 (gamma - G) u>,
+        6 (gamma ||u||^2 - <u, G u>),
 
-    with G = n . Gamma, gamma = <phi, G phi>, u = R0 G phi."""
-    n = radial_direction(state) if direction is None else \
-        np.asarray(direction, dtype=float) / np.linalg.norm(direction)
-    G = _directional_gamma(state, n)
-    phi = state.phi
-    Gphi = G @ phi
-    gamma = float(phi @ Gphi)
-    u = solve_reduced_resolvent(state.Hw, state.energy_w, phi, Gphi, tol)
-    Gu = G @ u
-    term1 = 2.0 * (gamma * float(u @ u) - float(u @ Gu))
-    w1 = solve_reduced_resolvent(state.Hw, state.energy_w, phi,
-                                 gamma * u - Gu, tol)
-    term2 = -4.0 * float((gamma * phi - Gphi) @ w1)
-    return term1 + term2
+    with G = n . Gamma, gamma = <phi, G phi>, u = R0 G phi.  This is
+    Wigner's 2n+1 rule: the first-order vector u fixes the third-order
+    energy, so no solve beyond the state's three columns is needed."""
+    G, Gphi, u = _along(state, _unit(state, direction))
+    gamma = float(state.phi @ Gphi)
+    return 6.0 * (gamma * float(u @ u) - float(u @ (G @ u)))
 
 
-def scaling_norms(state: DressedScaleState, direction=None,
-                  tol: float = 1e-10) -> dict:
+def scaling_norms(state: DressedScaleState, direction=None) -> dict:
     """Resolvent-chain norms controlling the derivative formulas along n:
 
         n0 = ||R0 G phi||      (first eigenvector derivative)
         n1 = ||R0 Q G R0 G phi||  (second-order chain)
         n2 = ||(R0)^2 G phi||     (resolvent-squared chain)
     """
-    n = radial_direction(state) if direction is None else \
-        np.asarray(direction, dtype=float) / np.linalg.norm(direction)
-    G = _directional_gamma(state, n)
-    phi = state.phi
-    u = solve_reduced_resolvent(state.Hw, state.energy_w, phi, G @ phi, tol)
-    chain = solve_reduced_resolvent(state.Hw, state.energy_w, phi, G @ u, tol)
-    square = solve_reduced_resolvent(state.Hw, state.energy_w, phi, u, tol)
+    G, _, u = _along(state, _unit(state, direction))
+    chain = solve_reduced_resolvent(state.Hw, state.energy_w, state.phi,
+                                    G @ u, state.tol)
+    square = solve_reduced_resolvent(state.Hw, state.energy_w, state.phi, u,
+                                     state.tol)
     return {"n0": float(np.linalg.norm(u)),
             "n1": float(np.linalg.norm(chain)),
             "n2": float(np.linalg.norm(square))}

@@ -11,12 +11,12 @@ of <phi, Gamma phi>) is measured and reported, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fiberop import (
-    FiberOperator,
     assemble,
     assemble_vector_component,
     gamma_operator,
@@ -28,13 +28,12 @@ from .fiberop import (
 )
 from .fock import FockBasis, apply_displacement
 from .grid import ModelParams, MomentumGrid
-from .spectral import ground_state
+from .spectral import ground_state, solve_reduced_resolvent
 
 __all__ = [
     "DressedScaleState",
     "dressed_ground_state",
     "hellmann_feynman_gradient",
-    "gamma_expectation",
     "dispersion_probe",
 ]
 
@@ -46,6 +45,13 @@ class DressedScaleState:
     `energy`/`psi` solve the bare fiber Hamiltonian, `energy_w`/`phi` the
     dressed one; under truncation the two energies are independent
     variational values whose mismatch is itself a convergence diagnostic.
+
+    The state owns the first-order data every momentum derivative is built
+    from, each computed once on first use: the compressed momentum defect
+    Gamma_j at `grad_e` (`gamma`), the columns Gamma_j phi (`gamma_phi`) and
+    the eigenvector derivatives R0 Gamma_j phi (`phi_derivs`, three reduced
+    solves at `tol`).  R0 is linear, so derivatives along any direction
+    follow from these three columns without further solves.
     """
 
     params: ModelParams
@@ -56,12 +62,12 @@ class DressedScaleState:
     gap: float
     grad_e: np.ndarray
     h: np.ndarray
-    hw_op: FiberOperator
     energy_w: float
     phi: np.ndarray
     gap_w: float
     H: sp.csr_matrix = field(repr=False)
     Hw: sp.csr_matrix = field(repr=False)
+    tol: float
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -75,6 +81,29 @@ class DressedScaleState:
             return 1.0
         return float(np.min(1.0 - (self.grid.k @ self.grad_e) / self.grid.r))
 
+    @cached_property
+    def gamma(self) -> list:
+        """The three compressed components Gamma_j of the dressed momentum
+        defect at `grad_e`."""
+        gam = gamma_operator(self.params, self.grid, self.grad_e)
+        return [assemble_vector_component(gam, j, self.basis) for j in range(3)]
+
+    @cached_property
+    def gamma_phi(self) -> np.ndarray:
+        """(dim, 3) array with columns Gamma_j phi."""
+        return np.column_stack([G @ self.phi for G in self.gamma])
+
+    @cached_property
+    def phi_derivs(self) -> np.ndarray:
+        """(dim, 3) array with columns d(phi)/dP_j = R0 Gamma_j phi, in the
+        norm-preserving gauge <phi, d(phi)> = 0."""
+        B = self.gamma_phi
+        return np.column_stack([
+            solve_reduced_resolvent(self.Hw, self.energy_w, self.phi, B[:, j],
+                                    self.tol)
+            for j in range(3)
+        ])
+
 
 def hellmann_feynman_gradient(params: ModelParams, grid: MomentumGrid,
                               basis: FockBasis, psi: np.ndarray) -> np.ndarray:
@@ -82,17 +111,6 @@ def hellmann_feynman_gradient(params: ModelParams, grid: MomentumGrid,
     pf = pf_diagonals(basis, grid)
     dens = np.abs(psi) ** 2
     return params.P_vec - pf.T @ dens
-
-
-def gamma_expectation(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
-                      gradE, phi: np.ndarray) -> np.ndarray:
-    """<phi, Gamma_j phi> for the three components of the dressed momentum
-    defect; vanishes at a self-consistent dressed ground state."""
-    gam = gamma_operator(params, grid, gradE)
-    out = np.empty(3)
-    for j in range(3):
-        out[j] = float(phi @ (assemble_vector_component(gam, j, basis) @ phi))
-    return out
 
 
 def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
@@ -108,16 +126,18 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
     grad_e = hellmann_feynman_gradient(params, grid, basis, rec.vector)
 
     h = weyl_coefficients(params, grid, grad_e)
-    hw_op = transformed_hamiltonian(params, grid, grad_e)
-    Hw = assemble(hw_op, basis)
+    Hw = assemble(transformed_hamiltonian(params, grid, grad_e), basis)
     rec_w = ground_state(Hw, tol)
 
     w_psi = apply_displacement(basis, h, rec.vector)
     overlap = float(w_psi @ rec_w.vector)
     dressing_defect = float(np.linalg.norm(np.copysign(1.0, overlap) * w_psi
                                            - rec_w.vector))
-    gdef = gamma_expectation(params, grid, basis, grad_e, rec_w.vector)
-    diagnostics = {
+    state = DressedScaleState(params, grid, basis, rec.energy, rec.vector,
+                              rec.gap, grad_e, h, rec_w.energy, rec_w.vector,
+                              rec_w.gap, H, Hw, tol)
+    gdef = state.phi @ state.gamma_phi
+    state.diagnostics = {
         "energy_mismatch": abs(rec.energy - rec_w.energy),
         "dressing_defect": dressing_defect,
         "dressing_overlap": abs(overlap),
@@ -128,9 +148,7 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
         "method": rec.method,
         "method_w": rec_w.method,
     }
-    return DressedScaleState(params, grid, basis, rec.energy, rec.vector, rec.gap,
-                             grad_e, h, hw_op, rec_w.energy, rec_w.vector,
-                             rec_w.gap, H, Hw, diagnostics)
+    return state
 
 
 def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,

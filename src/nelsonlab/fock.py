@@ -149,14 +149,30 @@ class StateVector:
 
     @staticmethod
     def from_csv(text: str, basis: FockBasis) -> "StateVector":
+        """Parse `to_csv` output; every index 0 .. dim-1 must appear exactly
+        once, otherwise ValueError names the defect."""
         rows = list(csv.reader(io.StringIO(text)))
-        if rows[0] != ["index", "re", "im"]:
+        if not rows or rows[0] != ["index", "re", "im"]:
             raise ValueError("unexpected state vector CSV header")
         re = np.zeros(basis.dim)
         im = np.zeros(basis.dim)
-        for row in rows[1:]:
+        seen = np.zeros(basis.dim, dtype=bool)
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != 3:
+                raise ValueError(f"state vector CSV line {line} has {len(row)} "
+                                 "cells, expected 3")
             i = int(row[0])
+            if not 0 <= i < basis.dim:
+                raise ValueError(f"state vector CSV index {i} outside "
+                                 f"0..{basis.dim - 1}")
+            if seen[i]:
+                raise ValueError(f"state vector CSV repeats index {i}")
+            seen[i] = True
             re[i], im[i] = float(row[1]), float(row[2])
+        if not seen.all():
+            missing = np.flatnonzero(~seen)
+            raise ValueError(f"state vector CSV lacks {len(missing)} of "
+                             f"{basis.dim} indices, first {missing[0]}")
         if np.any(im):
             return StateVector(re + 1j * im, basis)
         return StateVector(re, basis)

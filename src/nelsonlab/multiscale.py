@@ -32,11 +32,12 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .derivatives import (
-    _directional_gamma,
+    directional_hessian,
     phi_first_derivatives,
     radial_direction,
     scaling_norms,
@@ -65,7 +66,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,8 @@ def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
-                             prev: DressedScaleState, row: ScaleRow):
+                             prev: DressedScaleState | RestoredScale,
+                             row: ScaleRow):
     """Cauchy differences, projection overlap, frame-transfer defect, and
     contour sup norms against the intermediate Hamiltonian (previous
     gradient's dressing at the current cutoff)."""
@@ -312,23 +314,21 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
         row.contour_sups = sups
 
 
-def _derivative_quantities(state: DressedScaleState, row: ScaleRow, tol: float):
+def _derivative_quantities(state: DressedScaleState, row: ScaleRow):
     n = radial_direction(state)
-    norms = scaling_norms(state, n, tol)
+    norms = scaling_norms(state, n)
     row.n0, row.n1, row.n2 = norms["n0"], norms["n1"], norms["n2"]
-    G = _directional_gamma(state, n)
-    Gphi = G @ state.phi
-    u = solve_reduced_resolvent(state.Hw, state.energy_w, state.phi, Gphi, tol)
-    row.radial_hessian = 1.0 - 2.0 * float(Gphi @ u)
-    row.d3_radial = third_derivative_E(state, n, tol)
+    row.radial_hessian = directional_hessian(state, n)
+    row.d3_radial = third_derivative_E(state, n)
     # largest of the three reduced-resolvent norms ||R0 Gamma_i phi||; its
     # growth exponent over sigma is the delta-hat ledger quantity
-    U = phi_first_derivatives(state, tol)
+    U = phi_first_derivatives(state)
     row.rgamma_norm = float(np.linalg.norm(U, axis=0).max())
 
 
 def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
-                   basis: FockBasis, prev_state: DressedScaleState):
+                   basis: FockBasis,
+                   prev_state: DressedScaleState | RestoredScale | None):
     t0 = time.monotonic()
     sigma = config.sigma_at(n)
     params = config.params.with_sigma(sigma)
@@ -361,7 +361,7 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
                                        max_probes=config.max_probes,
                                        tol=config.tol)[0]
     if config.with_derivatives and grid.n_modes:
-        _derivative_quantities(state, row, config.tol)
+        _derivative_quantities(state, row)
     row.wall_time = time.monotonic() - t0
     return row, state
 
@@ -375,14 +375,24 @@ def _save_checkpoint(directory, config, n, row, state):
     meta, psi_path, phi_path = _checkpoint_paths(directory, n)
     StateVector(state.psi, state.basis).to_csv(psi_path)
     StateVector(state.phi, state.basis).to_csv(phi_path)
-    payload = {"config_hash": config.content_hash(), "row": row.as_dict(),
-               "h": [float(x) for x in state.h]}
+    payload = {"config_hash": config.content_hash(), "row": row.as_dict()}
     with open(meta, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
 
 
+class RestoredScale(NamedTuple):
+    """The part of a checkpointed scale that the next scale reads of its
+    predecessor; it stands in for a DressedScaleState as `prev_state`."""
+
+    basis: FockBasis
+    energy: float
+    grad_e: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+
+
 def _load_checkpoint(directory, config, n, grid, basis):
-    """Rebuild a scale from disk; returns (row, state) or None on any
+    """Read a scale from disk; returns (row, RestoredScale) or None on any
     mismatch (hash, shape) so the scale is recomputed."""
     meta, psi_path, phi_path = _checkpoint_paths(directory, n)
     if not (os.path.exists(meta) and os.path.exists(psi_path)
@@ -400,25 +410,10 @@ def _load_checkpoint(directory, config, n, grid, basis):
         psi = StateVector.from_csv(fh.read(), basis).data
     with open(phi_path) as fh:
         phi = StateVector.from_csv(fh.read(), basis).data
-    params = config.params.with_sigma(row_dict["sigma"])
-    state = _rebuild_state(params, grid, basis, psi, phi, row_dict,
-                           np.asarray(payload["h"], dtype=float))
-    return ScaleRow(**row_dict), state
-
-
-def _rebuild_state(params, grid, basis, psi, phi, row_dict, h):
-    from .fiberop import nelson_hamiltonian
-    grad_e = np.asarray(row_dict["grad_e"], dtype=float)
-    hw_op = transformed_hamiltonian(params, grid, grad_e)
-    H = assemble(nelson_hamiltonian(params, grid), basis)
-    Hw = assemble(hw_op, basis)
-    return DressedScaleState(
-        params, grid, basis, row_dict["energy"], np.real(psi), row_dict["gap"],
-        grad_e, h, hw_op, row_dict["energy_w"], np.real(phi),
-        row_dict["gap_w"], H, Hw,
-        {"energy_mismatch": row_dict["energy_mismatch"],
-         "dressing_defect": row_dict["dressing_defect"],
-         "grad_defect_norm": row_dict["grad_defect_norm"]})
+    prev = RestoredScale(basis, row_dict["energy"],
+                         np.asarray(row_dict["grad_e"], dtype=float),
+                         np.real(psi), np.real(phi))
+    return ScaleRow(**row_dict), prev
 
 
 def run_sweep(config: SweepConfig, checkpoint_dir=None,

@@ -229,6 +229,11 @@ def test_derivatives_outputs(tmp_path, small_ini):
         for j in range(3):
             assert hess[i][j] == pytest.approx(hess[j][i], abs=1e-7)
     assert 0.0 < record["radial_hessian"] <= 1.0 + 1e-8
+    # the radial direction is P-hat, as in the sweep ledger, not grad E
+    p = [0.1, 0.05, 0.02]
+    n = [x / math.sqrt(sum(y * y for y in p)) for x in p]
+    along = sum(n[i] * hess[i][j] * n[j] for i in range(3) for j in range(3))
+    assert record["radial_hessian"] == pytest.approx(along, rel=0, abs=1e-12)
     assert len(record["phi_derivative_norms"]) == 3
     check_manifest(out)
 

@@ -1,15 +1,19 @@
 """Finite-difference verification of the analytic momentum-derivative
 formulas, against the frozen-dressing eigenvalue family they differentiate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nelsonlab import derivatives as dv
+from nelsonlab import dressing, multiscale
+from nelsonlab.cli import main
 from nelsonlab.dressing import dressed_ground_state
 from nelsonlab.fiberop import assemble, transformed_hamiltonian
 from nelsonlab.fock import build_basis
 from nelsonlab.grid import ModelParams
-from nelsonlab.spectral import ground_state
+from nelsonlab.spectral import ground_state, solve_reduced_resolvent
 
 from helpers import random_momentum_grid
 
@@ -197,6 +201,33 @@ def test_scaling_norms_positive(setup):
     norms = dv.scaling_norms(state)
     assert norms["n0"] > 0 and norms["n1"] > 0 and norms["n2"] > 0
     # Cauchy-Schwarz ties the hessian drop to the first chain norm
-    drop = 1.0 - dv.directional_hessian(state, dv.radial_direction(state))
-    G = dv._directional_gamma(state, dv.radial_direction(state))
+    n = dv.radial_direction(state)
+    drop = 1.0 - dv.directional_hessian(state, n)
+    G = n[0] * state.gamma[0] + n[1] * state.gamma[1] + n[2] * state.gamma[2]
     assert drop <= 2.0 * norms["n0"] * np.linalg.norm(G @ state.phi) + 1e-12
+
+
+def test_derivative_stages_make_five_reduced_solves(tmp_path, monkeypatch):
+    """The three columns R0 Gamma_i phi fix every first-order quantity and,
+    by the 2n+1 rule, the third derivative; only the two higher chain norms
+    solve again."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_reduced_resolvent(*args, **kwargs)
+
+    for mod in (dressing, dv, multiscale):
+        monkeypatch.setattr(mod, "solve_reduced_resolvent", counting)
+    grid = random_momentum_grid(np.random.default_rng(42), n_modes=5,
+                                sigma=0.15, kappa=1.0)
+    params = ModelParams(coupling=0.2, sigma=0.15, P=(0.08, 0.0, 0.03))
+    state = dressed_ground_state(params, grid, build_basis(5, 3))
+    assert calls == []
+    multiscale._derivative_quantities(state, SimpleNamespace())
+    assert len(calls) == 5
+
+    calls.clear()
+    assert main(["derivatives", "--sigma", "0.25", "--P=0.1,0.05,0.02",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 5

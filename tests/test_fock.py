@@ -168,6 +168,20 @@ def test_state_vector_complex_round_trip():
     assert np.array_equal(back.data, z)
 
 
+def test_state_vector_csv_rejects_incomplete_input():
+    b = build_basis(2, 2)
+    lines = StateVector(np.arange(b.dim, dtype=float), b).to_csv().splitlines()
+    truncated = "\n".join(lines[:-2]) + "\n"
+    with pytest.raises(ValueError, match="lacks 2 of 6 indices, first 4"):
+        StateVector.from_csv(truncated, b)
+    duplicated = "\n".join(lines[:-1] + [lines[1]]) + "\n"
+    with pytest.raises(ValueError, match="repeats index 0"):
+        StateVector.from_csv(duplicated, b)
+    beyond = "\n".join(lines + [f"{b.dim},1.0,0.0"]) + "\n"
+    with pytest.raises(ValueError, match=f"index {b.dim} outside"):
+        StateVector.from_csv(beyond, b)
+
+
 def test_empty_mode_set():
     b = build_basis(0, 2)
     assert b.dim == 1

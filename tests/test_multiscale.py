@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nelsonlab import multiscale
+from nelsonlab import dressing, fiberop, multiscale
 from nelsonlab.fiberop import weyl_coefficients
 from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
@@ -231,6 +231,35 @@ def test_checkpoints_resume_and_invalidate(tmp_path, monkeypatch):
     meta.write_text(json.dumps(payload))
     current = run_sweep(cfg, checkpoint_dir=tmp_path)
     assert abs(current.rows[1].energy - original) < 1e-8
+
+
+def test_full_resume_assembles_no_matrix(tmp_path, monkeypatch):
+    cfg = small_config(n_scales=3)
+    run_sweep(cfg, checkpoint_dir=tmp_path).to_csv(tmp_path / "first.csv")
+
+    def refuse(op, basis):
+        if basis.dim > 1:
+            raise AssertionError(f"resume assembled a dim-{basis.dim} matrix")
+        return fiberop.assemble(op, basis)
+
+    for mod in (multiscale, dressing):
+        monkeypatch.setattr(mod, "assemble", refuse)
+    run_sweep(cfg, checkpoint_dir=tmp_path).to_csv(tmp_path / "resumed.csv")
+    assert (tmp_path / "resumed.csv").read_bytes() == \
+        (tmp_path / "first.csv").read_bytes()
+
+
+def test_partial_resume_matches_fresh_sweep(tmp_path):
+    cfg = small_config(n_scales=3)
+    fresh = run_sweep(cfg, checkpoint_dir=tmp_path)
+    (tmp_path / "scale_02.json").unlink()
+    resumed = run_sweep(cfg, checkpoint_dir=tmp_path)
+
+    def cells(row):  # repr, so that nan cells compare equal
+        d = row.as_dict()
+        del d["wall_time"]
+        return repr(d)
+    assert [cells(r) for r in resumed.rows] == [cells(r) for r in fresh.rows]
 
 
 def test_dimension_cap_stops_the_sweep():
