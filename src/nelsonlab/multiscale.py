@@ -66,7 +66,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ class SweepConfig:
     contour_samples: int = 8
     max_probes: int = 12
     dim_cap: int = 200_000
-    with_contour: bool = True
-    with_dispersion: bool = True
-    with_f1: bool = True
-    with_derivatives: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -301,17 +297,16 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
     moved_int = apply_displacement(basis, state.h - h_int, rec_int.vector)
     row.transfer_defect = _aligned_distance(state.phi, moved_int)
 
-    if config.with_contour:
-        gam = gamma_operator(params, grid, grad_prev)
-        radius = params.sigma / 3.0
-        row.contour_gap = float(rec_int.gap - radius)
-        sups = []
-        for j in range(3):
-            v = assemble_vector_component(gam, j, basis) @ chi
-            sup, _, _ = contour_sup_norm(H_int, rec_int.energy, radius, v,
-                                         n_samples=config.contour_samples)
-            sups.append(float(sup))
-        row.contour_sups = sups
+    gam = gamma_operator(params, grid, grad_prev)
+    radius = params.sigma / 3.0
+    row.contour_gap = float(rec_int.gap - radius)
+    sups = []
+    for j in range(3):
+        v = assemble_vector_component(gam, j, basis) @ chi
+        sup, _, _ = contour_sup_norm(H_int, rec_int.energy, radius, v,
+                                     n_samples=config.contour_samples)
+        sups.append(float(sup))
+    row.contour_sups = sups
 
 
 def _derivative_quantities(state: DressedScaleState, row: ScaleRow):
@@ -352,15 +347,13 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
             row.c_energy = row.energy_drop / (lam * lam * config.sigma_at(n - 1))
         row.grad_drift = float(np.linalg.norm(state.grad_e - prev_state.grad_e))
         _intermediate_quantities(config, state, prev_state, row)
-    if config.with_f1 and grid.n_modes:
+    if grid.n_modes:
         bg = BareGround.from_state(state)
         row.f1_bound_c = bound_constant_f1(bg, extract_f1(bg))[0]
-    if config.with_dispersion and grid.n_modes:
         row.deficit = dispersion_probe(params, grid, basis, H=state.H,
                                        energy=state.energy,
                                        max_probes=config.max_probes,
                                        tol=config.tol)[0]
-    if config.with_derivatives and grid.n_modes:
         _derivative_quantities(state, row)
     row.wall_time = time.monotonic() - t0
     return row, state

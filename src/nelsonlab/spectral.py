@@ -1,11 +1,14 @@
 """Ground states, reduced resolvents, and shifted solves for symmetric
 sparse matrices.
 
-Small problems are handled densely; larger ones use Lanczos-type Krylov
-methods with deterministic start vectors, so repeated runs reproduce
-bit-identical results.  Resolvent norms along a spectral contour reuse one
-Lanczos tridiagonalization for every shift (Krylov spaces are shift
-invariant), with an exact per-shift residual estimate.
+Only the lowest eigenpairs of small matrices are found densely (see
+ground_state); larger ones come from Lanczos (ARPACK) with a deterministic
+start vector, so repeated runs reproduce bit-identical results.  Every
+linear solve is a Krylov solve at any dimension and checks its true
+residual: reduced resolvents and shifted solves run MINRES on a matvec, and
+resolvent norms along a spectral contour reuse one Lanczos
+tridiagonalization for every shift (Krylov spaces are shift invariant), with
+an exact per-shift residual estimate.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class GroundStateRecord:
     method: str
     tol: float
 
-    def as_dict(self):
-        return {"energy": self.energy, "gap": self.gap, "residual": self.residual,
-                "dim": self.dim, "method": self.method, "tol": self.tol}
-
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     anchor = v[0] if abs(v[0]) > 1e-10 else v[np.argmax(np.abs(v))]
@@ -62,13 +61,13 @@ def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
 
     Dense diagonalization below DENSE_CUTOFF, else Lanczos (ARPACK) with a
     fixed vacuum-weighted start vector; falls back to shift-invert from a
-    Gershgorin bound if plain Lanczos does not converge, and records that in
-    `method`.  Any other solver error propagates.  The returned vector is
-    normalized with a positive vacuum component (positive largest component
-    if the vacuum one vanishes).
+    Gershgorin bound if plain Lanczos does not converge or misses the bottom
+    of the spectrum, and records that in `method`.  Any other solver error
+    propagates.  The returned vector is normalized with a positive vacuum
+    component (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
-    scale = max(1.0, float(np.max(_row_abs_sums(H))))
+    budget = 1e3 * tol * max(1.0, float(np.max(_row_abs_sums(H))))
     if dim == 1:
         val = H.tocsr()[0, 0] if sp.issparse(H) else H[0, 0]
         return GroundStateRecord(float(val), np.ones(1), np.inf, 0.0, 1, "trivial", tol)
@@ -81,6 +80,7 @@ def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
                                  resid, dim, "dense", tol)
 
     Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
+    diag = Hs.diagonal()
     v0 = np.full(dim, 1e-3)
     v0[0] = 1.0
     v0 /= np.linalg.norm(v0)
@@ -89,7 +89,12 @@ def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
                            maxiter=10_000, ncv=min(dim - 1, 48))
         method = "lanczos"
     except ArpackNoConvergence:
-        diag = Hs.diagonal()
+        method = None
+    # ARPACK accepts a Ritz value relative to its size, so an exactly zero
+    # ground energy never converges and eigsh returns the two values above
+    # it.  Every diagonal entry is a Rayleigh quotient, so a lowest value
+    # above the smallest one means Lanczos missed the bottom.
+    if method is None or np.min(vals) > np.min(diag) + budget:
         lower = float(np.min(diag - (_row_abs_sums(Hs) - np.abs(diag)))) - 0.1
         vals, vecs = eigsh(Hs, k=2, sigma=lower, which="LM", v0=v0, tol=tol)
         method = "shift-invert"
@@ -97,9 +102,9 @@ def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
     vals, vecs = vals[order], vecs[:, order]
     psi = _fix_phase(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
     resid = float(np.linalg.norm(Hs @ psi - vals[0] * psi))
-    if resid > 1e3 * tol * scale:
+    if resid > budget:
         raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds budget "
-                              f"({1e3 * tol * scale:.3e}); method={method}")
+                              f"({budget:.3e}); method={method}")
     return GroundStateRecord(float(vals[0]), psi, float(vals[1] - vals[0]),
                              resid, dim, method, tol)
 
@@ -108,55 +113,44 @@ def _project_out(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return v - psi * (psi @ v)
 
 
+def _minres_solve(matvec, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """x with matvec(x) = rhs by MINRES; raises ArithmeticError when the true
+    residual exceeds 1e3 tol max(1, ||rhs||)."""
+    dim = len(rhs)
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+    x, _ = minres(op, rhs, rtol=max(1e-13, tol / 100.0), maxiter=40 * dim)
+    resid = np.linalg.norm(matvec(x) - rhs)
+    budget = 1e3 * tol * max(1.0, float(np.linalg.norm(rhs)))
+    if resid > budget:
+        raise ArithmeticError(f"{what} residual {resid:.3e} over budget {budget:.3e}")
+    return x
+
+
 def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
                             tol: float = 1e-10) -> np.ndarray:
     """x = (H - energy)^{-1} Q rhs with Q the projector off psi, x orthogonal
     to psi.  psi must be the normalized eigenvector at `energy`; the deflated
     system is then consistent and symmetric."""
-    dim = H.shape[0]
     rhs_p = _project_out(np.asarray(rhs, dtype=float), psi)
     if not np.any(rhs_p):
-        return np.zeros(dim)
-    if dim <= DENSE_CUTOFF:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        # rank-one shift makes the deflated operator invertible on all of R^n
-        M = Hd - energy * np.eye(dim) + np.outer(psi, psi)
-        x = _project_out(np.linalg.solve(M, rhs_p), psi)
-    else:
-        Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
+        return np.zeros(H.shape[0])
 
-        def apply(v):
-            u = _project_out(v, psi)
-            return _project_out(Hs @ u - energy * u, psi)
+    def apply(v):
+        u = _project_out(v, psi)
+        return _project_out(H @ u - energy * u, psi)
 
-        op = LinearOperator((dim, dim), matvec=apply, dtype=float)
-        x, _ = minres(op, rhs_p, rtol=max(1e-13, tol / 100.0), maxiter=40 * dim)
-        x = _project_out(x, psi)
-    resid = np.linalg.norm(_project_out(H @ x - energy * x, psi) - rhs_p)
-    budget = 1e3 * tol * max(1.0, float(np.linalg.norm(rhs)))
-    if resid > budget:
-        raise ArithmeticError(f"reduced-resolvent residual {resid:.3e} over budget {budget:.3e}")
-    return x
+    return _project_out(_minres_solve(apply, rhs_p, tol, "reduced-resolvent"), psi)
 
 
-def solve_shifted(H, z: float, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """x = (H - z)^{-1} rhs for a real shift z off the spectrum."""
+def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """x = (H - z)^{-1} rhs by MINRES, for a real shift z off the spectrum:
+    a scalar, or one value per basis state (H - diag(z)), so a diagonal
+    change of H needs no new matrix."""
     if np.iscomplexobj(z):
         raise TypeError(f"solve_shifted takes a real shift, got {z!r}")
-    dim = H.shape[0]
-    z = float(z)
-    if dim <= DENSE_CUTOFF:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        return np.linalg.solve(Hd - z * np.eye(dim), np.asarray(rhs))
-    Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
-    rhs = np.asarray(rhs, dtype=float)
-    rnorm = max(1.0, float(np.linalg.norm(rhs)))
-    x, _ = minres(Hs - z * sp.eye(dim), rhs, rtol=max(1e-13, tol / 100.0),
-                  maxiter=40 * dim)
-    resid = np.linalg.norm(Hs @ x - z * x - rhs)
-    if resid > 1e3 * tol * rnorm:
-        raise ArithmeticError(f"shifted solve residual {resid:.3e} over budget")
-    return x
+    z = np.asarray(z, dtype=float)
+    return _minres_solve(lambda v: H @ v - z * v, np.asarray(rhs, dtype=float),
+                         tol, "shifted solve")
 
 
 def contour_points(center: float, radius: float, n_samples: int) -> np.ndarray:
@@ -241,14 +235,7 @@ def contour_sup_norm(H, center: float, radius: float, v: np.ndarray,
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
         return 0.0, zs, np.zeros(n_samples)
-    if dim <= DENSE_CUTOFF:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        norms = np.array([np.linalg.norm(np.linalg.solve(Hd - z * np.eye(dim), v))
-                          for z in zs])
-        return float(np.max(norms)), zs, norms
-
-    Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
-    state = _LanczosState(lambda q: Hs @ q, np.asarray(v, dtype=float))
+    state = _LanczosState(lambda q: H @ q, np.asarray(v, dtype=float))
     m = min(48, dim)
     limit = min(m_max, dim)
     while True:

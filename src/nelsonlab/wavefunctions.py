@@ -125,8 +125,7 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     diagonal of H moves under a momentum shift."""
     P = bg.params.P_vec
     shift = momentum_shift_diagonal(bg.basis, bg.grid, P, P - k_total)
-    Hk = bg.H + sp.diags(shift)
-    return solve_shifted(Hk, bg.energy - freq_total, rhs, tol)
+    return solve_shifted(bg.H, bg.energy - freq_total - shift, rhs, tol)
 
 
 def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
@@ -311,8 +310,7 @@ def f1_k_derivatives(bg: BareGround, k, tol: float = 1e-10):
 # infrared envelope
 
 
-def bound_constant_f1(bg: BareGround, f1: np.ndarray | None = None,
-                      tol: float = 1e-10):
+def bound_constant_f1(bg: BareGround, f1: np.ndarray | None = None):
     """Smallest c with |f^1(k_m)| <= c v*(k_m)/|k_m| over the grid, where v*
     is the widened-envelope form factor (no bridge suppression on-grid).
 

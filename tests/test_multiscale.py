@@ -196,8 +196,7 @@ def test_csv_ledger_layout(tmp_path, sweep):
 
 
 def test_checkpoints_resume_and_invalidate(tmp_path, monkeypatch):
-    cfg = small_config(n_scales=3, with_contour=False, with_dispersion=False,
-                       with_f1=False, with_derivatives=False)
+    cfg = small_config(n_scales=3)
     seen = []
     first = run_sweep(cfg, checkpoint_dir=tmp_path,
                       progress=lambda r: seen.append(r.n))
@@ -213,11 +212,7 @@ def test_checkpoints_resume_and_invalidate(tmp_path, monkeypatch):
     assert abs(resumed.rows[1].energy - (original + 1.0)) < 1e-12
 
     # any config change flips the content hash and forces recomputation
-    recomputed = run_sweep(small_config(n_scales=3, tol=1e-11,
-                                        with_contour=False,
-                                        with_dispersion=False,
-                                        with_f1=False,
-                                        with_derivatives=False),
+    recomputed = run_sweep(small_config(n_scales=3, tol=1e-11),
                            checkpoint_dir=tmp_path)
     assert abs(recomputed.rows[1].energy - original) < 1e-8
 

@@ -127,31 +127,43 @@ def test_ground_state_falls_back_only_on_arpack_nonconvergence(monkeypatch):
     assert abs(rec.energy - np.linalg.eigvalsh(H.toarray())[0]) < 1e-9
 
 
-def test_reduced_resolvent_dense_vs_spectral_sum():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((60, 60))
-    H = A + A.T
-    vals, vecs = np.linalg.eigh(H)
-    psi = vecs[:, 0]
-    rhs = rng.standard_normal(60)
-    oracle = sum((vecs[:, j] @ rhs) / (vals[j] - vals[0]) * vecs[:, j]
-                 for j in range(1, 60))
-    x = solve_reduced_resolvent(H, vals[0], psi, rhs)
-    assert np.linalg.norm(x - oracle) < 1e-9
-    assert abs(psi @ x) < 1e-10
+def test_ground_state_finds_zero_energy_past_cutoff():
+    # at lambda = 0 and P = 0 the vacuum row is empty and the ground energy
+    # is exactly 0; Lanczos alone skips it and must hand over to shift-invert
+    rng = np.random.default_rng(1234)
+    grid = random_momentum_grid(rng, n_modes=16, sigma=0.1, kappa=1.0)
+    params = ModelParams(coupling=0.0, sigma=0.1, P=(0.0, 0.0, 0.0))
+    H = assemble(nelson_hamiltonian(params, grid), build_basis(16, 3))
+    assert H.shape[0] > spectral.DENSE_CUTOFF
+    rec = ground_state(H)
+    assert abs(rec.energy) <= 1e-12
+    assert rec.method == "shift-invert"
+    assert abs(rec.vector[0] - 1.0) < 1e-12
+    assert abs(rec.gap - np.sort(H.diagonal())[1]) < 1e-9
 
 
-def test_reduced_resolvent_sparse_path(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
-    rng = np.random.default_rng(11)
-    n = 120
-    H = toeplitz_tridiag(n, 0.0, 0.3) + sp.diags(np.linspace(1.0, 4.0, n))
-    vals, vecs = np.linalg.eigh(H.toarray())
+def random_case(seed, n):
+    """Dense symmetric Gaussian matrix and a right-hand side from one stream."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    return A + A.T, rng.standard_normal(n)
+
+
+def toeplitz_case(seed, n, b, lo, hi):
+    """Sparse Toeplitz matrix plus a graded diagonal, and a right-hand side."""
+    H = toeplitz_tridiag(n, 0.0, b) + sp.diags(np.linspace(lo, hi, n))
+    return H, np.random.default_rng(seed).standard_normal(n)
+
+
+@pytest.mark.parametrize("H, rhs", [random_case(7, 60),
+                                    toeplitz_case(11, 120, 0.3, 1.0, 4.0)],
+                         ids=["ndarray", "sparse"])
+def test_reduced_resolvent_vs_spectral_sum(H, rhs):
+    vals, vecs = np.linalg.eigh(H.toarray() if sp.issparse(H) else H)
     psi = vecs[:, 0]
-    rhs = rng.standard_normal(n)
     oracle = (vecs[:, 1:] * ((vecs[:, 1:].T @ rhs) / (vals[1:] - vals[0]))).sum(axis=1)
     x = solve_reduced_resolvent(H, vals[0], psi, rhs)
-    assert np.linalg.norm(x - oracle) < 1e-7 * np.linalg.norm(oracle)
+    assert np.linalg.norm(x - oracle) < 1e-9 * max(1.0, np.linalg.norm(oracle))
     assert abs(psi @ x) < 1e-10
 
 
@@ -165,33 +177,48 @@ def test_reduced_resolvent_zero_rhs_component():
     assert np.linalg.norm(x) < 1e-12
 
 
-def test_solve_shifted_dense_real_and_complex():
-    rng = np.random.default_rng(21)
-    A = rng.standard_normal((50, 50))
-    H = A + A.T
-    vals = np.linalg.eigvalsh(H)
-    rhs = rng.standard_normal(50)
-    z_real = vals[0] - 0.5
-    x = solve_shifted(H, z_real, rhs)
-    assert np.linalg.norm(x - np.linalg.solve(H - z_real * np.eye(50), rhs)) < 1e-10
+@pytest.mark.parametrize("H, rhs, offset", [(*random_case(21, 50), 0.5),
+                                            (*toeplitz_case(5, 150, 0.4, 0.5, 3.5), 0.7)],
+                         ids=["ndarray", "sparse"])
+def test_solve_shifted_scalar_and_diagonal(H, rhs, offset):
+    n = H.shape[0]
+    Hd = H.toarray() if sp.issparse(H) else H
+    vals = np.linalg.eigvalsh(Hd)
+    z = vals[0] - offset
+    x = solve_shifted(H, z, rhs)
+    assert np.linalg.norm(x - np.linalg.solve(Hd - z * np.eye(n), rhs)) < 1e-10
+    # one shift per state: H - diag(z) stays positive definite
+    z_diag = vals[0] - offset - np.linspace(0.0, 1.0, n)
+    x = solve_shifted(H, z_diag, rhs)
+    assert np.linalg.norm(x - np.linalg.solve(Hd - np.diag(z_diag), rhs)) < 1e-10
     # shifts are real: a complex one is refused, never silently truncated
     with pytest.raises(TypeError):
         solve_shifted(H, 0.5 * (vals[0] + vals[-1]) + 0.4j, rhs)
-
-
-def test_solve_shifted_sparse_real_and_complex(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
-    n = 150
-    H = toeplitz_tridiag(n, 0.0, 0.4) + sp.diags(np.linspace(0.5, 3.5, n))
-    Hd = H.toarray()
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(n)
-    vals = np.linalg.eigvalsh(Hd)
-    z_real = vals[0] - 0.7
-    x = solve_shifted(H, z_real, rhs)
-    assert np.linalg.norm(Hd @ x - z_real * x - rhs) < 1e-9 * np.linalg.norm(rhs)
     with pytest.raises(TypeError):
-        solve_shifted(H, 1.8 + 0.5j, rhs)
+        solve_shifted(H, z_diag + 0.1j, rhs)
+
+
+def test_small_solves_factor_no_matrix(monkeypatch):
+    # every linear solve is a Krylov solve, also far below DENSE_CUTOFF
+    H, rhs = random_case(13, 60)
+    vals, vecs = np.linalg.eigh(H)
+    reduced = (vecs[:, 1:] * ((vecs[:, 1:].T @ rhs) / (vals[1:] - vals[0]))).sum(axis=1)
+    z = vals[0] - 0.5
+    shifted = np.linalg.solve(H - z * np.eye(60), rhs)
+    radius = (vals[1] - vals[0]) / 3.0
+    zs = contour_points(vals[0], radius, 8)
+    contour = [np.linalg.norm(np.linalg.solve(H - w * np.eye(60), rhs.astype(complex)))
+               for w in zs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    x = solve_reduced_resolvent(H, vals[0], vecs[:, 0], rhs)
+    assert np.linalg.norm(x - reduced) < 1e-9 * np.linalg.norm(reduced)
+    assert np.linalg.norm(solve_shifted(H, z, rhs) - shifted) < 1e-10
+    sup, _, norms = contour_sup_norm(H, vals[0], radius, rhs, n_samples=8, tol=1e-10)
+    assert np.max(np.abs(norms - contour)) < 1e-8 * max(contour)
 
 
 def test_contour_points_layout():
@@ -220,8 +247,7 @@ def test_contour_sup_norm_eigenvector_is_inverse_radius():
     assert abs(sup - 1.0 / 0.25) < 1e-12
 
 
-def test_contour_sup_norm_sparse_vs_direct(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 60)
+def test_contour_sup_norm_sparse_vs_direct():
     n = 200
     H = toeplitz_tridiag(n, 0.0, 0.3) + sp.diags(np.linspace(1.0, 4.0, n))
     Hd = H.toarray()
@@ -240,3 +266,4 @@ def test_contour_sup_norm_zero_vector():
     sup, _, norms = contour_sup_norm(np.diag([1.0, 2.0]), 0.0, 0.3,
                                      np.zeros(2), n_samples=4)
     assert sup == 0.0 and np.all(norms == 0.0)
+
