@@ -261,7 +261,10 @@ class RunContext:
                     if (self.out / entry["name"]).exists():
                         outputs[entry["name"]] = entry
             except (json.JSONDecodeError, KeyError, TypeError):
-                pass  # unreadable previous manifest: rebuild the index fresh
+                outputs = {}
+                self.warnings.append(
+                    "previous manifest.json was unreadable; its entries "
+                    "were dropped from the index")
         for name, rec in self.files.items():
             outputs[name] = {"name": name, **rec}
         outputs["timings.json"] = {"name": "timings.json", "sha256": None,
@@ -452,9 +455,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for ck in sorted(ckpt.rglob("*")):
             if ck.is_file():
                 ctx.add_file(ck)
+        truncated = len(result.rows) < sweep_cfg.n_scales
+        if truncated:
+            ctx.warnings.append(
+                f"sweep {tag} stopped at dim_cap {sweep_cfg.dim_cap}: "
+                f"{len(result.rows)} of {sweep_cfg.n_scales} ledger rows")
         all_fits[tag] = {"coupling": lam, "rows": len(result.rows),
                          "config_hash": sweep_cfg.content_hash(),
-                         **result.fits}
+                         "truncated": truncated, **result.fits}
         sig = result.column("sigma")
         plots = {
             f"sweep_{tag}_cauchy.svg": (

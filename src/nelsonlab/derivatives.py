@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dressing import DressedScaleState
-from .fock import apply_displacement
 from .spectral import solve_reduced_resolvent
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "third_derivative_E",
     "scaling_norms",
     "radial_direction",
-    "to_bare_frame",
 ]
 
 
@@ -133,9 +131,3 @@ def scaling_norms(state: DressedScaleState, direction=None) -> dict:
     return {"n0": float(np.linalg.norm(u)),
             "n1": float(np.linalg.norm(chain)),
             "n2": float(np.linalg.norm(square))}
-
-
-def to_bare_frame(state: DressedScaleState, v: np.ndarray) -> np.ndarray:
-    """Undo the dressing: W* v, mapping dressed-frame vectors (phi and its
-    derivatives at frozen W) to the bare frame."""
-    return apply_displacement(state.basis, -state.h, v)

@@ -152,22 +152,18 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
 
 
 def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
-                     H: sp.csr_matrix | None = None, energy: float | None = None,
+                     H: sp.csr_matrix, energy: float,
                      max_probes: int = 48, tol: float = 1e-10):
     """Largest energy drop per unit photon momentum over grid-mode probes.
 
-    Re-solves the bare Hamiltonian at P - k_m (only the diagonal moves) and
-    returns (deficit, ratios, probe_indices) with
+    Re-solves the bare Hamiltonian H (ground energy `energy`) at P - k_m
+    (only the diagonal moves) and returns (deficit, ratios, probe_indices) with
 
         ratio_m = (E(P) - E(P - k_m)) / |k_m|,    deficit = max_m ratio_m.
 
     deficit < 1 certifies E(P - k) + |k| > E(P) on the probe set; small
     deficit means a steep photon-emission threshold.
     """
-    if H is None:
-        H = assemble(nelson_hamiltonian(params, grid), basis)
-    if energy is None:
-        energy = ground_state(H, tol).energy
     n = grid.n_modes
     if n == 0:
         return -np.inf, np.zeros(0), np.zeros(0, dtype=int)

@@ -44,6 +44,10 @@ __all__ = [
     "momentum_shift_diagonal",
 ]
 
+# largest relative deviation in canonical coefficients that the two
+# construction routes of the dressed Hamiltonian may show
+ROUTE_ABORT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FiberOperator:
@@ -81,10 +85,6 @@ class VectorFiberOperator:
         M = np.asarray(self.K, dtype=float).reshape(-1, 3).shape[0]
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float).reshape(M, 3))
         object.__setattr__(self, "C", np.asarray(self.C, dtype=float).reshape(M, 3))
-
-    @property
-    def n_modes(self) -> int:
-        return self.K.shape[0]
 
     def displaced(self, h) -> "VectorFiberOperator":
         h = np.asarray(h, dtype=float)
@@ -191,20 +191,20 @@ def transformed_hamiltonian_routes(params: ModelParams, grid: MomentumGrid, grad
     return route_displaced, route_closed
 
 
-def transformed_hamiltonian(params: ModelParams, grid: MomentumGrid, gradE,
-                            abort_tol: float = 1e-12) -> FiberOperator:
+def transformed_hamiltonian(params: ModelParams, grid: MomentumGrid,
+                            gradE) -> FiberOperator:
     """Dressed Hamiltonian with the mandatory dual-route self-check.
 
     Both construction routes are compared in canonical (gauge-invariant)
-    coefficients; a relative deviation beyond abort_tol raises.  The closed
+    coefficients; a relative deviation beyond ROUTE_ABORT_TOL raises.  The closed
     form is returned.
     """
     route_displaced, route_closed = transformed_hamiltonian_routes(params, grid, gradE)
     dev = canonical_distance(route_displaced, route_closed)
-    if dev > abort_tol:
+    if dev > ROUTE_ABORT_TOL:
         raise ArithmeticError(
             f"transformed-Hamiltonian routes disagree: displaced vs closed form "
-            f"deviate by {dev:.3e} (> {abort_tol:.1e}) in canonical coefficients")
+            f"deviate by {dev:.3e} (> {ROUTE_ABORT_TOL:.1e}) in canonical coefficients")
     return route_closed
 
 

@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-__all__ = ["FockBasis", "StateVector", "build_basis", "embed", "displacement_generator",
-           "apply_displacement"]
+__all__ = ["FockBasis", "StateVector", "basis_dimension", "build_basis", "embed",
+           "displacement_generator", "apply_displacement"]
 
 
 def _enumerate_states(n_modes: int, n_max: int):
@@ -178,10 +178,15 @@ class StateVector:
         return StateVector(re, basis)
 
 
+def basis_dimension(n_modes: int, n_max: int) -> int:
+    """Number of states with at most n_max photons in n_modes modes, known
+    before enumerating them (stars and bars): C(n_modes + n_max, n_max)."""
+    return math.comb(n_modes + n_max, n_max)
+
+
 def build_basis(n_modes: int, n_max: int, dim_cap: int = 2_000_000) -> FockBasis:
     """Enumerate the truncated basis; refuses to exceed dim_cap states."""
-    # stars-and-bars upper bound on the dimension before enumerating
-    bound = sum(math.comb(n_modes + q - 1, q) for q in range(n_max + 1)) if n_modes else 1
+    bound = basis_dimension(n_modes, n_max)
     if bound > dim_cap:
         raise ValueError(f"basis dimension bound {bound} exceeds cap {dim_cap} "
                          f"(M={n_modes}, Q={n_max})")

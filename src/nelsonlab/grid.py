@@ -89,55 +89,29 @@ def _smoothstep_quintic(t):
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _smoothstep_quintic_d1(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tt = np.where(inside, t, 0.5)
-    d = 30.0 * tt * tt * (1.0 - tt) ** 2
-    return np.where(inside, d, 0.0)
-
-
-def _smoothstep_quintic_d2(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tt = np.where(inside, t, 0.5)
-    d = 60.0 * tt * (1.0 - tt) * (1.0 - 2.0 * tt)
-    return np.where(inside, d, 0.0)
-
-
-def cutoff_chi(r, kappa: float, epsilon0: float, deriv: int = 0):
+def cutoff_chi(r, kappa: float, epsilon0: float):
     """Smooth UV cutoff profile chi_kappa(|k|).
 
     Equals 1 for |k| <= (1-epsilon0)*kappa, falls smoothly (C^2) to 0 at
-    |k| = kappa, and vanishes beyond.  deriv in {0, 1, 2} selects the value or
-    a radial derivative.
+    |k| = kappa, and vanishes beyond.
     """
     r = np.asarray(r, dtype=float)
     lo = (1.0 - epsilon0) * kappa
-    width = epsilon0 * kappa
-    t = (r - lo) / width
-    bridge = (r > lo) & (r < kappa)  # hard edges: exactly 1 / 0 off the bridge
-    if deriv == 0:
-        out = np.where(r <= lo, 1.0, np.where(r >= kappa, 0.0,
-                                              1.0 - _smoothstep_quintic(t)))
-    elif deriv == 1:
-        out = np.where(bridge, -_smoothstep_quintic_d1(t) / width, 0.0)
-    elif deriv == 2:
-        out = np.where(bridge, -_smoothstep_quintic_d2(t) / width**2, 0.0)
-    else:
-        raise ValueError("deriv must be 0, 1 or 2")
+    t = (r - lo) / (epsilon0 * kappa)
+    # hard edges: exactly 1 / 0 off the bridge
+    out = np.where(r <= lo, 1.0, np.where(r >= kappa, 0.0,
+                                          1.0 - _smoothstep_quintic(t)))
     return out if out.ndim else float(out)
 
 
-def form_factor(k, params: ModelParams, deriv: int = 0, widened: bool = False):
+def form_factor(k, params: ModelParams, widened: bool = False):
     """Coupling function v(k) of the interaction term.
 
     v(k) = coupling * 1_{|k| >= sigma} * chi_kappa(|k|) * |k|^alpha_bar / sqrt(2 |k|)
 
-    `k` is one 3-vector or an (M, 3) array.  deriv in {0, 1, 2} returns radial
-    derivatives (well defined away from |k| = sigma, where the infrared
-    indicator jumps).  With widened=True the cutoff profile is stretched to
-    kappa/(1-epsilon0), the envelope used for wavefunction bound checks.
+    `k` is one 3-vector or an (M, 3) array.  With widened=True the cutoff
+    profile is stretched to kappa/(1-epsilon0), the envelope used for
+    wavefunction bound checks.
     """
     k = np.asarray(k, dtype=float)
     single = k.ndim == 1
@@ -148,21 +122,7 @@ def form_factor(k, params: ModelParams, deriv: int = 0, widened: bool = False):
     rs = np.where(r > 0.0, r, 1.0)  # guard |k|=0; masked out below anyway
     chi0 = cutoff_chi(rs, kap, params.epsilon0)
     radial = rs ** (a - 0.5) / math.sqrt(2.0)
-    if deriv == 0:
-        out = params.coupling * chi0 * radial
-    elif deriv == 1:
-        chi1 = cutoff_chi(rs, kap, params.epsilon0, deriv=1)
-        out = params.coupling * (chi1 * radial + chi0 * (a - 0.5) * rs ** (a - 1.5) / math.sqrt(2.0))
-    elif deriv == 2:
-        chi1 = cutoff_chi(rs, kap, params.epsilon0, deriv=1)
-        chi2 = cutoff_chi(rs, kap, params.epsilon0, deriv=2)
-        out = params.coupling * (
-            chi2 * radial
-            + 2.0 * chi1 * (a - 0.5) * rs ** (a - 1.5) / math.sqrt(2.0)
-            + chi0 * (a - 0.5) * (a - 1.5) * rs ** (a - 2.5) / math.sqrt(2.0)
-        )
-    else:
-        raise ValueError("deriv must be 0, 1 or 2")
+    out = params.coupling * chi0 * radial
     out = np.where(mask & (r > 0.0), out, 0.0)
     return float(out[0]) if single else out
 

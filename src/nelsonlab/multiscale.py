@@ -46,7 +46,8 @@ from .derivatives import (
 from .dressing import DressedScaleState, dispersion_probe, dressed_ground_state
 from .fiberop import assemble, assemble_vector_component, gamma_operator, \
     transformed_hamiltonian, weyl_coefficients
-from .fock import FockBasis, StateVector, apply_displacement, build_basis, embed
+from .fock import FockBasis, StateVector, apply_displacement, basis_dimension, \
+    build_basis, embed
 from .grid import GridSpec, ModelParams, MomentumGrid, build_grid, form_factor, \
     refine_annulus
 from .spectral import contour_sup_norm, ground_state, solve_reduced_resolvent
@@ -136,9 +137,6 @@ class ScaleRow:
     grid_hash: str = ""
     basis_hash: str = ""
     wall_time: float = 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_exponent(x, y):
@@ -368,7 +366,7 @@ def _save_checkpoint(directory, config, n, row, state):
     meta, psi_path, phi_path = _checkpoint_paths(directory, n)
     StateVector(state.psi, state.basis).to_csv(psi_path)
     StateVector(state.phi, state.basis).to_csv(phi_path)
-    payload = {"config_hash": config.content_hash(), "row": row.as_dict()}
+    payload = {"config_hash": config.content_hash(), "row": asdict(row)}
     with open(meta, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
 
@@ -422,10 +420,8 @@ def run_sweep(config: SweepConfig, checkpoint_dir=None,
     for n in range(1, config.n_scales):
         sigma = config.sigma_at(n)
         next_grid = refine_annulus(grid, sigma)
-        bound = sum(math.comb(next_grid.n_modes + q - 1, q)
-                    for q in range(config.photon_cap + 1))
-        if bound > config.dim_cap:
-            break  # ledger records the reachable scale range
+        if basis_dimension(next_grid.n_modes, config.photon_cap) > config.dim_cap:
+            break  # the only early stop: callers see fewer than n_scales rows
         basis = build_basis(next_grid.n_modes, config.photon_cap)
         loaded = None
         if checkpoint_dir is not None:
@@ -530,7 +526,7 @@ def cancellation_demo(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
 
     def f_at(p_vec):
         bgp = BareGround.solve(params.with_P(tuple(p_vec)), grid, basis, tol)
-        return f1_resolvent(bgp, k_probe, tol)[0]
+        return f1_resolvent(bgp, k_probe, tol)
 
     p0 = params.P_vec
     f0 = -v * float(omega @ x1)

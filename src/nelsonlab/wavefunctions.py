@@ -15,9 +15,9 @@ sum is the exact identity
       sum_pi prod_j 1 / (a_pi(1) + ... + a_pi(j)) = prod_j 1 / a_j,
 checked here in exact rational arithmetic.
 
-The resolvent route extends off the grid nodes, so momentum derivatives of
-f^1 (in P and in k) have closed insertion formulas that finite differences
-of the same function must reproduce at quadrature order.
+The resolvent route also evaluates f^1 off the grid nodes (`f1_resolvent`),
+which the cancellation demonstration for the second P-derivative of f^1
+uses.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .dressing import hellmann_feynman_gradient
-from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian, pf_diagonals
+from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian
 from .fock import FockBasis
 from .grid import ModelParams, MomentumGrid, form_factor
-from .spectral import ground_state, solve_reduced_resolvent, solve_shifted
+from .spectral import ground_state, solve_shifted
 
 __all__ = [
     "BareGround",
@@ -44,11 +43,7 @@ __all__ = [
     "froehlich_f1",
     "permutation_tail_sum",
     "permutation_identity_gap",
-    "bare_psi_derivatives",
     "f1_resolvent",
-    "grad_f1_P",
-    "reduced_f1_k_derivatives",
-    "f1_k_derivatives",
     "bound_constant_f1",
 ]
 
@@ -148,15 +143,22 @@ def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
     return (-1.0) ** q * ff * vac / math.sqrt(math.factorial(q))
 
 
-def froehlich_f1(bg: BareGround, modes=None, tol: float = 1e-10) -> np.ndarray:
-    """One-photon wavefunction via single resolvent solves, at the given
-    mode indices (default all)."""
-    idx = range(bg.grid.n_modes) if modes is None else modes
-    out = np.zeros(bg.grid.n_modes if modes is None else len(tuple(idx)))
-    for i, m in enumerate(idx):
+def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
+    """One-photon wavefunction via single resolvent solves at every grid
+    node."""
+    out = np.zeros(bg.grid.n_modes)
+    for m in range(bg.grid.n_modes):
         v = _shifted_solve(bg, bg.grid.k[m], bg.grid.r[m], bg.psi, tol)
-        out[i] = -float(form_factor(bg.grid.k[m], bg.params)) * v[0]
+        out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * v[0]
     return out
+
+
+def f1_resolvent(bg: BareGround, k, tol: float = 1e-10) -> float:
+    """f^1(k) = -v(k) <Omega, (H_{P-k} - E + |k|)^{-1} psi> at an arbitrary
+    probe momentum k (not restricted to grid nodes)."""
+    k = np.asarray(k, dtype=float)
+    a = _shifted_solve(bg, k, float(np.linalg.norm(k)), bg.psi, tol)
+    return -float(form_factor(k, bg.params)) * a[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,133 +193,16 @@ def permutation_identity_gap(a) -> float:
 
 
 # ---------------------------------------------------------------------------
-# momentum derivatives of f^1
-
-
-def bare_psi_derivatives(bg: BareGround, gradE=None, tol: float = 1e-10) -> np.ndarray:
-    """(dim, 3) eigenvector derivatives of the bare family:
-    d(psi)/dP_i = -R0 [ ((P - P_f)_i - dE/dP_i) psi ]."""
-    if gradE is None:
-        gradE = hellmann_feynman_gradient(bg.params, bg.grid, bg.basis, bg.psi)
-    pf = pf_diagonals(bg.basis, bg.grid)
-    P = bg.params.P_vec
-    cols = []
-    for i in range(3):
-        rhs = -((P[i] - pf[:, i]) * bg.psi - gradE[i] * bg.psi)
-        cols.append(solve_reduced_resolvent(bg.H, bg.energy, bg.psi, rhs, tol))
-    return np.column_stack(cols)
-
-
-def f1_resolvent(bg: BareGround, k, tol: float = 1e-10):
-    """(f^1(k), resolvent vector a = (H_{P-k} - E + |k|)^{-1} psi) at an
-    arbitrary probe momentum k (not restricted to grid nodes)."""
-    k = np.asarray(k, dtype=float)
-    a = _shifted_solve(bg, k, float(np.linalg.norm(k)), bg.psi, tol)
-    return -float(form_factor(k, bg.params)) * a[0], a
-
-
-def grad_f1_P(bg: BareGround, k, gradE=None, dpsi=None, tol: float = 1e-10) -> np.ndarray:
-    """dP-gradient of f^1(k) at fixed k:
-
-        d_i f^1 = v(k) [ <Omega, R ((P-k-P_f)_i - dE_i) R psi>
-                         - <Omega, R d_i psi> ],
-
-    with R = (H_{P-k} - E + |k|)^{-1}."""
-    k = np.asarray(k, dtype=float)
-    if gradE is None:
-        gradE = hellmann_feynman_gradient(bg.params, bg.grid, bg.basis, bg.psi)
-    if dpsi is None:
-        dpsi = bare_psi_derivatives(bg, gradE, tol)
-    pf = pf_diagonals(bg.basis, bg.grid)
-    P = bg.params.P_vec
-    r = float(np.linalg.norm(k))
-    a = _shifted_solve(bg, k, r, bg.psi, tol)
-    e0 = np.zeros(bg.basis.dim)
-    e0[0] = 1.0
-    y = _shifted_solve(bg, k, r, e0, tol)
-    v = float(form_factor(k, bg.params))
-    out = np.empty(3)
-    for i in range(3):
-        insertion = ((P[i] - k[i]) - pf[:, i]) * a - gradE[i] * a
-        out[i] = v * (float(y @ insertion) - float(y @ dpsi[:, i]))
-    return out
-
-
-def _khat_jacobian(k: np.ndarray) -> np.ndarray:
-    r = float(np.linalg.norm(k))
-    khat = k / r
-    return (np.eye(3) - np.outer(khat, khat)) / r
-
-
-def reduced_f1_k_derivatives(bg: BareGround, k, tol: float = 1e-10):
-    """Value, gradient, and hessian in k of the reduced wavefunction
-    r(k) = <Omega, (H_{P-k} - E + |k|)^{-1} psi>.
-
-    Insertion operators: M_i = (P - k - P_f)_i - khat_i moves one resolvent
-    index, dM its k-derivative; then
-
-        d_i r     = <Omega, R M_i R psi>,
-        d_ij r    = <Omega, R (M_j R M_i + dM_ij + M_i R M_j) R psi>.
-    """
-    k = np.asarray(k, dtype=float)
-    r = float(np.linalg.norm(k))
-    khat = k / r
-    pf = pf_diagonals(bg.basis, bg.grid)
-    P = bg.params.P_vec
-
-    def apply_M(i, vec):
-        return ((P[i] - k[i]) - pf[:, i]) * vec - khat[i] * vec
-
-    a = _shifted_solve(bg, k, r, bg.psi, tol)
-    e0 = np.zeros(bg.basis.dim)
-    e0[0] = 1.0
-    y = _shifted_solve(bg, k, r, e0, tol)
-
-    value = float(a[0])
-    grad = np.array([float(y @ apply_M(i, a)) for i in range(3)])
-
-    dM = -np.eye(3) - _khat_jacobian(k)
-    b = [_shifted_solve(bg, k, r, apply_M(i, a), tol) for i in range(3)]
-    hess = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            hij = float(y @ apply_M(j, b[i])) + float(y @ apply_M(i, b[j])) \
-                + dM[i, j] * float(y @ a)
-            hess[i, j] = hess[j, i] = hij
-    return value, grad, hess
-
-
-def f1_k_derivatives(bg: BareGround, k, tol: float = 1e-10):
-    """Value, gradient, and hessian in k of f^1(k) = -v(|k|) r(k), combining
-    the radial form-factor derivatives with the resolvent insertions."""
-    k = np.asarray(k, dtype=float)
-    r = float(np.linalg.norm(k))
-    khat = k / r
-    val_r, grad_r, hess_r = reduced_f1_k_derivatives(bg, k, tol)
-    v0 = float(form_factor(k, bg.params))
-    v1 = float(form_factor(k, bg.params, deriv=1))
-    v2 = float(form_factor(k, bg.params, deriv=2))
-    value = -v0 * val_r
-    grad_v = v1 * khat
-    hess_v = v2 * np.outer(khat, khat) + v1 * _khat_jacobian(k)
-    grad = -(grad_v * val_r + v0 * grad_r)
-    hess = -(hess_v * val_r + np.outer(grad_v, grad_r)
-             + np.outer(grad_r, grad_v) + v0 * hess_r)
-    return value, grad, hess
-
-
-# ---------------------------------------------------------------------------
 # infrared envelope
 
 
-def bound_constant_f1(bg: BareGround, f1: np.ndarray | None = None):
+def bound_constant_f1(bg: BareGround, f1: np.ndarray):
     """Smallest c with |f^1(k_m)| <= c v*(k_m)/|k_m| over the grid, where v*
-    is the widened-envelope form factor (no bridge suppression on-grid).
+    is the widened-envelope form factor (no bridge suppression on-grid);
+    c = 0 on a grid without modes.
 
     Returns (c, per-mode ratios)."""
-    if f1 is None:
-        f1 = extract_f1(bg)
     envelope = form_factor(bg.grid.k, bg.params, widened=True) / bg.grid.r
     ratios = np.divide(np.abs(f1), envelope, out=np.zeros_like(envelope),
                        where=envelope > 0.0)
-    return float(np.max(ratios)), ratios
+    return float(np.max(ratios, initial=0.0)), ratios

@@ -112,6 +112,18 @@ def test_ground_state_free_field(tmp_path, small_ini):
         e["name"] for e in manifest["outputs"]}
 
 
+def test_unreadable_previous_manifest_is_reported(tmp_path, small_ini):
+    out = tmp_path / "run"
+    assert main(["derivatives", "--config", str(small_ini),
+                 "--out", str(out)]) == 0
+    (out / "manifest.json").write_text('{"outputs": [')
+    assert main(["ground-state", "--config", str(small_ini),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "derivatives.json" not in {e["name"] for e in manifest["outputs"]}
+    assert any("unreadable" in w for w in manifest["warnings"])
+
+
 def test_ground_state_rerun_is_byte_identical(tmp_path, small_ini):
     out = tmp_path / "run"
     args = ["ground-state", "--config", str(small_ini), "--out", str(out)]
@@ -268,6 +280,17 @@ def test_wavefunctions_outputs(tmp_path, small_ini):
     assert summary["max_route_gap_f1"] < gap2["max_route_gap_f1"] / 5.0
 
 
+def test_wavefunctions_on_empty_grid(tmp_path, small_ini):
+    # sigma = kappa is a valid configuration with no photon modes
+    out = tmp_path / "run"
+    rc = main(["wavefunctions", "--config", str(small_ini),
+               "--sigma", "1", "--out", str(out)])
+    assert rc == 0
+    assert (out / "f1.csv").read_text().splitlines() == [F1_HEADER]
+    summary = json.loads((out / "wavefunctions.json").read_text())
+    assert summary["n_modes"] == 0 and summary["bound_constant_f1"] == 0.0
+
+
 def test_wavefunctions_clamps_q_max(tmp_path, small_ini):
     out = tmp_path / "run"
     rc = main(["wavefunctions", "--config", str(small_ini),
@@ -323,6 +346,7 @@ def test_sweep_fits_and_plots(sweep_dir):
     assert set(fits) == {"lam0p1"}
     entry = fits["lam0p1"]
     assert entry["coupling"] == 0.1 and entry["rows"] == 5
+    assert entry["truncated"] is False
     assert math.isfinite(entry["delta_hat"][0])
     assert math.isfinite(entry["psi_cauchy"][0])
     for name in ("sweep_lam0p1_cauchy.svg", "sweep_lam0p1_chains.svg",
@@ -330,7 +354,23 @@ def test_sweep_fits_and_plots(sweep_dir):
         body = (out / name).read_text()
         assert body.startswith("<svg")
         assert "slope" in body
-    check_manifest(out)
+    manifest = check_manifest(out)
+    assert not any("dim_cap" in w for w in manifest["warnings"])
+
+
+def test_sweep_truncated_at_dim_cap_says_so(tmp_path, small_ini):
+    ini = tmp_path / "capped.ini"
+    ini.write_text(small_ini.read_text() + "[basis]\ndim_cap = 50\n")
+    out = tmp_path / "run"
+    # scale 3 (12 modes, Q = 2) needs 91 states: 3 of 4 rows are reachable
+    rc = main(["sweep", "--config", str(ini), "--sigma", "1",
+               "--scales", "3", "--epsilon", "0.5", "--out", str(out)])
+    assert rc == 0
+    entry = json.loads((out / "sweep_fits.json").read_text())["lam0p1"]
+    assert entry["rows"] == 3 and entry["truncated"] is True
+    manifest = check_manifest(out)
+    assert any("lam0p1" in w and "dim_cap 50" in w and "3 of 4" in w
+               for w in manifest["warnings"])
 
 
 def test_sweep_rerun_resumes_byte_identical(sweep_dir):

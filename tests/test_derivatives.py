@@ -188,14 +188,6 @@ def test_gradient_defect_correction_small(setup):
         state.diagnostics["grad_defect_norm"] + 1e-14
 
 
-def test_bare_frame_roundtrip(setup):
-    state, _ = setup
-    back = dv.to_bare_frame(state, state.phi)
-    # W is orthogonal, so ||W* phi - psi|| reproduces the dressing defect
-    assert abs(np.linalg.norm(back - state.psi)
-               - state.diagnostics["dressing_defect"]) < 1e-10
-
-
 def test_scaling_norms_positive(setup):
     state, _ = setup
     norms = dv.scaling_norms(state)

@@ -106,7 +106,9 @@ def test_hellmann_feynman_direct(grid5):
 def test_dispersion_probe_lambda_zero_closed_form(grid5):
     params = ModelParams(coupling=0.0, sigma=0.15, P=(0.08, 0.0, 0.03))
     basis = build_basis(5, 2)
-    deficit, ratios, idx = dispersion_probe(params, grid5, basis)
+    H = assemble(nelson_hamiltonian(params, grid5), basis)
+    deficit, ratios, idx = dispersion_probe(params, grid5, basis, H=H,
+                                            energy=ground_state(H).energy)
     P = params.P_vec
     exact = np.array([(P @ grid5.k[m] - 0.5 * grid5.r[m] ** 2) / grid5.r[m]
                       for m in idx])
@@ -128,7 +130,10 @@ def test_dispersion_probe_small_coupling_deficit(grid5):
 def test_dispersion_probe_subsampling(grid5):
     params = ModelParams(coupling=0.0, sigma=0.15, P=(0.0, 0.0, 0.0))
     basis = build_basis(5, 2)
-    deficit, ratios, idx = dispersion_probe(params, grid5, basis, max_probes=2)
+    H = assemble(nelson_hamiltonian(params, grid5), basis)
+    deficit, ratios, idx = dispersion_probe(params, grid5, basis, H=H,
+                                            energy=ground_state(H).energy,
+                                            max_probes=2)
     assert len(idx) <= 3 and len(ratios) == len(idx)
     # P = 0: every ratio is -|k|/2 < 0
     assert deficit < 0.0

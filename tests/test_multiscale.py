@@ -3,6 +3,7 @@ checkpointing, and the second-P-derivative cancellation demonstration."""
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_partial_resume_matches_fresh_sweep(tmp_path):
     resumed = run_sweep(cfg, checkpoint_dir=tmp_path)
 
     def cells(row):  # repr, so that nan cells compare equal
-        d = row.as_dict()
+        d = asdict(row)
         del d["wall_time"]
         return repr(d)
     assert [cells(r) for r in resumed.rows] == [cells(r) for r in fresh.rows]
