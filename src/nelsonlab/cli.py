@@ -152,6 +152,9 @@ def validate_config(cfg: RunConfig) -> None:
         bad("epsilon", "must lie in (0, 1)")
     if cfg.scales < 1:
         bad("scales", "must be >= 1")
+    for key in ("max_probes", "contour_samples"):
+        if getattr(cfg, key) < 1:
+            bad(key, "must be >= 1")
     if any(l < 0.0 for l in cfg.lambdas):
         bad("lambdas", "couplings must be >= 0")
     if cfg.q_max < 1:
@@ -274,6 +277,7 @@ class RunContext:
             "command": self.command,
             "config": asdict(self.cfg),
             "code_version": __version__,
+            "environment": _environment(),
             "info": self.info,
             "warnings": self.warnings,
             "outputs": sorted(outputs.values(), key=lambda e: e["name"]),
@@ -283,6 +287,21 @@ class RunContext:
         path.write_text(json.dumps(_jsonify(manifest), indent=2,
                                    sort_keys=True) + "\n")
         return path
+
+
+def _environment() -> dict:
+    """Library versions, BLAS builds and the thread caps in effect: what else
+    besides the config decides the bytes a run writes."""
+    import numpy as np
+    import scipy
+    blas = {}
+    for name, lib in (("numpy", np), ("scipy", scipy)):
+        info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas[name] = {"name": info.get("name"), "version": info.get("version")}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            "threads": {var: os.environ.get(var) for var in
+                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                         "MKL_NUM_THREADS")}}
 
 
 def _model_params(cfg: RunConfig, coupling: float | None = None):
@@ -447,8 +466,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
             dim_cap=cfg.dim_cap)
         ckpt = ctx.out / "checkpoints" / tag
         ckpt.mkdir(parents=True, exist_ok=True)
+
+        def report(row):
+            print(f"[{tag}] n={row.n} sigma={row.sigma:.6g} "
+                  f"E={row.energy:+.9f} gap_w={row.gap_w:.4g}", flush=True)
         with ctx.timed(f"sweep_{tag}"):
-            result = run_sweep(sweep_cfg, checkpoint_dir=ckpt)
+            result = run_sweep(sweep_cfg, checkpoint_dir=ckpt, progress=report)
         path = ctx.out / f"ledger_{tag}.csv"
         result.to_csv(path)
         ctx.add_file(path)
@@ -488,9 +511,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for name, (title, ylabel, series) in plots.items():
             ctx.write_text(name, loglog_svg(series, f"{title} ({tag})",
                                             "sigma", ylabel))
-        for row in result.rows:
-            print(f"[{tag}] n={row.n} sigma={row.sigma:.6g} "
-                  f"E={row.energy:+.9f} gap_w={row.gap_w:.4g}")
     ctx.write_json("sweep_fits.json", all_fits)
     ctx.finish()
     print(f"{len(all_fits)} sweep(s) -> {ctx.out}")

@@ -163,6 +163,16 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
 
     deficit < 1 certifies E(P - k) + |k| > E(P) on the probe set; small
     deficit means a steep photon-emission threshold.
+
+    Each probe reads one number, so it asks `ground_state` for the lowest
+    eigenvalue alone (gap=False: k=1 Lanczos from the vacuum-weighted start
+    vector).  That start vector cannot miss the bottom when coupling > 0:
+    conjugated by (-1)^N the probe Hamiltonian has every off-diagonal entry
+    -g_m sqrt(n) <= 0 and is irreducible, so by Perron-Frobenius its ground
+    state is non-degenerate with a non-zero vacuum component, and no mirror
+    symmetry of the grid can hide it from a symmetric Krylov space.  At
+    coupling 0 the matrix is diagonal and the min-diagonal fallback of
+    `ground_state` applies.
     """
     n = grid.n_modes
     if n == 0:
@@ -173,6 +183,6 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     ratios = np.empty(len(idx))
     for i, m in enumerate(idx):
         shift = momentum_shift_diagonal(basis, grid, P, P - grid.k[m])
-        e_m = ground_state(H + sp.diags(shift), tol).energy
+        e_m = ground_state(H + sp.diags(shift), tol, gap=False).energy
         ratios[i] = (energy - e_m) / grid.r[m]
     return float(np.max(ratios)), ratios, idx

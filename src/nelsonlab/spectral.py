@@ -1,9 +1,12 @@
 """Ground states, reduced resolvents, and shifted solves for symmetric
 sparse matrices.
 
-Only the lowest eigenpairs of small matrices are found densely (see
-ground_state); larger ones come from Lanczos (ARPACK) with a deterministic
-start vector, so repeated runs reproduce bit-identical results.  Every
+Eigensolves compute only what the caller reads (see ground_state).  The
+lowest eigenpair with its gap comes from a dense solve of the two lowest
+eigenpairs up to DENSE_CUTOFF, and from Lanczos (ARPACK, k=2) above it.  The
+lowest eigenpair alone (gap=False) is a k=1 Lanczos at any size ARPACK
+accepts.  Lanczos starts from a deterministic vector, so repeated runs
+reproduce bit-identical results.  Every
 linear solve is a Krylov solve at any dimension and checks its true
 residual: reduced resolvents and shifted solves run MINRES on a matvec, and
 resolvent norms along a spectral contour reuse one Lanczos
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh, solve_banded
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
 
 __all__ = [
@@ -56,56 +59,61 @@ def _row_abs_sums(H) -> np.ndarray:
     return np.sum(np.abs(H), axis=1)
 
 
-def ground_state(H, tol: float = 1e-10) -> GroundStateRecord:
-    """Lowest eigenpair with spectral gap.
+def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
+    """Lowest eigenpair, with the spectral gap unless gap=False.
 
-    Dense diagonalization below DENSE_CUTOFF, else Lanczos (ARPACK) with a
-    fixed vacuum-weighted start vector; falls back to shift-invert from a
-    Gershgorin bound if plain Lanczos does not converge or misses the bottom
-    of the spectrum, and records that in `method`.  Any other solver error
-    propagates.  The returned vector is normalized with a positive vacuum
-    component (positive largest component if the vacuum one vanishes).
+    With the gap: the two lowest eigenpairs by a dense solve up to
+    DENSE_CUTOFF, else Lanczos (ARPACK, k=2).  Without it: Lanczos with k=1
+    and at most 16 basis vectors at any dimension from 3 (a one-eigenvalue
+    dense solve below), and `gap` is nan.  Lanczos starts from a fixed
+    vacuum-weighted vector; it falls back to shift-invert from a Gershgorin
+    bound if plain Lanczos does not converge or misses the bottom of the
+    spectrum, records that in `method`, and raises ArithmeticError when the
+    true residual exceeds its budget.  Any other solver error propagates.
+    The returned vector is normalized with a positive vacuum component
+    (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
     budget = 1e3 * tol * max(1.0, float(np.max(_row_abs_sums(H))))
     if dim == 1:
         val = H.tocsr()[0, 0] if sp.issparse(H) else H[0, 0]
         return GroundStateRecord(float(val), np.ones(1), np.inf, 0.0, 1, "trivial", tol)
-    if dim <= DENSE_CUTOFF:
+    k = 2 if gap else 1
+    if dim <= (DENSE_CUTOFF if gap else 2):
         Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        vals, vecs = np.linalg.eigh(Hd)
+        vals, vecs = eigh(Hd, subset_by_index=[0, k - 1], driver="evr")
         psi = _fix_phase(vecs[:, 0])
         resid = float(np.linalg.norm(Hd @ psi - vals[0] * psi))
-        return GroundStateRecord(float(vals[0]), psi, float(vals[1] - vals[0]),
-                                 resid, dim, "dense", tol)
-
-    Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
-    diag = Hs.diagonal()
-    v0 = np.full(dim, 1e-3)
-    v0[0] = 1.0
-    v0 /= np.linalg.norm(v0)
-    try:
-        vals, vecs = eigsh(Hs, k=2, which="SA", v0=v0, tol=tol,
-                           maxiter=10_000, ncv=min(dim - 1, 48))
-        method = "lanczos"
-    except ArpackNoConvergence:
-        method = None
-    # ARPACK accepts a Ritz value relative to its size, so an exactly zero
-    # ground energy never converges and eigsh returns the two values above
-    # it.  Every diagonal entry is a Rayleigh quotient, so a lowest value
-    # above the smallest one means Lanczos missed the bottom.
-    if method is None or np.min(vals) > np.min(diag) + budget:
-        lower = float(np.min(diag - (_row_abs_sums(Hs) - np.abs(diag)))) - 0.1
-        vals, vecs = eigsh(Hs, k=2, sigma=lower, which="LM", v0=v0, tol=tol)
-        method = "shift-invert"
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    psi = _fix_phase(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-    resid = float(np.linalg.norm(Hs @ psi - vals[0] * psi))
-    if resid > budget:
-        raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds budget "
-                              f"({budget:.3e}); method={method}")
-    return GroundStateRecord(float(vals[0]), psi, float(vals[1] - vals[0]),
+        method = "dense"
+    else:
+        Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
+        diag = Hs.diagonal()
+        v0 = np.full(dim, 1e-3)
+        v0[0] = 1.0
+        v0 /= np.linalg.norm(v0)
+        try:
+            vals, vecs = eigsh(Hs, k=k, which="SA", v0=v0, tol=tol,
+                               maxiter=10_000, ncv=min(dim - 1, 48 if gap else 16))
+            method = "lanczos"
+        except ArpackNoConvergence:
+            method = None
+        # ARPACK accepts a Ritz value relative to its size, so an exactly zero
+        # ground energy never converges and eigsh returns the values above it.
+        # Every diagonal entry is a Rayleigh quotient, so a lowest value above
+        # the smallest one means Lanczos missed the bottom.
+        if method is None or np.min(vals) > np.min(diag) + budget:
+            lower = float(np.min(diag - (_row_abs_sums(Hs) - np.abs(diag)))) - 0.1
+            vals, vecs = eigsh(Hs, k=k, sigma=lower, which="LM", v0=v0, tol=tol)
+            method = "shift-invert"
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        psi = _fix_phase(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+        resid = float(np.linalg.norm(Hs @ psi - vals[0] * psi))
+        if resid > budget:
+            raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds "
+                                  f"budget ({budget:.3e}); method={method}")
+    return GroundStateRecord(float(vals[0]), psi,
+                             float(vals[1] - vals[0]) if gap else np.nan,
                              resid, dim, method, tol)
 
 

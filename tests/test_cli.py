@@ -136,6 +136,27 @@ def test_ground_state_rerun_is_byte_identical(tmp_path, small_ini):
         assert first[name] == second[name], f"{name} changed across reruns"
 
 
+def test_manifest_records_environment(tmp_path, small_ini, monkeypatch):
+    import numpy
+    import scipy
+    manifests = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main(["ground-state", "--config", str(small_ini),
+                     "--out", "out"]) == 0
+        manifests.append((tmp_path / run / "out" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    env = json.loads(manifests[0])["environment"]
+    assert env["numpy"] == numpy.__version__
+    assert env["scipy"] == scipy.__version__
+    assert set(env["blas"]) == {"numpy", "scipy"}
+    assert all(set(lib) == {"name", "version"} for lib in env["blas"].values())
+    assert env["threads"] == {var: os.environ.get(var) for var in
+                              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                               "MKL_NUM_THREADS")}
+
+
 # ---------------------------------------------------------------------------
 # configuration handling
 
@@ -168,6 +189,20 @@ def test_invalid_flag_value_is_named(tmp_path, capsys):
     rc = main(["ground-state", "--sigma", "0", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "'sigma'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("max_probes", "0"),
+                                        ("max_probes", "-3"),
+                                        ("contour_samples", "0")])
+def test_sweep_counts_below_one_are_rejected(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[sweep]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", str(bad), "--scales", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything ran
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -371,6 +406,26 @@ def test_sweep_truncated_at_dim_cap_says_so(tmp_path, small_ini):
     manifest = check_manifest(out)
     assert any("lam0p1" in w and "dim_cap 50" in w and "3 of 4" in w
                for w in manifest["warnings"])
+
+
+def test_sweep_prints_each_scale_as_it_finishes(tmp_path, small_ini, capsys,
+                                                monkeypatch):
+    from nelsonlab import multiscale
+    printed = []
+    compute = multiscale._compute_scale
+
+    def recording(config, n, *args):
+        printed.append((n, capsys.readouterr().out))
+        return compute(config, n, *args)
+
+    monkeypatch.setattr(multiscale, "_compute_scale", recording)
+    assert main(["sweep", "--config", str(small_ini), "--scales", "2",
+                 "--epsilon", "0.5", "--out", str(tmp_path / "run")]) == 0
+    printed.append((3, capsys.readouterr().out))
+    assert [n for n, _ in printed] == [1, 2, 3]
+    for n, out in printed:
+        # the scale before n was reported before scale n started
+        assert out.startswith(f"[lam0p1] n={n - 1} sigma=")
 
 
 def test_sweep_rerun_resumes_byte_identical(sweep_dir):

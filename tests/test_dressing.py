@@ -4,14 +4,15 @@ dressed-frame consistency, and the photon-emission dispersion probe."""
 import numpy as np
 import pytest
 
+from nelsonlab import spectral
 from nelsonlab.dressing import (
     dispersion_probe,
     dressed_ground_state,
     hellmann_feynman_gradient,
 )
-from nelsonlab.fiberop import assemble, nelson_hamiltonian
+from nelsonlab.fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian
 from nelsonlab.fock import build_basis
-from nelsonlab.grid import ModelParams
+from nelsonlab.grid import GridSpec, ModelParams, build_grid
 from nelsonlab.spectral import ground_state
 
 from helpers import random_momentum_grid, toy_grid
@@ -137,3 +138,51 @@ def test_dispersion_probe_subsampling(grid5):
     assert len(idx) <= 3 and len(ratios) == len(idx)
     # P = 0: every ratio is -|k|/2 < 0
     assert deficit < 0.0
+
+
+def probe_instance(case):
+    """Bare probe setting below DENSE_CUTOFF (the sweep's mirror-symmetric
+    scale-1 grid, dim 190) or past it (16 random modes at cap 3, dim 969)."""
+    if case == "below_cutoff":
+        params = ModelParams(coupling=0.1, sigma=0.5, P=(1.0 / 6.0, 0.0, 0.0))
+        grid, cap = build_grid(params, GridSpec(4, 3, 3)), 2
+    else:
+        params = ModelParams(coupling=0.4, sigma=0.1, P=(0.05, 0.0, 0.02))
+        grid = random_momentum_grid(np.random.default_rng(1234), n_modes=16,
+                                    sigma=0.1, kappa=1.0)
+        cap = 3
+    basis = build_basis(grid.n_modes, cap)
+    return params, grid, basis, assemble(nelson_hamiltonian(params, grid), basis)
+
+
+@pytest.mark.parametrize("case", ["below_cutoff", "past_cutoff"])
+def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
+    params, grid, basis, H = probe_instance(case)
+    assert (H.shape[0] <= spectral.DENSE_CUTOFF) == (case == "below_cutoff")
+    Hd = H.toarray()
+    energy = np.linalg.eigvalsh(Hd)[0]
+    max_probes = 6 if case == "below_cutoff" else 3
+    step = int(np.ceil(grid.n_modes / max_probes))
+    exact = np.array([
+        (energy - np.linalg.eigvalsh(Hd + np.diag(momentum_shift_diagonal(
+            basis, grid, params.P_vec, params.P_vec - grid.k[m])))[0]) / grid.r[m]
+        for m in range(0, grid.n_modes, step)])
+
+    ks = []
+    real_eigsh = spectral.eigsh
+
+    def recording_eigsh(A, **kwargs):
+        ks.append(kwargs["k"])
+        return real_eigsh(A, **kwargs)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigensolve in a probe")
+
+    monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spectral, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
+                                            max_probes=max_probes)
+    assert len(idx) == len(exact) and ks and set(ks) == {1}
+    assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
+    assert deficit == np.max(ratios)

@@ -127,19 +127,39 @@ def test_ground_state_falls_back_only_on_arpack_nonconvergence(monkeypatch):
     assert abs(rec.energy - np.linalg.eigvalsh(H.toarray())[0]) < 1e-9
 
 
-def test_ground_state_finds_zero_energy_past_cutoff():
-    # at lambda = 0 and P = 0 the vacuum row is empty and the ground energy
-    # is exactly 0; Lanczos alone skips it and must hand over to shift-invert
-    rng = np.random.default_rng(1234)
-    grid = random_momentum_grid(rng, n_modes=16, sigma=0.1, kappa=1.0)
+def zero_energy_hamiltonian(photon_cap):
+    """lambda = 0, P = 0 Hamiltonian on 16 random modes: diagonal, with an
+    empty vacuum row, so the ground energy is exactly 0."""
+    grid = random_momentum_grid(np.random.default_rng(1234), n_modes=16,
+                                sigma=0.1, kappa=1.0)
     params = ModelParams(coupling=0.0, sigma=0.1, P=(0.0, 0.0, 0.0))
-    H = assemble(nelson_hamiltonian(params, grid), build_basis(16, 3))
-    assert H.shape[0] > spectral.DENSE_CUTOFF
-    rec = ground_state(H)
+    return assemble(nelson_hamiltonian(params, grid), build_basis(16, photon_cap))
+
+
+def check_zero_ground_energy(H, rec, gap):
+    # Lanczos alone skips an exactly zero energy and must hand over to
+    # shift-invert
     assert abs(rec.energy) <= 1e-12
     assert rec.method == "shift-invert"
     assert abs(rec.vector[0] - 1.0) < 1e-12
-    assert abs(rec.gap - np.sort(H.diagonal())[1]) < 1e-9
+    if gap:
+        assert abs(rec.gap - np.sort(H.diagonal())[1]) < 1e-9
+    else:
+        assert np.isnan(rec.gap)
+
+
+@pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
+def test_ground_state_finds_zero_energy_past_cutoff(gap):
+    H = zero_energy_hamiltonian(3)
+    assert H.shape[0] > spectral.DENSE_CUTOFF
+    check_zero_ground_energy(H, ground_state(H, gap=gap), gap)
+
+
+def test_one_eigenvalue_finds_zero_energy_below_cutoff():
+    # without the gap, Lanczos runs below DENSE_CUTOFF too
+    H = zero_energy_hamiltonian(2)
+    assert H.shape[0] <= spectral.DENSE_CUTOFF
+    check_zero_ground_energy(H, ground_state(H, gap=False), False)
 
 
 def random_case(seed, n):
