@@ -316,8 +316,9 @@ def _grid_spec(cfg: RunConfig):
     return GridSpec(cfg.shells_per_decade, cfg.n_polar, cfg.n_azimuthal)
 
 
-def _solve_state(cfg: RunConfig, ctx: RunContext):
-    from .dressing import dressed_ground_state
+def _model_setup(cfg: RunConfig, ctx: RunContext):
+    """Parameters, grid and Fock basis of a single-cutoff command, with their
+    hashes and sizes recorded in the manifest."""
     from .fock import build_basis
     from .grid import build_grid
     params = _model_params(cfg)
@@ -327,6 +328,12 @@ def _solve_state(cfg: RunConfig, ctx: RunContext):
     ctx.info["basis_hash"] = basis.content_hash()
     ctx.info["n_modes"] = grid.n_modes
     ctx.info["dim"] = basis.dim
+    return params, grid, basis
+
+
+def _solve_state(cfg: RunConfig, ctx: RunContext):
+    from .dressing import dressed_ground_state
+    params, grid, basis = _model_setup(cfg, ctx)
     with ctx.timed("ground_state"):
         state = dressed_ground_state(params, grid, basis, cfg.tol)
     return state
@@ -400,8 +407,9 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     from .wavefunctions import (BareGround, bound_constant_f1, extract_f1,
                                 extract_fq, froehlich_f1, froehlich_fq)
     ctx = RunContext("wavefunctions", cfg)
-    state = _solve_state(cfg, ctx)
-    bg = BareGround.from_state(state)
+    params, grid, basis = _model_setup(cfg, ctx)
+    with ctx.timed("ground_state"):
+        bg = BareGround.solve(params, grid, basis, cfg.tol)
     q_top = min(cfg.q_max, cfg.photon_cap)
     if q_top < cfg.q_max:
         ctx.warnings.append(

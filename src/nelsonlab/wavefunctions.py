@@ -15,6 +15,15 @@ sum is the exact identity
       sum_pi prod_j 1 / (a_pi(1) + ... + a_pi(j)) = prod_j 1 / a_j,
 checked here in exact rational arithmetic.
 
+Each ordering seq = (m_1, ..., m_q) of the modes is one resolvent chain
+      R_q ... R_1 psi,
+      R_j = (H_{P - k_{m_1} - ... - k_{m_j}} - E + |k_{m_1}| + ... + |k_{m_j}|)^{-1}.
+`chain` memoizes every chain in `BareGround.chains` under the key
+(seq, tol) and builds each link on the cached chain of seq[:-1], so f^1,
+f^2 and f^3 share every common prefix: the first link of an f^q chain is
+an f^1 solve, an f^3 chain extends an f^2 chain, and orderings that repeat
+a mode sequence (tuples with a repeated mode) cost no solve.
+
 The resolvent route also evaluates f^1 off the grid nodes (`f1_resolvent`),
 which the cancellation demonstration for the second P-derivative of f^1
 uses.
@@ -23,7 +32,7 @@ uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
@@ -48,9 +57,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BareGround:
-    """Bare fiber ground-state bundle consumed by the wavefunction routines."""
+    """Bare fiber ground-state bundle consumed by the wavefunction routines.
+
+    `chains` maps (mode sequence, tol) to the resolvent chain computed for
+    it by `chain`; it fills as the pull-through routines run.
+    """
 
     params: ModelParams
     grid: MomentumGrid
@@ -58,6 +71,8 @@ class BareGround:
     H: sp.csr_matrix
     energy: float
     psi: np.ndarray
+    chains: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def solve(cls, params: ModelParams, grid: MomentumGrid, basis: FockBasis,
@@ -123,6 +138,26 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     return solve_shifted(bg.H, bg.energy - freq_total - shift, rhs, tol)
 
 
+def chain(bg: BareGround, seq: tuple, tol: float) -> np.ndarray:
+    """The resolvent chain R_q ... R_1 psi of the mode sequence
+    seq = (m_1, ..., m_q) (module docstring).
+
+    Every prefix is looked up in, or stored into, `bg.chains` under the key
+    (prefix, tol), so a chain costs one solve per link not computed before.
+    """
+    v = bg.psi
+    k_sum = np.zeros(3)
+    freq = 0.0
+    for j, m in enumerate(seq, 1):
+        k_sum = k_sum + bg.grid.k[m]
+        freq += bg.grid.r[m]
+        key = (seq[:j], tol)
+        if key not in bg.chains:
+            bg.chains[key] = _shifted_solve(bg, k_sum, freq, v, tol)
+        v = bg.chains[key]
+    return v
+
+
 def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
     """f^q at a tuple of grid modes via the permutation sum of resolvent
     chains; exact on the untruncated discrete model."""
@@ -130,15 +165,7 @@ def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
     q = len(modes)
     vac = 0.0
     for order in permutations(range(q)):
-        v = bg.psi
-        k_sum = np.zeros(3)
-        freq = 0.0
-        for j in order:
-            m = modes[j]
-            k_sum = k_sum + bg.grid.k[m]
-            freq += bg.grid.r[m]
-            v = _shifted_solve(bg, k_sum, freq, v, tol)
-        vac += v[0]
+        vac += chain(bg, tuple(modes[j] for j in order), tol)[0]
     ff = float(np.prod(form_factor(bg.grid.k[list(modes)], bg.params)))
     return (-1.0) ** q * ff * vac / math.sqrt(math.factorial(q))
 
@@ -148,8 +175,8 @@ def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
     node."""
     out = np.zeros(bg.grid.n_modes)
     for m in range(bg.grid.n_modes):
-        v = _shifted_solve(bg, bg.grid.k[m], bg.grid.r[m], bg.psi, tol)
-        out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * v[0]
+        vac = chain(bg, (m,), tol)[0]
+        out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * vac
     return out
 
 

@@ -336,6 +336,38 @@ def test_wavefunctions_clamps_q_max(tmp_path, small_ini):
     assert not (out / "f3.csv").exists()
 
 
+def test_wavefunctions_never_dresses(tmp_path, small_ini, monkeypatch):
+    """The f-tables read only the bare ground state: the command must make
+    one assembly (the bare H) and never run the dressing pipeline."""
+    import nelsonlab.dressing
+    import nelsonlab.fiberop
+    args = ["wavefunctions", "--config", str(small_ini),
+            "--photon-cap", "3", "--q-max", "3"]
+    ref = tmp_path / "ref"
+    assert main(args + ["--out", str(ref)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wavefunctions ran the dressing pipeline")
+
+    monkeypatch.setattr(nelsonlab.dressing, "dressed_ground_state", refuse)
+    assembled = []
+    original = nelsonlab.fiberop.assemble
+
+    def counting(*args, **kwargs):
+        assembled.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nelsonlab.") and \
+                getattr(mod, "assemble", None) is original:
+            monkeypatch.setattr(mod, "assemble", counting)
+    out = tmp_path / "run"
+    assert main(args + ["--out", str(out)]) == 0
+    assert len(assembled) == 1
+    for name in ("f1.csv", "f2.csv", "f3.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # sweep and report commands
 

@@ -41,6 +41,52 @@ def test_extraction_matches_resolvent_chain_q2(two_mode):
         assert abs(table[pair] - wf.froehlich_fq(two_mode, pair)) < 1e-12
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """List that records every shifted solve the pull-through routines make."""
+    calls = []
+    original = wf.solve_shifted
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "solve_shifted", counting)
+    return calls
+
+
+def _fresh(bg):
+    """The same ground state with an empty chain cache."""
+    return wf.BareGround(bg.params, bg.grid, bg.basis, bg.H, bg.energy, bg.psi)
+
+
+def test_chains_share_prefixes_across_q(three_mode, solves):
+    """f^2 chains start with f^1 solves, f^3 chains with f^2 chains, and a
+    repeated mode repeats orderings: only new links cost a solve, and the
+    values are those of a cold cache bit for bit."""
+    bg = _fresh(three_mode)
+    runs = [(wf.froehlich_f1, None), (wf.froehlich_fq, (0, 1)),
+            (wf.froehlich_fq, (0, 0, 1))]
+    counts = []
+    for fn, modes in runs:
+        before = len(solves)
+        val = fn(bg) if modes is None else fn(bg, modes)
+        counts.append(len(solves) - before)
+        cold = fn(_fresh(bg)) if modes is None else fn(_fresh(bg), modes)
+        assert np.all(val == cold)
+    assert counts == [3, 2, 4]
+
+
+def test_chain_cache_is_keyed_by_tol(three_mode, solves):
+    bg = _fresh(three_mode)
+    wf.froehlich_fq(bg, (0, 1))
+    assert len(solves) == 4
+    wf.froehlich_fq(bg, (0, 1))
+    assert len(solves) == 4
+    wf.froehlich_fq(bg, (0, 1), tol=1e-9)
+    assert len(solves) == 8
+
+
 def test_contamination_dies_with_cap(two_mode):
     """Pull-through is exact only without truncation; the disagreement must
     shrink as the photon cap grows."""
