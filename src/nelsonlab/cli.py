@@ -105,7 +105,10 @@ def _read_ini(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     overrides = {}
@@ -525,6 +528,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
+def _finite(x) -> bool:
+    """False for the `null` that `_jsonify` writes in place of nan/inf."""
+    return x is not None and math.isfinite(x)
+
+
 def cmd_report(cfg: RunConfig) -> int:
     ctx = RunContext("report", cfg)
     fits_path = ctx.out / "sweep_fits.json"
@@ -552,24 +560,24 @@ def cmd_report(cfg: RunConfig) -> int:
             ]
         def pair(name, label):
             value = fits.get(name)
-            if value and isinstance(value, list) and math.isfinite(value[0]):
-                err = f" +- {value[1]:.3f}" if math.isfinite(value[1]) else ""
+            if value and isinstance(value, list) and _finite(value[0]):
+                err = f" +- {value[1]:.3f}" if _finite(value[1]) else ""
                 lines.append(f"- {label}: {value[0]:+.3f}{err}")
         pair("psi_cauchy", "bare Cauchy-difference slope")
         pair("phi_cauchy", "dressed Cauchy-difference slope")
         pair("contour_sup", "contour sup-norm slope")
         dh = fits.get("delta_hat")
-        if dh and math.isfinite(dh[0]):
+        if dh and _finite(dh[0]):
             lines.append(f"- delta-hat (chain-norm growth): {dh[0]:.3f}"
-                         + (f" +- {dh[1]:.3f}" if math.isfinite(dh[1]) else ""))
+                         + (f" +- {dh[1]:.3f}" if _finite(dh[1]) else ""))
         ce = fits.get("c_energy_spread")
-        if ce and math.isfinite(ce[0]):
+        if ce and _finite(ce[0]):
             lines.append(f"- energy-drop constant range: [{ce[0]:.3f}, {ce[1]:.3f}]")
         cf = fits.get("f1_bound_spread")
-        if cf and math.isfinite(cf[0]):
+        if cf and _finite(cf[0]):
             lines.append(f"- f1 envelope constant range: [{cf[0]:.3f}, {cf[1]:.3f}]")
         dc = fits.get("drift_constant")
-        if dc is not None and math.isfinite(dc):
+        if _finite(dc):
             lines.append(f"- gradient drift constant: {dc:.3f}")
         lines.append("")
     lines += ["## files", ""]

@@ -13,7 +13,7 @@ to the truncated basis.  For |A|^2 that is the compression of the square, not
 the square of the compression, which keeps variational monotonicity intact.
 It never leaves the basis: only creations on the top photon sector escape the
 cap, and there b_m b*_m' = delta_mm' + b*_m' b_m folds them back (see
-`assemble`).
+`assemble`).  Every field part is built from `FockBasis.lowering`.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class VectorFiberOperator:
         w = self.w + self.K.T @ (h * h) + 2.0 * (self.C.T @ h)
         return VectorFiberOperator(w, self.K, self.C + self.K * h[:, None])
 
-    def plus_const(self, c) -> "VectorFiberOperator":
-        return VectorFiberOperator(self.w + np.asarray(c, dtype=float), self.K, self.C)
-
 
 def nelson_hamiltonian(params: ModelParams, grid: MomentumGrid) -> FiberOperator:
     """Fiber Hamiltonian (P - P_f)^2/2 + H_f + field coupling on the grid.
@@ -141,11 +138,10 @@ def displace(op: FiberOperator, h) -> FiberOperator:
     sum_m (d_m h_m^2 + 2 g_m h_m).
     """
     h = np.asarray(h, dtype=float).reshape(op.n_modes)
-    w = op.w + op.K.T @ (h * h) + 2.0 * (op.C.T @ h)
-    C = op.C + op.K * h[:, None]
+    A = VectorFiberOperator(op.w, op.K, op.C).displaced(h)
     g = op.g + op.d * h
     e = op.e + float(np.sum(op.d * h * h + 2.0 * op.g * h))
-    return FiberOperator(w, op.K, C, op.d, g, e)
+    return FiberOperator(A.w, A.K, A.C, op.d, g, e)
 
 
 def gamma_operator(params: ModelParams, grid: MomentumGrid, gradE) -> VectorFiberOperator:
@@ -159,7 +155,8 @@ def gamma_operator(params: ModelParams, grid: MomentumGrid, gradE) -> VectorFibe
     gradE = np.asarray(gradE, dtype=float)
     h = weyl_coefficients(params, grid, gradE)
     base = VectorFiberOperator(-params.P_vec, grid.k.copy(), np.zeros_like(grid.k))
-    return base.displaced(h).plus_const(gradE)
+    gam = base.displaced(h)
+    return VectorFiberOperator(gam.w + gradE, gam.K, gam.C)
 
 
 def transformed_hamiltonian_routes(params: ModelParams, grid: MomentumGrid, gradE):
@@ -261,41 +258,31 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix:
 
         P A_j^2 P = (P A_j P)^2 + Pi_Q (|C_j|^2 + L_j^T L_j) Pi_Q
 
-    with L_j = sum_m C[m,j] b_m, which stays inside the basis, and Pi_Q the
-    projector onto the top sector.  When A has no field part it is diagonal
-    in occupation and the square is taken directly.
+    with L_j = sum_m C[m,j] b_m = `basis.lowering(C[:, j])`, which stays
+    inside the basis, and Pi_Q the projector onto the top sector.  A
+    component with no field part is diagonal in occupation and is squared
+    on the diagonal.
     """
     if op.n_modes != basis.n_modes:
         raise ValueError("operator and basis mode counts differ")
     dim = basis.dim
-    diag = np.full(dim, op.e, dtype=float)
-    if basis.n_modes:
-        diag += basis.number_diagonal(op.d)
+    diag = np.full(dim, op.e, dtype=float) + basis.number_diagonal(op.d)
     H = sp.csr_matrix((dim, dim))
-    if basis.n_modes and np.any(op.g):
+    if np.any(op.g):
         H = H + basis.field_matrix(op.g)
-
-    if not np.any(op.C):
-        # A_j diagonal in occupation: square componentwise
-        for j in range(3):
-            a = basis.number_diagonal(op.K[:, j]) + op.w[j] if basis.n_modes \
-                else np.full(dim, op.w[j])
-            diag += 0.5 * a * a
-    else:
-        vop = VectorFiberOperator(op.w, op.K, op.C)
-        top = basis.photon_count == basis.n_max
-        src, mode, tgt, amp = basis.annihilation_arrays()
-        from_top = top[src]
-        for j in range(3):
+    vop = VectorFiberOperator(op.w, op.K, op.C)
+    top = basis.photon_count == basis.n_max
+    for j in range(3):
+        c = op.C[:, j]
+        if np.any(c):
             A = assemble_vector_component(vop, j, basis)
             H = H + 0.5 * (A @ A)
-            c = op.C[:, j]
-            if np.any(c):
-                sel = from_top & (c[mode] != 0.0)
-                L = sp.csr_matrix((c[mode[sel]] * amp[sel], (tgt[sel], src[sel])),
-                                  shape=(dim, dim))
-                H = H + 0.5 * (L.T @ L)
-                diag[top] += 0.5 * float(c @ c)
+            L = basis.lowering(c) @ sp.diags(top.astype(float))
+            H = H + 0.5 * (L.T @ L)
+            diag[top] += 0.5 * float(c @ c)
+        else:
+            a = basis.number_diagonal(op.K[:, j]) + op.w[j]
+            diag += 0.5 * a * a
     H = H + sp.diags(diag)
     H = ((H + H.T) * 0.5).tocsr()  # symmetrize rounding noise
     return H
@@ -304,23 +291,16 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix:
 def assemble_vector_component(vop: VectorFiberOperator, j: int, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of one affine component on the truncated basis (exact
     compression; creations above the cap have no matrix element here)."""
-    dim = basis.dim
-    diag = np.full(dim, vop.w[j], dtype=float)
-    if basis.n_modes:
-        diag += basis.number_diagonal(vop.K[:, j])
+    diag = np.full(basis.dim, vop.w[j], dtype=float) + basis.number_diagonal(vop.K[:, j])
     A = sp.diags(diag).tocsr()
-    if basis.n_modes and np.any(vop.C[:, j]):
+    if np.any(vop.C[:, j]):
         A = A + basis.field_matrix(vop.C[:, j])
     return A
 
 
 def pf_diagonals(basis: FockBasis, grid: MomentumGrid) -> np.ndarray:
     """(dim, 3) array of the diagonal photon-momentum operator P_f."""
-    out = np.zeros((basis.dim, 3))
-    for j in range(3):
-        if grid.n_modes:
-            out[:, j] = basis.number_diagonal(grid.k[:, j])
-    return out
+    return np.column_stack([basis.number_diagonal(grid.k[:, j]) for j in range(3)])
 
 
 def momentum_shift_diagonal(basis: FockBasis, grid: MomentumGrid, P, P_new) -> np.ndarray:

@@ -6,6 +6,10 @@ by total photon number first and lexicographically within each sector, with
 the vacuum at index 0.  That ordering is deterministic and survives grid
 refinement: because refined grids keep parent modes as a prefix, every parent
 basis state is literally a valid state of the refined basis.
+
+`FockBasis.lowering(c)` is the single builder of L = sum_m c_m b_m, which
+never leaves the basis.  The field L + L^T, the displacement generator
+L - L^T and the top-sector term in `fiberop.assemble` are all built from it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ class FockBasis:
         self.states = _enumerate_states(self.n_modes, self.n_max)
         self.index = {s: i for i, s in enumerate(self.states)}
         self._build_occupancy_arrays()
+        self._ann_arrays = None
 
     @property
     def dim(self) -> int:
@@ -99,29 +104,25 @@ class FockBasis:
     def annihilation_arrays(self):
         """COO-style arrays for all b_m actions inside the basis:
         (source state, mode, target state, amplitude sqrt(n_m))."""
-        if hasattr(self, "_ann_arrays"):
-            return self._ann_arrays
-        src, mode, tgt, amp = [], [], [], []
-        for i, s in enumerate(self.states):
-            c = Counter(s)
-            for m in sorted(c):
-                lowered = list(s)
+        if self._ann_arrays is None:
+            src = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(self.occ_ptr))
+            tgt = np.empty(len(src), dtype=np.int64)
+            for e, (i, m) in enumerate(zip(src.tolist(), self.occ_mode.tolist())):
+                lowered = list(self.states[i])
                 lowered.remove(m)
-                j = self.index[tuple(lowered)]
-                src.append(i)
-                mode.append(m)
-                tgt.append(j)
-                amp.append(math.sqrt(c[m]))
-        self._ann_arrays = (np.array(src, dtype=np.int64), np.array(mode, dtype=np.int64),
-                            np.array(tgt, dtype=np.int64), np.array(amp))
+                tgt[e] = self.index[tuple(lowered)]
+            self._ann_arrays = (src, self.occ_mode, tgt, np.sqrt(self.occ_cnt))
         return self._ann_arrays
+
+    def lowering(self, coeff) -> sp.csr_matrix:
+        """sum_m coeff[m] * b_m on the truncated basis, which it never leaves."""
+        src, mode, tgt, amp = self.annihilation_arrays()
+        vals = np.asarray(coeff, dtype=float)[mode] * amp
+        return sp.csr_matrix((vals, (tgt, src)), shape=(self.dim, self.dim))
 
     def field_matrix(self, coeff) -> sp.csr_matrix:
         """sum_m coeff[m] * (b_m + b*_m) on the truncated basis."""
-        coeff = np.asarray(coeff, dtype=float)
-        src, mode, tgt, amp = self.annihilation_arrays()
-        vals = coeff[mode] * amp
-        lower = sp.csr_matrix((vals, (tgt, src)), shape=(self.dim, self.dim))
+        lower = self.lowering(coeff)
         return lower + lower.T
 
 
@@ -213,9 +214,7 @@ def displacement_generator(basis: FockBasis, delta) -> sp.csr_matrix:
     delta = np.asarray(delta, dtype=float)
     if len(delta) != basis.n_modes:
         raise ValueError("delta length does not match mode count")
-    src, mode, tgt, amp = basis.annihilation_arrays()
-    vals = delta[mode] * amp
-    lower = sp.csr_matrix((vals, (tgt, src)), shape=(basis.dim, basis.dim))
+    lower = basis.lowering(delta)
     return (lower - lower.T).tocsr()
 
 

@@ -234,8 +234,25 @@ class SweepResult:
                 fh.write(",".join(cells) + "\n")
 
 
+class RestoredScale(NamedTuple):
+    """The part of a scale that the next scale reads of its predecessor,
+    whether computed or loaded from a checkpoint.  Carrying only these five
+    fields releases the previous scale's matrices before the next starts."""
+
+    basis: FockBasis
+    energy: float
+    grad_e: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+
+    @classmethod
+    def of(cls, state: DressedScaleState) -> "RestoredScale":
+        return cls(state.basis, state.energy, state.grad_e, state.psi, state.phi)
+
+
 def _scale_zero_row(config: SweepConfig) -> tuple:
-    """Closed-form seed: empty annulus at sigma_0 = kappa."""
+    """Closed-form seed: empty annulus at sigma_0 = kappa.  Returns the row,
+    the carry for scale 1 and the scale-0 grid."""
     params = config.params.with_sigma(config.sigma_at(0))
     grid = build_grid(params, config.spec)
     basis = build_basis(0, config.photon_cap)
@@ -255,7 +272,7 @@ def _scale_zero_row(config: SweepConfig) -> tuple:
         grad_defect_norm=state.diagnostics["grad_defect_norm"],
         grid_hash=grid.content_hash(), basis_hash=basis.content_hash(),
     )
-    return row, state
+    return row, RestoredScale.of(state), grid
 
 
 def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -265,7 +282,7 @@ def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
-                             prev: DressedScaleState | RestoredScale,
+                             prev: RestoredScale,
                              row: ScaleRow):
     """Cauchy differences, projection overlap, frame-transfer defect, and
     contour sup norms against the intermediate Hamiltonian (previous
@@ -321,7 +338,7 @@ def _derivative_quantities(state: DressedScaleState, row: ScaleRow):
 
 def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
                    basis: FockBasis,
-                   prev_state: DressedScaleState | RestoredScale | None):
+                   prev_state: RestoredScale | None):
     t0 = time.monotonic()
     sigma = config.sigma_at(n)
     params = config.params.with_sigma(sigma)
@@ -354,7 +371,7 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
                                        tol=config.tol)[0]
         _derivative_quantities(state, row)
     row.wall_time = time.monotonic() - t0
-    return row, state
+    return row, RestoredScale.of(state)
 
 
 def _checkpoint_paths(directory, n):
@@ -369,17 +386,6 @@ def _save_checkpoint(directory, config, n, row, state):
     payload = {"config_hash": config.content_hash(), "row": asdict(row)}
     with open(meta, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-class RestoredScale(NamedTuple):
-    """The part of a checkpointed scale that the next scale reads of its
-    predecessor; it stands in for a DressedScaleState as `prev_state`."""
-
-    basis: FockBasis
-    energy: float
-    grad_e: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
 
 
 def _load_checkpoint(directory, config, n, grid, basis):
@@ -411,10 +417,8 @@ def run_sweep(config: SweepConfig, checkpoint_dir=None,
               progress=None) -> SweepResult:
     """Run all scales, optionally checkpointing each to `checkpoint_dir` and
     resuming from any scale whose checkpoint matches the config."""
-    rows = []
-    row0, state = _scale_zero_row(config)
-    rows.append(row0)
-    grid = state.grid
+    row0, prev, grid = _scale_zero_row(config)
+    rows = [row0]
     if progress:
         progress(row0)
     for n in range(1, config.n_scales):
@@ -427,13 +431,13 @@ def run_sweep(config: SweepConfig, checkpoint_dir=None,
         if checkpoint_dir is not None:
             loaded = _load_checkpoint(checkpoint_dir, config, n, next_grid, basis)
         if loaded is not None:
-            row, new_state = loaded
+            row, prev = loaded
         else:
-            row, new_state = _compute_scale(config, n, next_grid, basis, state)
+            row, prev = _compute_scale(config, n, next_grid, basis, prev)
             if checkpoint_dir is not None:
-                _save_checkpoint(checkpoint_dir, config, n, row, new_state)
+                _save_checkpoint(checkpoint_dir, config, n, row, prev)
         rows.append(row)
-        state, grid = new_state, next_grid
+        grid = next_grid
         if progress:
             progress(row)
     result = SweepResult(config, rows)

@@ -211,6 +211,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    # an unreadable config must not fall back to the defaults
+    out = tmp_path / "o"
+    rc = main(["ground-state", "--config", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flag_beats_config_file(tmp_path, small_ini):
     # the file says coupling = 0.1; the flag says 0 and must win
     out = tmp_path / "run"
@@ -482,6 +491,27 @@ def test_report(sweep_dir):
     assert "delta-hat" in body
     assert "final sigma = 0.0625" in body
     check_manifest(out)
+
+
+def test_report_after_short_sweep_skips_missing_fits(tmp_path, small_ini):
+    # two fitted scales give no slope errors, and lambda = 0 gives no
+    # slopes or energy-drop spread: sweep_fits.json holds null for each
+    ini = tmp_path / "two.ini"
+    ini.write_text(small_ini.read_text().replace(
+        "[sweep]\n", "[sweep]\nlambdas = 0 0.1\n"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(ini), "--scales", "2",
+                 "--epsilon", "0.5", "--out", str(out)]) == 0
+    fits = json.loads((out / "sweep_fits.json").read_text())
+    assert fits["lam0"]["psi_cauchy"] == [None, None]
+    assert fits["lam0"]["c_energy_spread"] == [None, None]
+    assert fits["lam0p1"]["delta_hat"][1] is None
+    assert main(["report", "--config", str(ini), "--out", str(out)]) == 0
+    body = (out / "report.md").read_text()
+    lam0, lam0p1 = body.split("## lam0p1")
+    assert "slope" not in lam0 and "energy-drop" not in lam0
+    assert "- delta-hat (chain-norm growth): " in lam0p1
+    assert "+-" not in body
 
 
 def test_report_without_sweep_fails(tmp_path, capsys):

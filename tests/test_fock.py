@@ -145,6 +145,39 @@ def test_displacement_norm_preserving_and_invertible():
     assert np.max(np.abs(back - v)) <= 1e-12
 
 
+def test_lowering_is_the_sum_of_single_mode_lowerings():
+    b = build_basis(3, 3)
+    c = np.array([0.7, 0.0, -1.3])
+    expected = sum(c[m] * lowering_matrix(b, m).toarray() for m in range(3))
+    # each matrix element has a single mode's contribution: exact equality
+    assert np.array_equal(b.lowering(c).toarray(), expected)
+
+
+def test_annihilation_arrays_match_counter_reference():
+    # reference: a per-state Counter loop, independent of the occupancy arrays
+    b = build_basis(4, 3)
+    src, mode, tgt, amp = [], [], [], []
+    for i, s in enumerate(b.states):
+        c = Counter(s)
+        for m in sorted(c):
+            lowered = list(s)
+            lowered.remove(m)
+            src.append(i)
+            mode.append(m)
+            tgt.append(b.index[tuple(lowered)])
+            amp.append(math.sqrt(c[m]))
+    for got, want in zip(b.annihilation_arrays(), (src, mode, tgt, amp)):
+        assert np.array_equal(got, want)
+
+
+def test_annihilation_cache_is_a_declared_field():
+    b = build_basis(3, 2)
+    before = set(vars(b))
+    arrays = b.annihilation_arrays()
+    assert set(vars(b)) == before
+    assert b.annihilation_arrays() is arrays
+
+
 def test_displacement_generator_antisymmetric():
     b = build_basis(2, 3)
     G = displacement_generator(b, np.array([0.4, -0.2])).toarray()

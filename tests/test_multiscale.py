@@ -1,8 +1,10 @@
 """Tests for the infrared iteration: per-scale ledger rows, exponent fits,
 checkpointing, and the second-P-derivative cancellation demonstration."""
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -243,6 +245,28 @@ def test_full_resume_assembles_no_matrix(tmp_path, monkeypatch):
     run_sweep(cfg, checkpoint_dir=tmp_path).to_csv(tmp_path / "resumed.csv")
     assert (tmp_path / "resumed.csv").read_bytes() == \
         (tmp_path / "first.csv").read_bytes()
+
+
+def test_next_scale_starts_without_the_previous_state(monkeypatch):
+    # the carry between scales is the five-field RestoredScale, so the
+    # previous DressedScaleState (H, Hw, Gamma, R0 Gamma phi) is freed
+    states = []
+    solve, compute = multiscale.dressed_ground_state, multiscale._compute_scale
+
+    def recording_solve(*args):
+        state = solve(*args)
+        states.append(weakref.ref(state))
+        return state
+
+    def checking_compute(config, n, grid, basis, prev):
+        gc.collect()
+        assert len(states) == n and all(ref() is None for ref in states)
+        assert isinstance(prev, multiscale.RestoredScale)
+        return compute(config, n, grid, basis, prev)
+
+    monkeypatch.setattr(multiscale, "dressed_ground_state", recording_solve)
+    monkeypatch.setattr(multiscale, "_compute_scale", checking_compute)
+    assert len(run_sweep(small_config(n_scales=3)).rows) == 3
 
 
 def test_partial_resume_matches_fresh_sweep(tmp_path):
