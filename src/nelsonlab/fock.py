@@ -45,6 +45,7 @@ class FockBasis:
     n_max : total photon cap Q
     states : list of sorted mode tuples, vacuum first
     index : dict mapping state tuple -> position
+    occupation : (dim, n_modes) CSR matrix of occupation numbers n_m
     """
 
     def __init__(self, n_modes: int, n_max: int):
@@ -74,6 +75,9 @@ class FockBasis:
         self.occ_ptr = np.array(ptr, dtype=np.int64)
         self.occ_mode = np.array(modes, dtype=np.int64)
         self.occ_cnt = np.array(cnts, dtype=np.int64)
+        self.occupation = sp.csr_matrix(
+            (self.occ_cnt.astype(float), self.occ_mode, self.occ_ptr),
+            shape=(self.dim, self.n_modes))
         self.photon_count = np.fromiter((len(s) for s in self.states),
                                         dtype=np.int64, count=self.dim)
 
@@ -91,15 +95,7 @@ class FockBasis:
 
     def number_diagonal(self, f) -> np.ndarray:
         """Diagonal of sum_m f[m] * n_m over the basis."""
-        f = np.asarray(f, dtype=float)
-        if self.n_modes == 0 or len(self.occ_mode) == 0:
-            return np.zeros(self.dim)
-        vals = f[self.occ_mode] * self.occ_cnt
-        out = np.zeros(self.dim)
-        nonempty = np.flatnonzero(np.diff(self.occ_ptr) > 0)
-        if len(nonempty):
-            out[nonempty] = np.add.reduceat(vals, self.occ_ptr[nonempty])
-        return out
+        return self.occupation @ np.asarray(f, dtype=float)
 
     def annihilation_arrays(self):
         """COO-style arrays for all b_m actions inside the basis:

@@ -12,6 +12,15 @@ residual: reduced resolvents and shifted solves run MINRES on a matvec, and
 resolvent norms along a spectral contour reuse one Lanczos
 tridiagonalization for every shift (Krylov spaces are shift invariant), with
 an exact per-shift residual estimate.
+
+MINRES is preconditioned by the diagonal M^{-1} = |diag(H) - z|^{-1}, with
+exact zeros of diag(H) - z replaced by 1.  Absolute values of nonzero
+numbers make M positive definite even where H - z is indefinite, as MINRES
+requires.  In the Fock basis the photon energy sum_m alpha_m |k_m| n_m is
+diagonal; its quanta range from the infrared cutoff sigma to the
+ultraviolet one, and that spread sets the condition number of the
+resolvents.  The diagonal scaling removes it, so iteration counts stay
+nearly flat as sigma shrinks.
 """
 
 from __future__ import annotations
@@ -121,12 +130,24 @@ def _project_out(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return v - psi * (psi @ v)
 
 
-def _minres_solve(matvec, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """x with matvec(x) = rhs by MINRES; raises ArithmeticError when the true
-    residual exceeds 1e3 tol max(1, ||rhs||)."""
+def _jacobi(shifted_diagonal: np.ndarray) -> np.ndarray:
+    """|d|^{-1} entrywise, with exact zeros of d replaced by 1: the inverse
+    of a positive definite diagonal for any real d."""
+    d = np.abs(shifted_diagonal)
+    d[d == 0.0] = 1.0
+    return 1.0 / d
+
+
+def _minres_solve(matvec, precond, rhs: np.ndarray, tol: float,
+                  what: str) -> np.ndarray:
+    """x with matvec(x) = rhs by MINRES preconditioned by `precond`, which
+    applies M^{-1} and must be symmetric positive definite on the space the
+    iterates live in; raises ArithmeticError when the true residual
+    ||matvec(x) - rhs|| exceeds 1e3 tol max(1, ||rhs||)."""
     dim = len(rhs)
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    x, _ = minres(op, rhs, rtol=max(1e-13, tol / 100.0), maxiter=40 * dim)
+    M = LinearOperator((dim, dim), matvec=precond, dtype=float)
+    x, _ = minres(op, rhs, M=M, rtol=max(1e-13, tol / 100.0), maxiter=40 * dim)
     resid = np.linalg.norm(matvec(x) - rhs)
     budget = 1e3 * tol * max(1.0, float(np.linalg.norm(rhs)))
     if resid > budget:
@@ -138,27 +159,42 @@ def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
                             tol: float = 1e-10) -> np.ndarray:
     """x = (H - energy)^{-1} Q rhs with Q the projector off psi, x orthogonal
     to psi.  psi must be the normalized eigenvector at `energy`; the deflated
-    system is then consistent and symmetric."""
+    system is then consistent and symmetric.
+
+    The preconditioner is Q D Q with D = |diag(H) - energy|^{-1} (zeros
+    replaced by 1).  D is positive definite, so Q D Q is symmetric positive
+    definite on range(Q), where the right-hand side and every MINRES iterate
+    lie."""
     rhs_p = _project_out(np.asarray(rhs, dtype=float), psi)
     if not np.any(rhs_p):
         return np.zeros(H.shape[0])
+    inv = _jacobi(H.diagonal() - energy)
 
     def apply(v):
         u = _project_out(v, psi)
         return _project_out(H @ u - energy * u, psi)
 
-    return _project_out(_minres_solve(apply, rhs_p, tol, "reduced-resolvent"), psi)
+    def precond(v):
+        return _project_out(inv * _project_out(v, psi), psi)
+
+    return _project_out(_minres_solve(apply, precond, rhs_p, tol,
+                                      "reduced-resolvent"), psi)
 
 
 def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """x = (H - z)^{-1} rhs by MINRES, for a real shift z off the spectrum:
     a scalar, or one value per basis state (H - diag(z)), so a diagonal
-    change of H needs no new matrix."""
+    change of H needs no new matrix.
+
+    The preconditioner is the diagonal |diag(H) - z|^{-1} with zeros
+    replaced by 1: positive definite whatever the signs of diag(H) - z, so
+    MINRES accepts it also when H - z is indefinite."""
     if np.iscomplexobj(z):
         raise TypeError(f"solve_shifted takes a real shift, got {z!r}")
     z = np.asarray(z, dtype=float)
-    return _minres_solve(lambda v: H @ v - z * v, np.asarray(rhs, dtype=float),
-                         tol, "shifted solve")
+    inv = _jacobi(H.diagonal() - z)
+    return _minres_solve(lambda v: H @ v - z * v, lambda v: inv * v,
+                         np.asarray(rhs, dtype=float), tol, "shifted solve")
 
 
 def contour_points(center: float, radius: float, n_samples: int) -> np.ndarray:

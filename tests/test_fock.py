@@ -220,3 +220,6 @@ def test_empty_mode_set():
     assert b.dim == 1
     assert b.states == [()]
     assert np.array_equal(b.number_diagonal(np.zeros(0)), np.zeros(1))
+    # modes but no photons: the vacuum alone, with no occupation
+    assert np.array_equal(build_basis(3, 0).number_diagonal([1.0, 2.0, 3.0]),
+                          np.zeros(1))

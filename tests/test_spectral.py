@@ -7,9 +7,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from nelsonlab import spectral
+from nelsonlab.dressing import dressed_ground_state
 from nelsonlab.fiberop import assemble, nelson_hamiltonian
-from nelsonlab.grid import ModelParams
+from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
 from nelsonlab.fock import build_basis
+from nelsonlab.multiscale import SweepConfig
 from nelsonlab.spectral import (
     contour_points,
     contour_sup_norm,
@@ -239,6 +241,70 @@ def test_small_solves_factor_no_matrix(monkeypatch):
     assert np.linalg.norm(solve_shifted(H, z, rhs) - shifted) < 1e-10
     sup, _, norms = contour_sup_norm(H, vals[0], radius, rhs, n_samples=8, tol=1e-10)
     assert np.max(np.abs(norms - contour)) < 1e-8 * max(contour)
+
+
+def test_solve_shifted_indefinite_and_zero_diagonal():
+    # the preconditioner |diag(H) - z|^{-1} stays positive definite when
+    # H - z is indefinite, and when a diagonal entry of H - z is exactly 0
+    H, rhs = random_case(13, 60)
+    n = H.shape[0]
+    vals = np.linalg.eigvalsh(H)
+    i = n // 4 + int(np.argmax(np.diff(vals)[n // 4: 3 * n // 4]))
+    z = 0.5 * (vals[i] + vals[i + 1])
+    x = solve_shifted(H, z, rhs)
+    assert np.linalg.norm(x - np.linalg.solve(H - z * np.eye(n), rhs)) < 1e-10
+    z_diag = np.full(n, z)
+    z_diag[n // 3] = H[n // 3, n // 3]
+    assert np.diagonal(H)[n // 3] - z_diag[n // 3] == 0.0
+    x = solve_shifted(H, z_diag, rhs)
+    assert np.linalg.norm(x - np.linalg.solve(H - np.diag(z_diag), rhs)) < 1e-10
+
+
+def test_reduced_resolvent_ground_state_on_a_basis_vector():
+    # state 0 decouples below the rest, so psi = e_0 and diag(H) - E has an
+    # exact zero, which the preconditioner must replace
+    T, rhs = toeplitz_case(17, 80, 0.3, 1.0, 4.0)
+    energy = 0.2
+    H = sp.block_diag([sp.csr_matrix([[energy]]), T], format="csr")
+    rhs = np.concatenate([[0.7], rhs])
+    psi = np.zeros(H.shape[0])
+    psi[0] = 1.0
+    vals, vecs = np.linalg.eigh(H.toarray())
+    assert abs(vals[0] - energy) < 1e-14 and vals[1] - energy > 0.1
+    oracle = (vecs[:, 1:] * ((vecs[:, 1:].T @ rhs) / (vals[1:] - vals[0]))).sum(axis=1)
+    x = solve_reduced_resolvent(H, energy, psi, rhs)
+    assert np.linalg.norm(x - oracle) < 1e-9 * np.linalg.norm(oracle)
+    assert x[0] == 0.0
+
+
+def test_reduced_solves_do_not_grow_with_the_scale(monkeypatch):
+    # Dressed Hamiltonians of the acceptance sweep at scales 1-3.  Without
+    # the diagonal preconditioner MINRES needs 22, 35 and 50 iterations for
+    # R0 Gamma_x phi there, growing like sigma^{-1/2}.
+    iterations = []
+    minres = spectral.minres
+
+    def counting(A, b, **kwargs):
+        steps = []
+        kwargs["callback"] = lambda xk: steps.append(None)
+        out = minres(A, b, **kwargs)
+        iterations.append(len(steps))
+        return out
+
+    monkeypatch.setattr(spectral, "minres", counting)
+    config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
+                         spec=GridSpec(4, 3, 3), epsilon=0.5)
+    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
+    for n, dim in [(1, 190), (2, 703), (3, 1540)]:
+        sigma = config.sigma_at(n)
+        grid = refine_annulus(grid, sigma)
+        basis = build_basis(grid.n_modes, config.photon_cap)
+        assert basis.dim == dim
+        state = dressed_ground_state(config.params.with_sigma(sigma), grid,
+                                     basis, config.tol)
+        iterations.clear()
+        state.phi_derivs
+        assert len(iterations) == 3 and max(iterations) <= 16, (dim, iterations)
 
 
 def test_contour_points_layout():
