@@ -59,7 +59,6 @@ class RunConfig:
     epsilon: float = 0.5
     scales: int = 4
     lambdas: tuple = ()
-    contour_samples: int = 6
     max_probes: int = 10
     # run
     out: str = "nelson_out"
@@ -93,7 +92,6 @@ _INI_SCHEMA = {
     "solver": {"tol": (float, "tol")},
     "sweep": {"epsilon": (float, "epsilon"), "scales": (int, "scales"),
               "lambdas": (_parse_floats, "lambdas"),
-              "contour_samples": (int, "contour_samples"),
               "max_probes": (int, "max_probes")},
     "run": {"out": (str, "out"), "seed": (int, "seed"),
             "q_max": (int, "q_max"), "jobs": (int, "jobs")},
@@ -155,9 +153,8 @@ def validate_config(cfg: RunConfig) -> None:
         bad("epsilon", "must lie in (0, 1)")
     if cfg.scales < 1:
         bad("scales", "must be >= 1")
-    for key in ("max_probes", "contour_samples"):
-        if getattr(cfg, key) < 1:
-            bad(key, "must be >= 1")
+    if cfg.max_probes < 1:
+        bad("max_probes", "must be >= 1")
     if any(l < 0.0 for l in cfg.lambdas):
         bad("lambdas", "couplings must be >= 0")
     if cfg.q_max < 1:
@@ -473,8 +470,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             params=replace(_model_params(cfg), coupling=lam),
             spec=_grid_spec(cfg), epsilon=cfg.epsilon,
             n_scales=cfg.scales + 1, photon_cap=cfg.photon_cap, tol=cfg.tol,
-            contour_samples=cfg.contour_samples, max_probes=cfg.max_probes,
-            dim_cap=cfg.dim_cap)
+            max_probes=cfg.max_probes, dim_cap=cfg.dim_cap)
         ckpt = ctx.out / "checkpoints" / tag
         ckpt.mkdir(parents=True, exist_ok=True)
 

@@ -67,7 +67,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 6
+NUMERICS_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class SweepConfig:
     n_scales: int = 5
     photon_cap: int = 2
     tol: float = 1e-10
-    contour_samples: int = 8
     max_probes: int = 12
     dim_cap: int = 200_000
 
@@ -318,9 +317,8 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
     sups = []
     for j in range(3):
         v = assemble_vector_component(gam, j, basis) @ chi
-        sup, _, _ = contour_sup_norm(H_int, rec_int.energy, radius, v,
-                                     n_samples=config.contour_samples)
-        sups.append(float(sup))
+        sups.append(contour_sup_norm(H_int, rec_int.energy, rec_int.vector,
+                                     radius, v, config.tol))
     row.contour_sups = sups
 
 

@@ -6,12 +6,10 @@ lowest eigenpair with its gap comes from a dense solve of the two lowest
 eigenpairs up to DENSE_CUTOFF, and from Lanczos (ARPACK, k=2) above it.  The
 lowest eigenpair alone (gap=False) is a k=1 Lanczos at any size ARPACK
 accepts.  Lanczos starts from a deterministic vector, so repeated runs
-reproduce bit-identical results.  Every
-linear solve is a Krylov solve at any dimension and checks its true
-residual: reduced resolvents and shifted solves run MINRES on a matvec, and
-resolvent norms along a spectral contour reuse one Lanczos
-tridiagonalization for every shift (Krylov spaces are shift invariant), with
-an exact per-shift residual estimate.
+reproduce bit-identical results.  Every linear solve is a MINRES solve on a
+matvec at any dimension and checks its true residual.  A resolvent sup-norm
+on a circle around the lowest eigenvalue is one reduced-resolvent solve
+(see contour_sup_norm).
 
 MINRES is preconditioned by the diagonal M^{-1} = |diag(H) - z|^{-1}, with
 exact zeros of diag(H) - z replaced by 1.  Absolute values of nonzero
@@ -25,11 +23,12 @@ nearly flat as sigma shrinks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, solve_banded
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "solve_reduced_resolvent",
     "solve_shifted",
     "contour_sup_norm",
-    "contour_points",
 ]
 
 DENSE_CUTOFF = 900
@@ -158,8 +156,10 @@ def _minres_solve(matvec, precond, rhs: np.ndarray, tol: float,
 def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
                             tol: float = 1e-10) -> np.ndarray:
     """x = (H - energy)^{-1} Q rhs with Q the projector off psi, x orthogonal
-    to psi.  psi must be the normalized eigenvector at `energy`; the deflated
-    system is then consistent and symmetric.
+    to psi.  psi must be a normalized eigenvector of H, so that Q commutes
+    with H and the deflated system is consistent and symmetric.  The shift
+    need not equal psi's eigenvalue; it must lie off the rest of the
+    spectrum.
 
     The preconditioner is Q D Q with D = |diag(H) - energy|^{-1} (zeros
     replaced by 1).  D is positive definite, so Q D Q is symmetric positive
@@ -197,101 +197,21 @@ def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                          np.asarray(rhs, dtype=float), tol, "shifted solve")
 
 
-def contour_points(center: float, radius: float, n_samples: int) -> np.ndarray:
-    """Equally spaced samples of the circle |z - center| = radius."""
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    return center + radius * np.exp(1j * theta)
+def contour_sup_norm(H, energy: float, psi: np.ndarray, radius: float,
+                     v: np.ndarray, tol: float = 1e-10) -> float:
+    """sup over the circle |z - energy| = radius of ||(H - z)^{-1} v||, for
+    `energy` the lowest eigenvalue of H and psi its normalized eigenvector.
 
+    Write v = sum_i c_i u_i in an eigenbasis of H.  On z = E + r e^{i theta},
+    |lambda_i - z|^2 = (lambda_i - E)^2 - 2 r (lambda_i - E) cos theta + r^2,
+    which for every lambda_i >= E is smallest at theta = 0.  Each term of
+    ||(H - z)^{-1} v||^2 = sum_i c_i^2 / |lambda_i - z|^2 is then largest at
+    z = E + r, so the supremum is attained there:
 
-class _LanczosState:
-    """Growable full-reorthogonalization Lanczos factorization of (H, v)."""
+        sup^2 = (<psi, v> / r)^2 + ||(H - E - r)^{-1} Q v||^2,
 
-    def __init__(self, Hmul, v):
-        self.Hmul = Hmul
-        self.dim = len(v)
-        self.vnorm = float(np.linalg.norm(v))
-        self.V = np.empty((0, self.dim))
-        self.alpha: list[float] = []
-        self.beta: list[float] = []
-        self.exhausted = False
-        self._seed = v / self.vnorm
-
-    @property
-    def m(self) -> int:
-        return len(self.alpha)
-
-    def grow(self, m_target: int):
-        m_target = min(m_target, self.dim)
-        if self.V.shape[0] == 0:
-            Vnew = np.empty((m_target + 1, self.dim))
-            Vnew[0] = self._seed
-            self.V, self._nv = Vnew, 1
-        elif self.V.shape[0] < m_target + 1:
-            Vnew = np.empty((m_target + 1, self.dim))
-            Vnew[: self._nv] = self.V[: self._nv]
-            self.V = Vnew
-        while self.m < m_target and not self.exhausted:
-            j = self._nv - 1
-            q = self.V[j]
-            r = self.Hmul(q)
-            a = float(q @ r)
-            self.alpha.append(a)
-            r = r - a * q
-            if j > 0:
-                r = r - self.beta[-1] * self.V[j - 1]
-            B = self.V[: self._nv]
-            for _ in range(2):
-                r = r - B.T @ (B @ r)
-            nb = float(np.linalg.norm(r))
-            if nb < 1e-14 * max(1.0, self.vnorm):
-                self.exhausted = True
-                break
-            self.beta.append(nb)
-            self.V[self._nv] = r / nb
-            self._nv += 1
-
-    def solve_norm(self, z: complex):
-        """(||y||, residual) for (T - z) y = ||v|| e_1 on the current space;
-        the residual equals the true ||(H - z) V y - v||."""
-        m = self.m
-        ab = np.zeros((3, m), dtype=complex)
-        if m > 1:
-            ab[0, 1:] = self.beta[: m - 1]
-            ab[2, :-1] = self.beta[: m - 1]
-        ab[1, :] = np.asarray(self.alpha) - z
-        rhs = np.zeros(m, dtype=complex)
-        rhs[0] = self.vnorm
-        y = solve_banded((1, 1), ab, rhs)
-        resid = abs(self.beta[m - 1] * y[m - 1]) if len(self.beta) >= m else 0.0
-        return float(np.linalg.norm(y)), resid
-
-
-def contour_sup_norm(H, center: float, radius: float, v: np.ndarray,
-                     n_samples: int = 16, tol: float = 1e-8, m_max: int = 600):
-    """sup over the contour |z - center| = radius of ||(H - z)^{-1} v||.
-
-    One Lanczos factorization serves every sample shift; each shift carries an
-    exact residual estimate and the space is grown until all residuals drop
-    below tol * ||v||.  Returns (sup_norm, samples, norms).
-    """
-    dim = H.shape[0]
-    zs = contour_points(center, radius, n_samples)
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        return 0.0, zs, np.zeros(n_samples)
-    state = _LanczosState(lambda q: H @ q, np.asarray(v, dtype=float))
-    m = min(48, dim)
-    limit = min(m_max, dim)
-    while True:
-        state.grow(m)
-        norms = np.empty(n_samples)
-        worst = 0.0
-        for i, z in enumerate(zs):
-            norms[i], resid = state.solve_norm(z)
-            worst = max(worst, resid)
-        if state.exhausted or worst <= tol * vnorm:
-            return float(np.max(norms)), zs, norms
-        if state.m >= limit:
-            raise ArithmeticError(f"contour solves not converged: residual "
-                                  f"{worst:.3e} after {state.m} Lanczos steps")
-        m = min(state.m + 64, limit)
+    Q = 1 - |psi><psi|.  The second term is one reduced-resolvent solve at
+    the shift E + r.  E must be the lowest eigenvalue: an eigenvalue below
+    it would move the supremum off theta = 0."""
+    x = solve_reduced_resolvent(H, energy + radius, psi, v, tol)
+    return math.hypot(float(psi @ v) / radius, float(np.linalg.norm(x)))

@@ -50,7 +50,7 @@ def _ledger_sweep(coupling: float, alpha_bar: float):
         params=ModelParams(coupling=coupling, alpha_bar=alpha_bar,
                            P=(1.0 / 6.0, 0.0, 0.0)),
         spec=GridSpec(4, 3, 3), epsilon=0.5, n_scales=8, photon_cap=2,
-        tol=SOLVER_TOL, contour_samples=6, max_probes=10)
+        tol=SOLVER_TOL, max_probes=10)
     return run_sweep(cfg)
 
 

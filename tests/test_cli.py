@@ -53,7 +53,6 @@ def small_ini(tmp_path):
         n_polar = 2
         n_azimuthal = 2
         [sweep]
-        contour_samples = 4
         max_probes = 4
         [run]
         seed = 3
@@ -192,8 +191,7 @@ def test_invalid_flag_value_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("max_probes", "0"),
-                                        ("max_probes", "-3"),
-                                        ("contour_samples", "0")])
+                                        ("max_probes", "-3")])
 def test_sweep_counts_below_one_are_rejected(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[sweep]\n{key} = {value}\n")
@@ -203,6 +201,20 @@ def test_sweep_counts_below_one_are_rejected(tmp_path, capsys, key, value):
     assert rc == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()  # rejected before anything ran
+
+
+def test_removed_contour_samples_key_is_refused(tmp_path, capsys):
+    # each contour norm is one solve now; an old config that still sets the
+    # sample count is refused as an unknown key, not silently ignored
+    bad = tmp_path / "old.ini"
+    bad.write_text("[sweep]\ncontour_samples = 6\n")
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", str(bad), "--scales", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'contour_samples' in [sweep]" in err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -394,7 +406,6 @@ def sweep_dir(tmp_path_factory):
         n_polar = 2
         n_azimuthal = 2
         [sweep]
-        contour_samples = 4
         max_probes = 4
     """))
     out = base / "out"

@@ -27,7 +27,7 @@ def small_config(**over):
         params=ModelParams(coupling=0.1, P=(0.1, 0.05, 0.02), kappa=1.0,
                            alpha_bar=0.0),
         spec=GridSpec(3, 2, 2), epsilon=0.5, n_scales=5, photon_cap=2,
-        contour_samples=4, max_probes=6)
+        max_probes=6)
     base.update(over)
     return SweepConfig(**base)
 
