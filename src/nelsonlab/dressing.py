@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fiberop import (
+    FiberMatrix,
     assemble,
     assemble_vector_component,
     gamma_operator,
@@ -46,6 +47,10 @@ class DressedScaleState:
     dressed one; under truncation the two energies are independent
     variational values whose mismatch is itself a convergence diagnostic.
 
+    `H` is the bare matrix, one CSR matrix since the bare A has no field
+    part; `Hw` is the dressed one, kept factored as a `FiberMatrix` (a CSR
+    matrix only when nothing is dressed: no modes or zero coupling).
+
     The state owns the first-order data every momentum derivative is built
     from, each computed once on first use: the compressed momentum defect
     Gamma_j at `grad_e` (`gamma`), the columns Gamma_j phi (`gamma_phi`) and
@@ -65,8 +70,8 @@ class DressedScaleState:
     energy_w: float
     phi: np.ndarray
     gap_w: float
-    H: sp.csr_matrix = field(repr=False)
-    Hw: sp.csr_matrix = field(repr=False)
+    H: sp.csr_matrix = field(repr=False)              # bare: no field in A
+    Hw: FiberMatrix | sp.csr_matrix = field(repr=False)  # factored if dressed
     tol: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -156,8 +161,10 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
                      max_probes: int = 48, tol: float = 1e-10):
     """Largest energy drop per unit photon momentum over grid-mode probes.
 
-    Re-solves the bare Hamiltonian H (ground energy `energy`) at P - k_m
-    (only the diagonal moves) and returns (deficit, ratios, probe_indices) with
+    Re-solves the bare Hamiltonian H (ground energy `energy`; a CSR matrix,
+    as `assemble` returns every operator whose A has no field part) at
+    P - k_m (only the diagonal moves) and returns (deficit, ratios,
+    probe_indices) with
 
         ratio_m = (E(P) - E(P - k_m)) / |k_m|,    deficit = max_m ratio_m.
 

@@ -13,7 +13,10 @@ to the truncated basis.  For |A|^2 that is the compression of the square, not
 the square of the compression, which keeps variational monotonicity intact.
 It never leaves the basis: only creations on the top photon sector escape the
 cap, and there b_m b*_m' = delta_mm' + b*_m' b_m folds them back (see
-`assemble`).  Every field part is built from `FockBasis.lowering`.
+`assemble`).  So the square is a Gram matrix of matrices inside the basis,
+and an operator whose A has a field part is kept as those factors
+(`FiberMatrix`), never multiplied out.  Every field part is built from
+`FockBasis.lowering`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .grid import ModelParams, MomentumGrid, form_factor
 __all__ = [
     "FiberOperator",
     "VectorFiberOperator",
+    "FiberMatrix",
     "nelson_hamiltonian",
     "weyl_coefficients",
     "alpha_factors",
@@ -248,7 +252,44 @@ def canonical_distance(op1: FiberOperator, op2: FiberOperator) -> float:
 # assembly to sparse matrices
 
 
-def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix:
+class FiberMatrix:
+    """Symmetric H = F + S^T S / 2 kept as its sparse factors.
+
+    F is the diagonal-plus-field part and S the row stack of the matrices
+    whose squares `assemble` would otherwise multiply out; S^T is stored
+    too, as CSR, because a gathering product is faster than a scattering
+    one.  The Gram product is never formed: `H @ x` is F x + S^T (S x) / 2,
+    which streams far fewer entries than the product matrix.  `nnz` counts
+    the stored entries of F, S and S^T.  `toarray` materializes H; only
+    dense solves and tests need it.
+    """
+
+    def __init__(self, F: sp.csr_matrix, S: sp.csr_matrix):
+        self.F = F
+        self.S = S
+        self.St = S.T.tocsr()
+        self.shape = F.shape
+        self.nnz = int(F.nnz + 2 * S.nnz)
+        self._diagonal = F.diagonal() + 0.5 * np.asarray(
+            S.multiply(S).sum(axis=0)).ravel()
+
+    def __matmul__(self, x):
+        return self.F @ x + 0.5 * (self.St @ (self.S @ x))
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal.copy()
+
+    def row_abs_bound(self) -> np.ndarray:
+        """|F| 1 + |S|^T (|S| 1) / 2, entrywise at least the row sums of |H|."""
+        absS = abs(self.S)
+        return (np.asarray(abs(self.F).sum(axis=1)).ravel()
+                + 0.5 * (absS.T @ np.asarray(absS.sum(axis=1)).ravel()))
+
+    def toarray(self) -> np.ndarray:
+        return self.F.toarray() + 0.5 * (self.St @ self.S).toarray()
+
+
+def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix:
     """Exact compression of the operator to the truncated basis.
 
     With P the projector onto the basis, |A|^2 is compressed as P A_j^2 P,
@@ -259,33 +300,38 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix:
         P A_j^2 P = (P A_j P)^2 + Pi_Q (|C_j|^2 + L_j^T L_j) Pi_Q
 
     with L_j = sum_m C[m,j] b_m = `basis.lowering(C[:, j])`, which stays
-    inside the basis, and Pi_Q the projector onto the top sector.  A
-    component with no field part is diagonal in occupation and is squared
-    on the diagonal.
+    inside the basis, and Pi_Q the projector onto the top sector.  Both
+    squares on the right are Gram matrices of matrices inside the basis, so
+    the compression is exactly F + S^T S / 2 with S the row stack of the
+    P A_j P and L_j Pi_Q over the components with a field part, and F the
+    rest: the number, field and constant terms, the |C_j|^2 on the top
+    sector, and the squares of the components without field part, which are
+    diagonal in occupation.  Those factors come back as a `FiberMatrix`;
+    an operator whose A has no field part is returned as one CSR matrix.
     """
     if op.n_modes != basis.n_modes:
         raise ValueError("operator and basis mode counts differ")
     dim = basis.dim
     diag = np.full(dim, op.e, dtype=float) + basis.number_diagonal(op.d)
-    H = sp.csr_matrix((dim, dim))
+    F = sp.csr_matrix((dim, dim))
     if np.any(op.g):
-        H = H + basis.field_matrix(op.g)
+        F = F + basis.field_matrix(op.g)
     vop = VectorFiberOperator(op.w, op.K, op.C)
     top = basis.photon_count == basis.n_max
+    components, lowerings = [], []
     for j in range(3):
         c = op.C[:, j]
         if np.any(c):
-            A = assemble_vector_component(vop, j, basis)
-            H = H + 0.5 * (A @ A)
-            L = basis.lowering(c) @ sp.diags(top.astype(float))
-            H = H + 0.5 * (L.T @ L)
+            components.append(assemble_vector_component(vop, j, basis))
+            lowerings.append(basis.lowering(c) @ sp.diags(top.astype(float)))
             diag[top] += 0.5 * float(c @ c)
         else:
             a = basis.number_diagonal(op.K[:, j]) + op.w[j]
             diag += 0.5 * a * a
-    H = H + sp.diags(diag)
-    H = ((H + H.T) * 0.5).tocsr()  # symmetrize rounding noise
-    return H
+    F = (F + sp.diags(diag)).tocsr()
+    if not components:
+        return F
+    return FiberMatrix(F, sp.vstack(components + lowerings, format="csr"))
 
 
 def assemble_vector_component(vop: VectorFiberOperator, j: int, basis: FockBasis) -> sp.csr_matrix:

@@ -1,5 +1,11 @@
 """Ground states, reduced resolvents, and shifted solves for symmetric
-sparse matrices.
+sparse matrices and factored operators.
+
+An operator is a CSR matrix, a dense array, or a `fiberop.FiberMatrix`:
+the dressed Hamiltonians kept as F + S^T S / 2.  The solves read a factored
+operator only through `@`, `diagonal()` and the row bound of
+`row_abs_bound()`; only dense eigensolves and the shift-invert fallback
+materialize it.
 
 Eigensolves compute only what the caller reads (see ground_state).  The
 lowest eigenpair with its gap comes from a dense solve of the two lowest
@@ -61,9 +67,19 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _row_abs_sums(H) -> np.ndarray:
+    """Row sums of |H|; for a factored operator, the bound
+    `row_abs_bound`, which is never below them."""
     if sp.issparse(H):
         return np.asarray(np.abs(H).sum(axis=1)).ravel()
-    return np.sum(np.abs(H), axis=1)
+    if isinstance(H, np.ndarray):
+        return np.sum(np.abs(H), axis=1)
+    return H.row_abs_bound()
+
+
+def _residual_budget(H, tol: float) -> float:
+    """Largest true eigen-residual `ground_state` accepts:
+    1e3 tol max(1, ||H||_inf), with ||H||_inf read from `_row_abs_sums`."""
+    return 1e3 * tol * max(1.0, float(np.max(_row_abs_sums(H))))
 
 
 def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
@@ -81,25 +97,28 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
     (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
-    budget = 1e3 * tol * max(1.0, float(np.max(_row_abs_sums(H))))
+    budget = _residual_budget(H, tol)
     if dim == 1:
-        val = H.tocsr()[0, 0] if sp.issparse(H) else H[0, 0]
-        return GroundStateRecord(float(val), np.ones(1), np.inf, 0.0, 1, "trivial", tol)
+        return GroundStateRecord(float(H.diagonal()[0]), np.ones(1), np.inf, 0.0,
+                                 1, "trivial", tol)
     k = 2 if gap else 1
     if dim <= (DENSE_CUTOFF if gap else 2):
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
+        Hd = H if isinstance(H, np.ndarray) else H.toarray()
         vals, vecs = eigh(Hd, subset_by_index=[0, k - 1], driver="evr")
         psi = _fix_phase(vecs[:, 0])
         resid = float(np.linalg.norm(Hd @ psi - vals[0] * psi))
         method = "dense"
     else:
-        Hs = H.tocsr() if sp.issparse(H) else sp.csr_matrix(H)
+        Hs = sp.csr_matrix(H) if sp.issparse(H) or isinstance(H, np.ndarray) else H
+        # a factored operator reaches Lanczos through its matvec alone
+        A = Hs if sp.issparse(Hs) else LinearOperator(Hs.shape, matvec=Hs.__matmul__,
+                                                      dtype=float)
         diag = Hs.diagonal()
         v0 = np.full(dim, 1e-3)
         v0[0] = 1.0
         v0 /= np.linalg.norm(v0)
         try:
-            vals, vecs = eigsh(Hs, k=k, which="SA", v0=v0, tol=tol,
+            vals, vecs = eigsh(A, k=k, which="SA", v0=v0, tol=tol,
                                maxiter=10_000, ncv=min(dim - 1, 48 if gap else 16))
             method = "lanczos"
         except ArpackNoConvergence:
@@ -110,7 +129,8 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
         # the smallest one means Lanczos missed the bottom.
         if method is None or np.min(vals) > np.min(diag) + budget:
             lower = float(np.min(diag - (_row_abs_sums(Hs) - np.abs(diag)))) - 0.1
-            vals, vecs = eigsh(Hs, k=k, sigma=lower, which="LM", v0=v0, tol=tol)
+            vals, vecs = eigsh(Hs if sp.issparse(Hs) else Hs.toarray(), k=k,
+                               sigma=lower, which="LM", v0=v0, tol=tol)
             method = "shift-invert"
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]

@@ -7,6 +7,7 @@ volatile file (timings.json), config errors must name the offending key,
 and the sweep ledger must carry the documented column layout.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -491,6 +492,34 @@ def test_sweep_rerun_resumes_byte_identical(sweep_dir):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} changed across reruns"
+
+
+def test_fresh_sweeps_write_the_same_bytes(tmp_path):
+    # two runs in fresh processes and fresh directories, at the default
+    # configuration, whose dressed scale 3 (dim 1,540) takes the Lanczos
+    # path; the ledger's wall_time column is the one documented exception
+    src = str(Path(nelsonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        done = subprocess.run([sys.executable, "-m", "nelsonlab.cli", "sweep",
+                               "--scales", "3", "--epsilon", "0.5",
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    vectors = [{p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted((out / "checkpoints").rglob("*.csv"))}
+               for out in outs]
+    assert len(vectors[0]) == 2 * 3  # psi and phi at scales 1-3
+    assert vectors[0] == vectors[1]
+
+    def ledger(out):
+        rows = list(csv.reader((out / "ledger_lam0p1.csv").read_text().splitlines()))
+        keep = [i for i, name in enumerate(rows[0]) if name != "wall_time"]
+        assert len(keep) == len(rows[0]) - 1
+        return [[row[i] for i in keep] for row in rows]
+
+    assert ledger(outs[0]) == ledger(outs[1])
 
 
 def test_report(sweep_dir):

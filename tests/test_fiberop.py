@@ -6,15 +6,17 @@ from scipy.linalg import expm
 
 from helpers import (dense_compressed, dense_fiber_operator, compression_map,
                      product_ladders, random_momentum_grid, toy_grid)
-from nelsonlab.fiberop import (FiberOperator, VectorFiberOperator, alpha_factors,
-                               assemble, assemble_vector_component,
+from nelsonlab.dressing import dressed_ground_state
+from nelsonlab.fiberop import (FiberMatrix, FiberOperator, VectorFiberOperator,
+                               alpha_factors, assemble, assemble_vector_component,
                                canonical_distance, canonical_terms, displace,
                                gamma_operator, momentum_shift_diagonal,
                                nelson_hamiltonian, pf_diagonals,
                                transformed_hamiltonian,
                                transformed_hamiltonian_routes, weyl_coefficients)
 from nelsonlab.fock import FockBasis, build_basis
-from nelsonlab.grid import GridSpec, ModelParams, build_grid
+from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
+from nelsonlab.multiscale import SweepConfig
 
 
 def random_fiber_operator(rng, n_modes, with_C=True):
@@ -46,6 +48,7 @@ def test_single_mode_two_level_oracle():
 def test_assemble_matches_dense_brute_force():
     # the top-sector compression of |A|^2 against a dense product-space oracle
     rng = np.random.default_rng(42)
+    cases = []
     for M, Q in [(2, 3), (3, 1), (3, 2), (1, 4)]:
         op = random_fiber_operator(rng, M)
         if M == 3 and Q == 2:
@@ -53,10 +56,71 @@ def test_assemble_matches_dense_brute_force():
             C = op.C.copy()
             C[:, 1] = 0.0
             op = FiberOperator(op.w, op.K, C, op.d, op.g, op.e)
-        basis = build_basis(M, Q)
-        H = assemble(op, basis).toarray()
+        cases.append((op, build_basis(M, Q)))
+    # the dressed Hamiltonian, whose factors are the pipeline's
+    grid = random_momentum_grid(rng, 3)
+    params = ModelParams(coupling=0.2, sigma=grid.sigma, P=(0.05, -0.1, 0.0))
+    cases.append((transformed_hamiltonian(params, grid, [0.03, -0.06, 0.02]),
+                  build_basis(3, 2)))
+    for op, basis in cases:
+        H = assemble(op, basis)
+        assert isinstance(H, FiberMatrix)
         H_dense = dense_compressed(op, basis)
-        assert np.max(np.abs(H - H_dense)) <= 1e-12 * max(1.0, np.max(np.abs(H_dense)))
+        assert np.max(np.abs(H.toarray() - H_dense)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(H_dense)))
+
+
+@pytest.fixture(scope="module")
+def dressed_small():
+    """A dressed Hamiltonian on five random modes at photon cap 3 (dim 56),
+    assembled and materialized."""
+    rng = np.random.default_rng(17)
+    grid = random_momentum_grid(rng, 5)
+    params = ModelParams(coupling=0.3, sigma=grid.sigma, P=(0.1, 0.05, -0.02))
+    H = assemble(transformed_hamiltonian(params, grid, [0.04, 0.02, -0.05]),
+                 build_basis(5, 3))
+    assert isinstance(H, FiberMatrix)
+    return H, H.toarray()
+
+
+def test_factored_matvec_matches_materialized(dressed_small):
+    H, Hd = dressed_small
+    X = np.random.default_rng(3).standard_normal((Hd.shape[0], 4))
+    for x in X.T:
+        assert np.linalg.norm(H @ x - Hd @ x) <= 1e-14 * np.linalg.norm(Hd @ x)
+
+
+def test_factored_diagonal_matches_materialized(dressed_small):
+    H, Hd = dressed_small
+    assert np.max(np.abs(H.diagonal() - np.diag(Hd))) \
+        <= 1e-14 * np.max(np.abs(np.diag(Hd)))
+
+
+def test_factored_nnz_counts_stored_factor_entries(dressed_small):
+    H, _ = dressed_small
+    assert type(H.nnz) is int
+    assert H.nnz == H.F.nnz + H.S.nnz + H.St.nnz
+
+
+def test_factored_row_bound_covers_the_row_sums(dressed_small):
+    H, Hd = dressed_small
+    rows = np.sum(np.abs(Hd), axis=1)
+    assert np.all(H.row_abs_bound() >= rows * (1.0 - 1e-15))
+
+
+def test_factors_store_far_fewer_entries_than_the_product():
+    # scale 3 of the acceptance sweep (dim 1,540): the multiplied-out
+    # dressed matrix holds 167,860 nonzeros
+    config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
+                         spec=GridSpec(4, 3, 3), epsilon=0.5)
+    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
+    for n in (1, 2, 3):
+        grid = refine_annulus(grid, config.sigma_at(n))
+    basis = build_basis(grid.n_modes, config.photon_cap)
+    assert basis.dim == 1540
+    Hw = dressed_ground_state(config.params.with_sigma(config.sigma_at(3)),
+                              grid, basis, config.tol).Hw
+    assert np.count_nonzero(Hw.toarray()) >= 2 * Hw.nnz
 
 
 def test_assemble_builds_no_auxiliary_basis(monkeypatch):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from nelsonlab import spectral
 from nelsonlab.dressing import dressed_ground_state
-from nelsonlab.fiberop import assemble, nelson_hamiltonian
+from nelsonlab.fiberop import FiberMatrix, assemble, nelson_hamiltonian
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
 from nelsonlab.fock import build_basis
 from nelsonlab.multiscale import SweepConfig
@@ -126,6 +126,29 @@ def test_ground_state_falls_back_only_on_arpack_nonconvergence(monkeypatch):
     rec = ground_state(H)
     assert rec.method == "shift-invert"
     assert abs(rec.energy - np.linalg.eigvalsh(H.toarray())[0]) < 1e-9
+
+
+def test_factored_operator_falls_back_on_its_materialized_matrix(monkeypatch):
+    # shift-invert needs a matrix to factor; a FiberMatrix hands over its own
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
+    n = 150
+    H = FiberMatrix(sp.diags(np.linspace(0.5, 3.5, n), format="csr"),
+                    toeplitz_tridiag(n, 1.0, 0.4))
+    real_eigsh = spectral.eigsh
+    stalled = ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
+
+    def fake(A, **kwargs):
+        if "sigma" not in kwargs:
+            raise stalled
+        assert isinstance(A, np.ndarray)
+        return real_eigsh(A, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", fake)
+    rec = ground_state(H)
+    assert rec.method == "shift-invert"
+    vals = np.linalg.eigvalsh(H.toarray())
+    assert abs(rec.energy - vals[0]) < 1e-9
+    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
 
 
 def zero_energy_hamiltonian(photon_cap):
@@ -281,10 +304,27 @@ def test_reduced_resolvent_ground_state_on_a_basis_vector():
     assert x[0] == 0.0
 
 
-def test_reduced_solves_do_not_grow_with_the_scale(monkeypatch):
-    # Dressed Hamiltonians of the acceptance sweep at scales 1-3.  Without
-    # the diagonal preconditioner MINRES needs 22, 35 and 50 iterations for
-    # R0 Gamma_x phi there, growing like sigma^{-1/2}.
+@pytest.fixture(scope="module")
+def dressed_scales():
+    """Dressed states of the acceptance sweep at scales 1-3 (dims 190, 703,
+    1,540)."""
+    config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
+                         spec=GridSpec(4, 3, 3), epsilon=0.5)
+    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
+    states = []
+    for n, dim in [(1, 190), (2, 703), (3, 1540)]:
+        sigma = config.sigma_at(n)
+        grid = refine_annulus(grid, sigma)
+        basis = build_basis(grid.n_modes, config.photon_cap)
+        assert basis.dim == dim
+        states.append(dressed_ground_state(config.params.with_sigma(sigma), grid,
+                                           basis, config.tol))
+    return states
+
+
+def test_reduced_solves_do_not_grow_with_the_scale(dressed_scales, monkeypatch):
+    # Without the diagonal preconditioner MINRES needs 22, 35 and 50
+    # iterations for R0 Gamma_x phi at scales 1-3, growing like sigma^{-1/2}.
     iterations = []
     minres = spectral.minres
 
@@ -296,19 +336,23 @@ def test_reduced_solves_do_not_grow_with_the_scale(monkeypatch):
         return out
 
     monkeypatch.setattr(spectral, "minres", counting)
-    config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
-                         spec=GridSpec(4, 3, 3), epsilon=0.5)
-    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
-    for n, dim in [(1, 190), (2, 703), (3, 1540)]:
-        sigma = config.sigma_at(n)
-        grid = refine_annulus(grid, sigma)
-        basis = build_basis(grid.n_modes, config.photon_cap)
-        assert basis.dim == dim
-        state = dressed_ground_state(config.params.with_sigma(sigma), grid,
-                                     basis, config.tol)
+    for state in dressed_scales:
         iterations.clear()
         state.phi_derivs
-        assert len(iterations) == 3 and max(iterations) <= 16, (dim, iterations)
+        assert len(iterations) == 3 and max(iterations) <= 16, \
+            (state.basis.dim, iterations)
+
+
+def test_factored_residual_budget_is_the_exact_one(dressed_scales):
+    # the eigensolver check on a factored Hw reads ||Hw||_inf through a row
+    # bound; at the pipeline's scales that bound must not loosen the check
+    for state in dressed_scales:
+        Hw = state.Hw
+        assert not sp.issparse(Hw)
+        exact = 1e3 * state.tol * max(1.0, np.max(np.sum(np.abs(Hw.toarray()),
+                                                         axis=1)))
+        assert abs(spectral._residual_budget(Hw, state.tol) - exact) <= 1e-12 * exact
+        assert state.diagnostics["residual_w"] <= exact
 
 
 @pytest.fixture(scope="module")
