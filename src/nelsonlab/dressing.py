@@ -71,7 +71,7 @@ class DressedScaleState:
     phi: np.ndarray
     gap_w: float
     H: sp.csr_matrix = field(repr=False)              # bare: no field in A
-    Hw: FiberMatrix | sp.csr_matrix = field(repr=False)  # factored if dressed
+    Hw: FiberMatrix | sp.csr_matrix = field(repr=False)  # spectral reads both alike
     tol: float
     diagnostics: dict = field(default_factory=dict)
 

@@ -260,9 +260,13 @@ class FiberMatrix:
     too, as CSR, because a gathering product is faster than a scattering
     one.  The Gram product is never formed: `H @ x` is F x + S^T (S x) / 2,
     which streams far fewer entries than the product matrix.  `nnz` counts
-    the stored entries of F, S and S^T.  `toarray` materializes H; only
-    dense solves and tests need it.
+    the stored entries of F, S and S^T.  `dtype` and `matvec` let scipy's
+    `aslinearoperator` wrap it for Lanczos.  `toarray` materializes H for
+    the dense eigensolves; `tocsr` forms it as the sparse matrix that the
+    shift-invert fallback factors.
     """
+
+    dtype = np.dtype(float)
 
     def __init__(self, F: sp.csr_matrix, S: sp.csr_matrix):
         self.F = F
@@ -276,6 +280,8 @@ class FiberMatrix:
     def __matmul__(self, x):
         return self.F @ x + 0.5 * (self.St @ (self.S @ x))
 
+    matvec = __matmul__
+
     def diagonal(self) -> np.ndarray:
         return self._diagonal.copy()
 
@@ -287,6 +293,9 @@ class FiberMatrix:
 
     def toarray(self) -> np.ndarray:
         return self.F.toarray() + 0.5 * (self.St @ self.S).toarray()
+
+    def tocsr(self) -> sp.csr_matrix:
+        return (self.F + 0.5 * (self.St @ self.S)).tocsr()
 
 
 def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix:

@@ -63,7 +63,7 @@ class FockBasis:
         return len(self.states)
 
     def _build_occupancy_arrays(self):
-        # CSR-style (state -> distinct occupied modes with counts)
+        # CSR rows: each state's distinct occupied modes and their counts
         ptr = [0]
         modes, cnts = [], []
         for s in self.states:
@@ -72,21 +72,12 @@ class FockBasis:
                 modes.append(m)
                 cnts.append(c[m])
             ptr.append(len(modes))
-        self.occ_ptr = np.array(ptr, dtype=np.int64)
-        self.occ_mode = np.array(modes, dtype=np.int64)
-        self.occ_cnt = np.array(cnts, dtype=np.int64)
         self.occupation = sp.csr_matrix(
-            (self.occ_cnt.astype(float), self.occ_mode, self.occ_ptr),
+            (np.array(cnts, dtype=float), np.array(modes, dtype=np.int64),
+             np.array(ptr, dtype=np.int64)),
             shape=(self.dim, self.n_modes))
         self.photon_count = np.fromiter((len(s) for s in self.states),
                                         dtype=np.int64, count=self.dim)
-
-    def index_of(self, state) -> int:
-        tup = tuple(sorted(state))
-        try:
-            return self.index[tup]
-        except KeyError:
-            raise KeyError(f"occupation {tup} not in basis (cap Q={self.n_max})") from None
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -101,13 +92,14 @@ class FockBasis:
         """COO-style arrays for all b_m actions inside the basis:
         (source state, mode, target state, amplitude sqrt(n_m))."""
         if self._ann_arrays is None:
-            src = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(self.occ_ptr))
+            occ = self.occupation
+            src = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(occ.indptr))
             tgt = np.empty(len(src), dtype=np.int64)
-            for e, (i, m) in enumerate(zip(src.tolist(), self.occ_mode.tolist())):
+            for e, (i, m) in enumerate(zip(src.tolist(), occ.indices.tolist())):
                 lowered = list(self.states[i])
                 lowered.remove(m)
                 tgt[e] = self.index[tuple(lowered)]
-            self._ann_arrays = (src, self.occ_mode, tgt, np.sqrt(self.occ_cnt))
+            self._ann_arrays = (src, occ.indices, tgt, np.sqrt(occ.data))
         return self._ann_arrays
 
     def lowering(self, coeff) -> sp.csr_matrix:

@@ -157,9 +157,6 @@ class MomentumGrid:
     def n_modes(self) -> int:
         return len(self.w)
 
-    def total_volume(self) -> float:
-        return float(np.sum(self.w))
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(self.k.tobytes())
@@ -232,11 +229,7 @@ def refine_annulus(grid: MomentumGrid, new_sigma: float) -> MomentumGrid:
     bounds = _radial_shells(new_sigma, grid.sigma, grid.spec.shells_per_decade)
     n_old_shells = len(grid.shell_bounds)
     k_new, w_new, shell_new = _shell_modes(bounds, grid.spec, n_old_shells)
-    if grid.n_modes:
-        k = np.vstack([grid.k, k_new])
-        w = np.concatenate([grid.w, w_new])
-        shell = np.concatenate([grid.shell, shell_new])
-    else:
-        k, w, shell = k_new, w_new, shell_new
-    return MomentumGrid(k, w, shell, list(grid.shell_bounds) + bounds,
+    return MomentumGrid(np.vstack([grid.k, k_new]), np.concatenate([grid.w, w_new]),
+                        np.concatenate([grid.shell, shell_new]),
+                        list(grid.shell_bounds) + bounds,
                         new_sigma, grid.kappa, grid.spec)

@@ -31,7 +31,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -249,6 +249,23 @@ class RestoredScale(NamedTuple):
         return cls(state.basis, state.energy, state.grad_e, state.psi, state.phi)
 
 
+def _state_row(n: int, sigma: float, state: DressedScaleState) -> ScaleRow:
+    """The ledger entries one dressed solve fixes; the rest keep their
+    defaults until later stages fill them."""
+    return ScaleRow(
+        n=n, sigma=sigma, n_modes=state.grid.n_modes, dim=state.basis.dim,
+        energy=state.energy, energy_w=state.energy_w,
+        gap=state.gap, gap_w=state.gap_w,
+        grad_e=[float(g) for g in state.grad_e],
+        grad_norm=state.grad_norm, alpha_min=state.alpha_min,
+        h_norm=float(np.linalg.norm(state.h)),
+        energy_mismatch=state.diagnostics["energy_mismatch"],
+        dressing_defect=state.diagnostics["dressing_defect"],
+        grad_defect_norm=state.diagnostics["grad_defect_norm"],
+        grid_hash=state.grid.content_hash(), basis_hash=state.basis.content_hash(),
+    )
+
+
 def _scale_zero_row(config: SweepConfig) -> tuple:
     """Closed-form seed: empty annulus at sigma_0 = kappa.  Returns the row,
     the carry for scale 1 and the scale-0 grid."""
@@ -256,21 +273,11 @@ def _scale_zero_row(config: SweepConfig) -> tuple:
     grid = build_grid(params, config.spec)
     basis = build_basis(0, config.photon_cap)
     state = dressed_ground_state(params, grid, basis, config.tol)
-    P = params.P_vec
-    pnorm = float(np.linalg.norm(P))
+    pnorm = float(np.linalg.norm(params.P_vec))
     kap = params.kappa
     gap_closed = kap * (1.0 - pnorm) + 0.5 * kap * kap
-    row = ScaleRow(
-        n=0, sigma=params.sigma, n_modes=0, dim=1,
-        energy=state.energy, energy_w=state.energy_w,
-        gap=gap_closed, gap_w=gap_closed,
-        grad_e=[float(g) for g in state.grad_e],
-        grad_norm=state.grad_norm, alpha_min=1.0 - pnorm, h_norm=0.0,
-        energy_mismatch=state.diagnostics["energy_mismatch"],
-        dressing_defect=state.diagnostics["dressing_defect"],
-        grad_defect_norm=state.diagnostics["grad_defect_norm"],
-        grid_hash=grid.content_hash(), basis_hash=basis.content_hash(),
-    )
+    row = replace(_state_row(0, params.sigma, state), gap=gap_closed,
+                  gap_w=gap_closed, alpha_min=1.0 - pnorm)
     return row, RestoredScale.of(state), grid
 
 
@@ -341,18 +348,7 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
     sigma = config.sigma_at(n)
     params = config.params.with_sigma(sigma)
     state = dressed_ground_state(params, grid, basis, config.tol)
-    row = ScaleRow(
-        n=n, sigma=sigma, n_modes=grid.n_modes, dim=basis.dim,
-        energy=state.energy, energy_w=state.energy_w,
-        gap=state.gap, gap_w=state.gap_w,
-        grad_e=[float(g) for g in state.grad_e],
-        grad_norm=state.grad_norm, alpha_min=state.alpha_min,
-        h_norm=float(np.linalg.norm(state.h)),
-        energy_mismatch=state.diagnostics["energy_mismatch"],
-        dressing_defect=state.diagnostics["dressing_defect"],
-        grad_defect_norm=state.diagnostics["grad_defect_norm"],
-        grid_hash=grid.content_hash(), basis_hash=basis.content_hash(),
-    )
+    row = _state_row(n, sigma, state)
     if prev_state is not None:
         row.energy_drop = prev_state.energy - state.energy
         lam = config.params.coupling

@@ -1,11 +1,13 @@
 """Ground states, reduced resolvents, and shifted solves for symmetric
 sparse matrices and factored operators.
 
-An operator is a CSR matrix, a dense array, or a `fiberop.FiberMatrix`:
-the dressed Hamiltonians kept as F + S^T S / 2.  The solves read a factored
-operator only through `@`, `diagonal()` and the row bound of
-`row_abs_bound()`; only dense eigensolves and the shift-invert fallback
-materialize it.
+An operator is a scipy sparse matrix or a `fiberop.FiberMatrix`, the
+dressed Hamiltonians kept as F + S^T S / 2.  Both kinds are read alike,
+through five members: `shape`, `@`, `diagonal()`, `toarray()` (dense
+eigensolves, only up to DENSE_CUTOFF) and `tocsr()` (the matrix the
+shift-invert fallback factors).  Only `_row_abs_sums` tells the kinds apart:
+it takes the row sums of |H| of a sparse matrix and the row bound
+`row_abs_bound()` of a factored one.
 
 Eigensolves compute only what the caller reads (see ground_state).  The
 lowest eigenpair with its gap comes from a dense solve of the two lowest
@@ -56,9 +58,7 @@ class GroundStateRecord:
     vector: np.ndarray
     gap: float
     residual: float
-    dim: int
     method: str
-    tol: float
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -71,8 +71,6 @@ def _row_abs_sums(H) -> np.ndarray:
     `row_abs_bound`, which is never below them."""
     if sp.issparse(H):
         return np.asarray(np.abs(H).sum(axis=1)).ravel()
-    if isinstance(H, np.ndarray):
-        return np.sum(np.abs(H), axis=1)
     return H.row_abs_bound()
 
 
@@ -100,25 +98,21 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
     budget = _residual_budget(H, tol)
     if dim == 1:
         return GroundStateRecord(float(H.diagonal()[0]), np.ones(1), np.inf, 0.0,
-                                 1, "trivial", tol)
+                                 "trivial")
     k = 2 if gap else 1
     if dim <= (DENSE_CUTOFF if gap else 2):
-        Hd = H if isinstance(H, np.ndarray) else H.toarray()
+        Hd = H.toarray()
         vals, vecs = eigh(Hd, subset_by_index=[0, k - 1], driver="evr")
         psi = _fix_phase(vecs[:, 0])
         resid = float(np.linalg.norm(Hd @ psi - vals[0] * psi))
         method = "dense"
     else:
-        Hs = sp.csr_matrix(H) if sp.issparse(H) or isinstance(H, np.ndarray) else H
-        # a factored operator reaches Lanczos through its matvec alone
-        A = Hs if sp.issparse(Hs) else LinearOperator(Hs.shape, matvec=Hs.__matmul__,
-                                                      dtype=float)
-        diag = Hs.diagonal()
+        diag = H.diagonal()
         v0 = np.full(dim, 1e-3)
         v0[0] = 1.0
         v0 /= np.linalg.norm(v0)
         try:
-            vals, vecs = eigsh(A, k=k, which="SA", v0=v0, tol=tol,
+            vals, vecs = eigsh(H, k=k, which="SA", v0=v0, tol=tol,
                                maxiter=10_000, ncv=min(dim - 1, 48 if gap else 16))
             method = "lanczos"
         except ArpackNoConvergence:
@@ -128,20 +122,20 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
         # Every diagonal entry is a Rayleigh quotient, so a lowest value above
         # the smallest one means Lanczos missed the bottom.
         if method is None or np.min(vals) > np.min(diag) + budget:
-            lower = float(np.min(diag - (_row_abs_sums(Hs) - np.abs(diag)))) - 0.1
-            vals, vecs = eigsh(Hs if sp.issparse(Hs) else Hs.toarray(), k=k,
-                               sigma=lower, which="LM", v0=v0, tol=tol)
+            lower = float(np.min(diag - (_row_abs_sums(H) - np.abs(diag)))) - 0.1
+            vals, vecs = eigsh(H.tocsr(), k=k, sigma=lower, which="LM", v0=v0,
+                               tol=tol)
             method = "shift-invert"
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         psi = _fix_phase(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-        resid = float(np.linalg.norm(Hs @ psi - vals[0] * psi))
+        resid = float(np.linalg.norm(H @ psi - vals[0] * psi))
         if resid > budget:
             raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds "
                                   f"budget ({budget:.3e}); method={method}")
     return GroundStateRecord(float(vals[0]), psi,
                              float(vals[1] - vals[0]) if gap else np.nan,
-                             resid, dim, method, tol)
+                             resid, method)
 
 
 def _project_out(v: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -1,18 +1,26 @@
 """Every name a module exports must exist, so that deletions leave no
-stale entries in __all__, and every function the benchmark's tracer wraps
-must exist under its name and return what the tracer reads."""
+stale entries in __all__; every function the benchmark's tracer wraps must
+exist under its name and return what the tracer reads; and every name the
+benchmark imports must still resolve and take the arguments it passes."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 import nelsonlab
 from nelsonlab.fiberop import assemble, nelson_hamiltonian, transformed_hamiltonian
 from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid
+from nelsonlab.wavefunctions import BareGround, froehlich_f1, froehlich_fq
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(nelsonlab.__path__))
 
@@ -24,8 +32,8 @@ def test_all_names_resolve(name):
 
 
 def _benchmark_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -43,7 +51,9 @@ def test_benchmark_tracer_lookups_resolve():
 @pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])
 def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     # the tracer records assemble(...).nnz and the nnz and shape of every
-    # operator a solve receives; the solves read diagonal()
+    # operator a solve receives; the solves read diagonal(), Lanczos wraps
+    # the operator by aslinearoperator, and the shift-invert fallback
+    # factors tocsr()
     params = ModelParams(coupling=0.1, sigma=0.25, P=(1 / 6, 0.0, 0.0))
     grid = build_grid(params, GridSpec(2, 2, 2))
     basis = build_basis(grid.n_modes, 2)
@@ -53,3 +63,35 @@ def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     assert isinstance(H.nnz, int) and H.nnz > basis.dim
     assert H.shape == (basis.dim, basis.dim)
     assert H.diagonal().shape == (basis.dim,)
+    assert H.dtype == np.float64
+    x = np.linspace(-1.0, 1.0, basis.dim)
+    wrapped = aslinearoperator(H)
+    assert wrapped.dtype == np.float64
+    assert np.array_equal(wrapped.matvec(x), H @ x)
+    assert np.max(np.abs(H.tocsr().toarray() - H.toarray())) <= 1e-14
+
+
+def _nelsonlab_imports(path):
+    """(module, name) for every `from nelsonlab.<mod> import <name>` in a file,
+    at any depth."""
+    tree = ast.parse(path.read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("nelsonlab.")
+            for alias in node.names]
+
+
+def test_benchmark_imports_resolve():
+    imports = [pair for name in ("checks.py", "tracer.py")
+               for pair in _nelsonlab_imports(PERFBENCH / name)]
+    missing = [f"{mod}.{name}" for mod, name in imports
+               if not hasattr(importlib.import_module(mod), name)]
+    assert imports and missing == []
+
+
+def test_benchmark_calls_keep_their_signatures():
+    # the benchmark's exactness check passes tol= to both pull-through
+    # routines and builds a BareGround from six positional fields
+    for fn in (froehlich_f1, froehlich_fq):
+        assert "tol" in inspect.signature(fn).parameters
+    inspect.signature(BareGround).bind(*range(6))

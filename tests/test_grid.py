@@ -11,7 +11,7 @@ def test_annulus_volume_exact():
     params = ModelParams(sigma=0.05, kappa=1.0)
     grid = build_grid(params, GridSpec(shells_per_decade=4, n_polar=4, n_azimuthal=4))
     vol = 4.0 * math.pi / 3.0 * (params.kappa**3 - params.sigma**3)
-    assert abs(grid.total_volume() - vol) <= 1e-10 * vol
+    assert abs(grid.w.sum() - vol) <= 1e-10 * vol
 
 
 def test_mode_count_product_structure():
@@ -35,7 +35,7 @@ def test_angular_second_moment():
     # Gauss-Legendre in cos(theta) integrates cos^2 exactly: mean of
     # (k_z/|k|)^2 over the sphere is 1/3
     grid = build_grid(ModelParams(sigma=0.3, kappa=1.0), GridSpec(2, 4, 4))
-    mean = float(np.sum(grid.w * (grid.k[:, 2] / grid.r) ** 2) / grid.total_volume())
+    mean = float(np.sum(grid.w * (grid.k[:, 2] / grid.r) ** 2) / grid.w.sum())
     assert abs(mean - 1.0 / 3.0) <= 1e-12
 
 
@@ -95,7 +95,7 @@ def test_form_factor_widened_support():
 def test_empty_grid_at_sigma_equals_kappa():
     grid = build_grid(ModelParams(sigma=1.0, kappa=1.0))
     assert grid.n_modes == 0
-    assert grid.total_volume() == 0.0
+    assert grid.w.sum() == 0.0
 
 
 def test_refine_keeps_parent_prefix():
@@ -111,7 +111,7 @@ def test_refine_keeps_parent_prefix():
     assert child.sigma == 0.25
     # refined volume is exact for the larger annulus
     vol = 4.0 * math.pi / 3.0 * (1.0 - 0.25**3)
-    assert abs(child.total_volume() - vol) <= 1e-10 * vol
+    assert abs(child.w.sum() - vol) <= 1e-10 * vol
     # new shells cover [0.25, 0.5) only
     new_r = child.r[n:]
     assert np.all(new_r < 0.5) and np.all(new_r > 0.25)

@@ -68,18 +68,18 @@ def test_ground_state_dense_toeplitz_closed_form():
 
 
 def test_ground_state_dim_one():
-    rec = ground_state(np.array([[3.5]]))
-    assert rec.energy == 3.5 and rec.gap == np.inf and rec.dim == 1
+    rec = ground_state(sp.csr_matrix([[3.5]]))
+    assert rec.energy == 3.5 and rec.gap == np.inf
 
 
 def test_ground_state_phase_anchors():
     # vacuum component vanishes: anchor moves to the largest component
-    rec = ground_state(np.diag([5.0, 1.0]))
+    rec = ground_state(sp.diags([5.0, 1.0], format="csr"))
     assert rec.vector[0] == 0.0 and rec.vector[1] == 1.0
     for seed in range(4):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((30, 30))
-        rec = ground_state(A + A.T)
+        rec = ground_state(sp.csr_matrix(A + A.T))
         anchor = rec.vector[0] if abs(rec.vector[0]) > 1e-10 \
             else rec.vector[np.argmax(np.abs(rec.vector))]
         assert anchor > 0
@@ -128,25 +128,53 @@ def test_ground_state_falls_back_only_on_arpack_nonconvergence(monkeypatch):
     assert abs(rec.energy - np.linalg.eigvalsh(H.toarray())[0]) < 1e-9
 
 
-def test_factored_operator_falls_back_on_its_materialized_matrix(monkeypatch):
-    # shift-invert needs a matrix to factor; a FiberMatrix hands over its own
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
-    n = 150
-    H = FiberMatrix(sp.diags(np.linspace(0.5, 3.5, n), format="csr"),
-                    toeplitz_tridiag(n, 1.0, 0.4))
+def factored_tridiagonal(n):
+    """FiberMatrix with a graded diagonal F and a tridiagonal factor S."""
+    return FiberMatrix(sp.diags(np.linspace(0.5, 3.5, n), format="csr"),
+                       toeplitz_tridiag(n, 1.0, 0.4))
+
+
+def stall_plain_lanczos(monkeypatch, n):
+    """Plain Lanczos raises ArpackNoConvergence; the shift-invert call
+    (sigma=...) runs and must receive a sparse matrix to factor."""
     real_eigsh = spectral.eigsh
     stalled = ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
 
     def fake(A, **kwargs):
         if "sigma" not in kwargs:
             raise stalled
-        assert isinstance(A, np.ndarray)
+        assert sp.issparse(A)
         return real_eigsh(A, **kwargs)
 
     monkeypatch.setattr(spectral, "eigsh", fake)
+
+
+def test_factored_operator_falls_back_on_its_csr_matrix(monkeypatch):
+    # shift-invert needs a matrix to factor; a FiberMatrix hands over its own
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
+    H = factored_tridiagonal(150)
+    stall_plain_lanczos(monkeypatch, 150)
     rec = ground_state(H)
     assert rec.method == "shift-invert"
     vals = np.linalg.eigvalsh(H.toarray())
+    assert abs(rec.energy - vals[0]) < 1e-9
+    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
+
+
+def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
+    # above DENSE_CUTOFF neither Lanczos nor its shift-invert fallback forms
+    # the dense n x n array of a factored operator
+    n = spectral.DENSE_CUTOFF + 100
+    H = factored_tridiagonal(n)
+    vals = np.linalg.eigvalsh(H.toarray())
+
+    def refuse(self):
+        raise AssertionError("dense n x n array formed")
+
+    monkeypatch.setattr(FiberMatrix, "toarray", refuse)
+    stall_plain_lanczos(monkeypatch, n)
+    rec = ground_state(H)
+    assert rec.method == "shift-invert"
     assert abs(rec.energy - vals[0]) < 1e-9
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
 
