@@ -28,7 +28,7 @@ from .fiberop import (
     weyl_coefficients,
 )
 from .fock import FockBasis, apply_displacement
-from .grid import ModelParams, MomentumGrid
+from .grid import ModelParams, MomentumGrid, point_group_permutations
 from .spectral import ground_state, solve_reduced_resolvent
 
 __all__ = [
@@ -46,6 +46,9 @@ class DressedScaleState:
     `energy`/`psi` solve the bare fiber Hamiltonian, `energy_w`/`phi` the
     dressed one; under truncation the two energies are independent
     variational values whose mismatch is itself a convergence diagnostic.
+    `phi1` is the dressed first excited state (None on one state); with
+    `phi` it spans the start of Lanczos solves of operators that one Weyl
+    displacement maps onto Hw.  Checkpoints do not store it.
 
     `H` is the bare matrix, one CSR matrix since the bare A has no field
     part; `Hw` is the dressed one, kept factored as a `FiberMatrix` (a CSR
@@ -70,6 +73,7 @@ class DressedScaleState:
     energy_w: float
     phi: np.ndarray
     gap_w: float
+    phi1: np.ndarray | None = field(repr=False)
     H: sp.csr_matrix = field(repr=False)              # bare: no field in A
     Hw: FiberMatrix | sp.csr_matrix = field(repr=False)  # spectral reads both alike
     tol: float
@@ -140,7 +144,7 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
                                            - rec_w.vector))
     state = DressedScaleState(params, grid, basis, rec.energy, rec.vector,
                               rec.gap, grad_e, h, rec_w.energy, rec_w.vector,
-                              rec_w.gap, H, Hw, tol)
+                              rec_w.gap, rec_w.excited, H, Hw, tol)
     gdef = state.phi @ state.gamma_phi
     state.diagnostics = {
         "energy_mismatch": abs(rec.energy - rec_w.energy),
@@ -180,6 +184,11 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     symmetry of the grid can hide it from a symmetric Krylov space.  At
     coupling 0 the matrix is diagonal and the min-diagonal fallback of
     `ground_state` applies.
+
+    A symmetry R of the grid with R P = P (`point_group_permutations`) maps
+    H(P - k_m) onto H(P - R k_m) by permuting modes, so the ratio is constant
+    on each orbit of the point group.  Only the first probed mode of an orbit
+    is solved; the other probed modes of the orbit copy its ratio.
     """
     n = grid.n_modes
     if n == 0:
@@ -187,9 +196,14 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     step = max(1, int(np.ceil(n / max_probes)))
     idx = np.arange(0, n, step)
     P = params.P_vec
+    perms = point_group_permutations(grid, P)
+    known = {}  # mode -> ratio, filled one orbit at a time
     ratios = np.empty(len(idx))
     for i, m in enumerate(idx):
-        shift = momentum_shift_diagonal(basis, grid, P, P - grid.k[m])
-        e_m = ground_state(H + sp.diags(shift), tol, gap=False).energy
-        ratios[i] = (energy - e_m) / grid.r[m]
+        if m not in known:
+            shift = momentum_shift_diagonal(basis, grid, P, P - grid.k[m])
+            e_m = ground_state(H + sp.diags(shift), tol, gap=False).energy
+            ratio = (energy - e_m) / grid.r[m]
+            known.update((int(perm[m]), ratio) for perm in perms)
+        ratios[i] = known[m]
     return float(np.max(ratios)), ratios, idx

@@ -5,7 +5,9 @@ direction is split into log-spaced shells whose quadrature weights carry the
 exact shell volume; angles use Gauss-Legendre nodes in cos(theta) and a
 uniform azimuthal rule.  Refining a grid to a smaller infrared cutoff keeps
 every parent mode unchanged (parent modes form a prefix of the refined mode
-list), which makes truncated Fock spaces nested across scales.
+list), which makes truncated Fock spaces nested across scales.  Every shell
+repeats one angular layout, so the layout's rotations and mirrors permute
+the modes; `point_group_permutations` returns those that fix a momentum P.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "form_factor",
     "build_grid",
     "refine_annulus",
+    "point_group_permutations",
 ]
 
 
@@ -233,3 +236,43 @@ def refine_annulus(grid: MomentumGrid, new_sigma: float) -> MomentumGrid:
                         np.concatenate([grid.shell, shell_new]),
                         list(grid.shell_bounds) + bounds,
                         new_sigma, grid.kappa, grid.spec)
+
+
+def _layout_symmetries(n_azimuthal: int) -> list:
+    """Orthogonal maps of the angular layout onto itself: rotations about z
+    by 2 pi s / n and mirrors in the vertical planes at azimuth pi s / n,
+    each with or without z -> -z; the identity first."""
+    maps = []
+    for zflip in (1.0, -1.0):
+        for s in range(n_azimuthal):
+            angle = 2.0 * math.pi * s / n_azimuthal
+            c, t = math.cos(angle), math.sin(angle)
+            maps.append(np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, zflip]]))
+            maps.append(np.array([[c, t, 0.0], [t, -c, 0.0], [0.0, 0.0, zflip]]))
+    return maps
+
+
+def point_group_permutations(grid: MomentumGrid, P) -> list:
+    """Mode permutations of the grid's point group that fix the momentum P.
+
+    The candidates are the symmetries of the `n_azimuthal` layout (see
+    `_layout_symmetries`).  A candidate R is kept when R P = P and R maps
+    every mode onto a mode of equal weight; its permutation `perm` has
+    k[perm[m]] = R k[m].  Both tests allow rounding only (1e-12 relative).
+    The identity comes first, so a grid without such a symmetry, or an off-
+    axis P, yields [identity].  R commutes with |k|, the weights and P, so a
+    fiber quantity at P - k[m] is the same at P - k[perm[m]]."""
+    P = np.asarray(P, dtype=float)
+    k = grid.k
+    tol = 1e-12 * max(grid.kappa, 1.0)
+    perms = []
+    for R in _layout_symmetries(grid.spec.n_azimuthal):
+        if np.linalg.norm(R @ P - P) > 1e-12 * max(float(np.linalg.norm(P)), 1.0):
+            continue
+        dist = np.linalg.norm((k @ R.T)[:, None, :] - k[None, :, :], axis=2)
+        perm = np.argmin(dist, axis=1) if len(k) else np.zeros(0, dtype=int)
+        if np.all(dist[np.arange(len(k)), perm] <= tol) \
+                and len(np.unique(perm)) == len(k) \
+                and np.allclose(grid.w[perm], grid.w, rtol=1e-12, atol=0.0):
+            perms.append(perm)
+    return perms

@@ -67,7 +67,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 8
+NUMERICS_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,14 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
     row.psi_cauchy = _aligned_distance(state.psi, embed(prev.psi, prev.basis, basis))
     row.phi_cauchy = _aligned_distance(state.phi, chi)
 
-    op_int = transformed_hamiltonian(params, grid, grad_prev)
-    H_int = assemble(op_int, basis)
-    rec_int = ground_state(H_int, config.tol)
+    # H_int = W_{h_int - h} Hw W_{h_int - h}*: one displacement carries Hw's
+    # two lowest eigenvectors close to H_int's, and Lanczos starts there.
+    h_int = weyl_coefficients(params, grid, grad_prev)
+    start = None
+    if state.phi1 is not None:
+        start = apply_displacement(basis, h_int - state.h, state.phi + state.phi1)
+    H_int = assemble(transformed_hamiltonian(params, grid, grad_prev), basis)
+    rec_int = ground_state(H_int, config.tol, start=start)
     row.proj_overlap = abs(float(rec_int.vector @ chi))
     # distance between the previous dressed state and its (unnormalized)
     # ground projection under the intermediate Hamiltonian
@@ -314,7 +319,6 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
     # The final and intermediate dressings differ by a single displacement
     # (real displacements commute); transporting the intermediate ground
     # state should reproduce the final one up to truncation.
-    h_int = weyl_coefficients(params, grid, grad_prev)
     moved_int = apply_displacement(basis, state.h - h_int, rec_int.vector)
     row.transfer_defect = _aligned_distance(state.phi, moved_int)
 

@@ -13,8 +13,18 @@ Eigensolves compute only what the caller reads (see ground_state).  The
 lowest eigenpair with its gap comes from a dense solve of the two lowest
 eigenpairs up to DENSE_CUTOFF, and from Lanczos (ARPACK, k=2) above it.  The
 lowest eigenpair alone (gap=False) is a k=1 Lanczos at any size ARPACK
-accepts.  Lanczos starts from a deterministic vector, so repeated runs
-reproduce bit-identical results.  Every linear solve is a MINRES solve on a
+accepts.  DENSE_CUTOFF = 300 is the measured crossover of the two k=2
+solvers on the sweep's bare and dressed operators (Q=2, one BLAS thread):
+the dense solve, O(dim^3) with the materialization, ties Lanczos at dims
+231-325 (3-7 ms each) and is 4-7 times slower at dim 703 (39-44 ms against
+6-10 ms).  The scale-1 dim 190 stays dense.
+
+Lanczos starts from a deterministic vector, so repeated runs reproduce
+bit-identical results: by default a fixed vacuum-weighted one, or the
+caller's `start`, a guess of the lowest eigenvectors such as the transported
+eigenpair of a unitarily equivalent operator.  With the gap, the record also
+carries the second eigenvector (`excited`), so that a caller can warm-start
+the next solve from both.  Every linear solve is a MINRES solve on a
 matvec at any dimension and checks its true residual.  A resolvent sup-norm
 on a circle around the lowest eigenvalue is one reduced-resolvent solve
 (see contour_sup_norm).
@@ -47,7 +57,7 @@ __all__ = [
     "contour_sup_norm",
 ]
 
-DENSE_CUTOFF = 900
+DENSE_CUTOFF = 300
 
 
 @dataclass
@@ -59,6 +69,7 @@ class GroundStateRecord:
     gap: float
     residual: float
     method: str
+    excited: np.ndarray | None = None  # second eigenvector; with the gap only
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -80,18 +91,21 @@ def _residual_budget(H, tol: float) -> float:
     return 1e3 * tol * max(1.0, float(np.max(_row_abs_sums(H))))
 
 
-def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
-    """Lowest eigenpair, with the spectral gap unless gap=False.
+def ground_state(H, tol: float = 1e-10, gap: bool = True,
+                 start: np.ndarray | None = None) -> GroundStateRecord:
+    """Lowest eigenpair, with the spectral gap and the second eigenvector
+    unless gap=False.
 
     With the gap: the two lowest eigenpairs by a dense solve up to
     DENSE_CUTOFF, else Lanczos (ARPACK, k=2).  Without it: Lanczos with k=1
     and at most 16 basis vectors at any dimension from 3 (a one-eigenvalue
-    dense solve below), and `gap` is nan.  Lanczos starts from a fixed
+    dense solve below), and `gap` is nan and `excited` None.  Lanczos starts
+    from `start` when given (the dense solve ignores it), else from a fixed
     vacuum-weighted vector; it falls back to shift-invert from a Gershgorin
     bound if plain Lanczos does not converge or misses the bottom of the
     spectrum, records that in `method`, and raises ArithmeticError when the
     true residual exceeds its budget.  Any other solver error propagates.
-    The returned vector is normalized with a positive vacuum component
+    Both returned vectors are normalized with a positive vacuum component
     (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
@@ -108,9 +122,12 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
         method = "dense"
     else:
         diag = H.diagonal()
-        v0 = np.full(dim, 1e-3)
-        v0[0] = 1.0
-        v0 /= np.linalg.norm(v0)
+        if start is None:
+            v0 = np.full(dim, 1e-3)
+            v0[0] = 1.0
+        else:
+            v0 = np.asarray(start, dtype=float)
+        v0 = v0 / np.linalg.norm(v0)
         try:
             vals, vecs = eigsh(H, k=k, which="SA", v0=v0, tol=tol,
                                maxiter=10_000, ncv=min(dim - 1, 48 if gap else 16))
@@ -133,9 +150,11 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True) -> GroundStateRecord:
         if resid > budget:
             raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds "
                                   f"budget ({budget:.3e}); method={method}")
-    return GroundStateRecord(float(vals[0]), psi,
-                             float(vals[1] - vals[0]) if gap else np.nan,
-                             resid, method)
+    if not gap:
+        return GroundStateRecord(float(vals[0]), psi, np.nan, resid, method)
+    excited = _fix_phase(vecs[:, 1] / np.linalg.norm(vecs[:, 1]))
+    return GroundStateRecord(float(vals[0]), psi, float(vals[1] - vals[0]), resid,
+                             method, excited)
 
 
 def _project_out(v: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian
 from .fock import FockBasis
 from .grid import ModelParams, MomentumGrid, form_factor
-from .spectral import ground_state, solve_shifted
+from .spectral import DENSE_CUTOFF, ground_state, solve_shifted
 
 __all__ = [
     "BareGround",
@@ -78,7 +78,11 @@ class BareGround:
     def solve(cls, params: ModelParams, grid: MomentumGrid, basis: FockBasis,
               tol: float = 1e-10) -> "BareGround":
         H = assemble(nelson_hamiltonian(params, grid), basis)
-        rec = ground_state(H, tol)
+        # Nothing here reads the gap.  Past DENSE_CUTOFF one Lanczos eigenpair
+        # costs a quarter of two; below it the dense solve of two is as cheap
+        # and exact in every component the extraction reads (at coupling 0,
+        # exact zeros where a Lanczos vector leaves 1e-17).
+        rec = ground_state(H, tol, gap=basis.dim <= DENSE_CUTOFF)
         return cls(params, grid, basis, H, rec.energy, rec.vector)
 
     @classmethod

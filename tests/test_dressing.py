@@ -186,3 +186,32 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
     assert len(idx) == len(exact) and ks and set(ks) == {1}
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)
+
+
+def test_dispersion_probe_solves_one_mode_per_orbit(monkeypatch):
+    # the scale-1 grid with P on the x axis has the y and z mirrors: probing
+    # every mode takes one solve per orbit, and each copied ratio matches a
+    # dense eigvalsh at its own mode
+    params, grid, basis, H = probe_instance("below_cutoff")
+    Hd = H.toarray()
+    energy = np.linalg.eigvalsh(Hd)[0]
+    exact = np.array([
+        (energy - np.linalg.eigvalsh(Hd + np.diag(momentum_shift_diagonal(
+            basis, grid, params.P_vec, params.P_vec - grid.k[m])))[0]) / grid.r[m]
+        for m in range(grid.n_modes)])
+
+    calls = []
+    real_eigsh = spectral.eigsh
+
+    def counting_eigsh(A, **kwargs):
+        calls.append(kwargs["k"])
+        return real_eigsh(A, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counting_eigsh)
+    deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
+                                            max_probes=grid.n_modes)
+    assert np.array_equal(idx, np.arange(grid.n_modes))
+    assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
+    assert deficit == np.max(ratios)
+    # 18 modes: two shells of four orbits each, of sizes 4, 2, 2 and 1
+    assert len(calls) == 8 < len(idx)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from collections import Counter
 
@@ -200,6 +202,28 @@ def test_state_vector_complex_round_trip():
     z = np.array([1.0 + 2.0j, -0.5j, 0.25])
     back = StateVector.from_csv(StateVector(z, b).to_csv(), b)
     assert np.array_equal(back.data, z)
+
+
+def csv_writer_oracle(data):
+    """State-vector CSV text as csv.writer writes it, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "re", "im"])
+    for i, z in enumerate(data):
+        writer.writerow([i, repr(float(np.real(z))), repr(float(np.imag(z)))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_state_vector_csv_bytes_match_csv_writer(kind):
+    b = build_basis(4, 3)
+    rng = np.random.default_rng(17)
+    data = rng.normal(size=b.dim) * np.logspace(-300, 300, b.dim)
+    data[:4] = [0.0, -0.0, 1.0, -1e-17]
+    if kind == "complex":
+        data = data + 1j * rng.normal(size=b.dim)
+        data[1] = complex(0.5, -0.0)
+    assert StateVector(data, b).to_csv() == csv_writer_oracle(data)
 
 
 def test_state_vector_csv_rejects_incomplete_input():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nelsonlab.grid import (GridSpec, ModelParams, build_grid, cutoff_chi,
-                            form_factor, refine_annulus)
+                            form_factor, point_group_permutations,
+                            refine_annulus)
 
 
 def test_annulus_volume_exact():
@@ -137,3 +138,25 @@ def test_params_validation():
         ModelParams(alpha_bar=0.7)
     with pytest.raises(ValueError):
         GridSpec(shells_per_decade=0)
+
+
+def test_point_group_fixing_P_on_the_sweep_grid():
+    # scale-1 grid of the acceptance sweep: with P on the x axis the y -> -y
+    # and z -> -z mirrors and their product survive; off axis only the identity
+    grid = build_grid(ModelParams(sigma=0.5, kappa=1.0), GridSpec(4, 3, 3))
+    perms = point_group_permutations(grid, (1.0 / 6.0, 0.0, 0.0))
+    assert len(perms) == 4
+    assert np.array_equal(perms[0], np.arange(grid.n_modes))
+    mirrors = set()
+    for perm in perms:
+        assert sorted(perm) == list(range(grid.n_modes))
+        assert np.allclose(grid.w[perm], grid.w, rtol=1e-14, atol=0.0)
+        # each one is diag(1, sy, sz): it fixes k_x, flips k_y, k_z or not
+        signs = [(sy, sz) for sy in (1, -1) for sz in (1, -1)
+                 if np.allclose(grid.k[perm], grid.k * [1, sy, sz], atol=1e-15)]
+        assert len(signs) == 1
+        mirrors.add(signs[0])
+    assert mirrors == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    off_axis = point_group_permutations(grid, (0.1, 0.07, 0.05))
+    assert len(off_axis) == 1
+    assert np.array_equal(off_axis[0], np.arange(grid.n_modes))

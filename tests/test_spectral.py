@@ -4,13 +4,14 @@ sup-norm routines against closed forms and dense-factorization oracles."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from nelsonlab import spectral
 from nelsonlab.dressing import dressed_ground_state
-from nelsonlab.fiberop import FiberMatrix, assemble, nelson_hamiltonian
+from nelsonlab.fiberop import FiberMatrix, assemble, nelson_hamiltonian, \
+    transformed_hamiltonian, weyl_coefficients
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
-from nelsonlab.fock import build_basis
+from nelsonlab.fock import apply_displacement, build_basis
 from nelsonlab.multiscale import SweepConfig
 from nelsonlab.spectral import (
     contour_sup_norm,
@@ -215,10 +216,11 @@ def test_one_eigenvalue_finds_zero_energy_below_cutoff():
 
 
 def random_case(seed, n):
-    """Dense symmetric Gaussian matrix and a right-hand side from one stream."""
+    """Symmetric Gaussian matrix (CSR, every entry stored) and a right-hand
+    side from one stream."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
-    return A + A.T, rng.standard_normal(n)
+    return sp.csr_matrix(A + A.T), rng.standard_normal(n)
 
 
 def toeplitz_case(seed, n, b, lo, hi):
@@ -235,9 +237,9 @@ def circle(center, radius, n):
 
 @pytest.mark.parametrize("H, rhs", [random_case(7, 60),
                                     toeplitz_case(11, 120, 0.3, 1.0, 4.0)],
-                         ids=["ndarray", "sparse"])
+                         ids=["gaussian", "sparse"])
 def test_reduced_resolvent_vs_spectral_sum(H, rhs):
-    vals, vecs = np.linalg.eigh(H.toarray() if sp.issparse(H) else H)
+    vals, vecs = np.linalg.eigh(H.toarray())
     psi = vecs[:, 0]
     oracle = (vecs[:, 1:] * ((vecs[:, 1:].T @ rhs) / (vals[1:] - vals[0]))).sum(axis=1)
     x = solve_reduced_resolvent(H, vals[0], psi, rhs)
@@ -251,16 +253,17 @@ def test_reduced_resolvent_zero_rhs_component():
     A = rng.standard_normal((25, 25))
     H = A + A.T
     vals, vecs = np.linalg.eigh(H)
-    x = solve_reduced_resolvent(H, vals[0], vecs[:, 0], 2.5 * vecs[:, 0])
+    x = solve_reduced_resolvent(sp.csr_matrix(H), vals[0], vecs[:, 0],
+                                2.5 * vecs[:, 0])
     assert np.linalg.norm(x) < 1e-12
 
 
 @pytest.mark.parametrize("H, rhs, offset", [(*random_case(21, 50), 0.5),
                                             (*toeplitz_case(5, 150, 0.4, 0.5, 3.5), 0.7)],
-                         ids=["ndarray", "sparse"])
+                         ids=["gaussian", "sparse"])
 def test_solve_shifted_scalar_and_diagonal(H, rhs, offset):
     n = H.shape[0]
-    Hd = H.toarray() if sp.issparse(H) else H
+    Hd = H.toarray()
     vals = np.linalg.eigvalsh(Hd)
     z = vals[0] - offset
     x = solve_shifted(H, z, rhs)
@@ -279,12 +282,13 @@ def test_solve_shifted_scalar_and_diagonal(H, rhs, offset):
 def test_small_solves_factor_no_matrix(monkeypatch):
     # every linear solve is a Krylov solve, also far below DENSE_CUTOFF
     H, rhs = random_case(13, 60)
-    vals, vecs = np.linalg.eigh(H)
+    Hd = H.toarray()
+    vals, vecs = np.linalg.eigh(Hd)
     reduced = (vecs[:, 1:] * ((vecs[:, 1:].T @ rhs) / (vals[1:] - vals[0]))).sum(axis=1)
     z = vals[0] - 0.5
-    shifted = np.linalg.solve(H - z * np.eye(60), rhs)
+    shifted = np.linalg.solve(Hd - z * np.eye(60), rhs)
     radius = (vals[1] - vals[0]) / 3.0
-    contour = max(np.linalg.norm(np.linalg.solve(H - w * np.eye(60), rhs.astype(complex)))
+    contour = max(np.linalg.norm(np.linalg.solve(Hd - w * np.eye(60), rhs.astype(complex)))
                   for w in circle(vals[0], radius, 8))
 
     def refuse(*args, **kwargs):
@@ -302,17 +306,18 @@ def test_solve_shifted_indefinite_and_zero_diagonal():
     # the preconditioner |diag(H) - z|^{-1} stays positive definite when
     # H - z is indefinite, and when a diagonal entry of H - z is exactly 0
     H, rhs = random_case(13, 60)
+    Hd = H.toarray()
     n = H.shape[0]
-    vals = np.linalg.eigvalsh(H)
+    vals = np.linalg.eigvalsh(Hd)
     i = n // 4 + int(np.argmax(np.diff(vals)[n // 4: 3 * n // 4]))
     z = 0.5 * (vals[i] + vals[i + 1])
     x = solve_shifted(H, z, rhs)
-    assert np.linalg.norm(x - np.linalg.solve(H - z * np.eye(n), rhs)) < 1e-10
+    assert np.linalg.norm(x - np.linalg.solve(Hd - z * np.eye(n), rhs)) < 1e-10
     z_diag = np.full(n, z)
-    z_diag[n // 3] = H[n // 3, n // 3]
-    assert np.diagonal(H)[n // 3] - z_diag[n // 3] == 0.0
+    z_diag[n // 3] = Hd[n // 3, n // 3]
+    assert H.diagonal()[n // 3] - z_diag[n // 3] == 0.0
     x = solve_shifted(H, z_diag, rhs)
-    assert np.linalg.norm(x - np.linalg.solve(H - np.diag(z_diag), rhs)) < 1e-10
+    assert np.linalg.norm(x - np.linalg.solve(Hd - np.diag(z_diag), rhs)) < 1e-10
 
 
 def test_reduced_resolvent_ground_state_on_a_basis_vector():
@@ -383,20 +388,73 @@ def test_factored_residual_budget_is_the_exact_one(dressed_scales):
         assert state.diagnostics["residual_w"] <= exact
 
 
+def bare_acceptance_scale(n, dim):
+    """Bare H at scale n of the acceptance sweep, its ground_state record,
+    and its spectrum from a dense eigvalsh."""
+    config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
+                         spec=GridSpec(4, 3, 3), epsilon=0.5)
+    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
+    for m in range(1, n + 1):
+        grid = refine_annulus(grid, config.sigma_at(m))
+    basis = build_basis(grid.n_modes, config.photon_cap)
+    H = assemble(nelson_hamiltonian(config.params.with_sigma(config.sigma_at(n)),
+                                    grid), basis)
+    assert H.shape[0] == dim
+    return ground_state(H, config.tol), np.linalg.eigvalsh(H.toarray())
+
+
+def count_lanczos_matvecs(monkeypatch):
+    """List that receives, per eigsh call, a counter of the matvecs it makes
+    through a wrapping operator (plain Lanczos only: shift-invert needs the
+    matrix itself)."""
+    counters = []
+    real_eigsh = spectral.eigsh
+
+    def counting(A, **kwargs):
+        calls = [0]
+
+        def matvec(x):
+            calls[0] += 1
+            return A @ x
+        counters.append(calls)
+        return real_eigsh(LinearOperator(A.shape, matvec=matvec, dtype=float),
+                          **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counting)
+    return counters
+
+
+def test_warm_started_intermediate_solve_matches_cold(dressed_scales, monkeypatch):
+    # H_int at scale 3 (previous gradient's dressing) is W Hw W* for the one
+    # displacement W by h_int - h, so Hw's transported eigenpair starts it
+    prev, state = dressed_scales[1], dressed_scales[2]
+    params, grid, basis = state.params, state.grid, state.basis
+    H_int = assemble(transformed_hamiltonian(params, grid, prev.grad_e), basis)
+    h_int = weyl_coefficients(params, grid, prev.grad_e)
+    start = apply_displacement(basis, h_int - state.h, state.phi + state.phi1)
+    counters = count_lanczos_matvecs(monkeypatch)
+    cold = ground_state(H_int, state.tol)
+    warm = ground_state(H_int, state.tol, start=start)
+    assert cold.method == warm.method == "lanczos" and len(counters) == 2
+    assert abs(warm.energy - cold.energy) <= 1e-12
+    assert abs(warm.gap - cold.gap) <= 1e-12
+    assert abs(abs(warm.vector @ cold.vector) - 1.0) <= 1e-10
+    assert counters[1][0] < counters[0][0], counters
+
+
 @pytest.fixture(scope="module")
 def bare_scale_3():
     """Bare H at scale 3 (dim 1,540) of the acceptance sweep, its
     ground_state record, and its spectrum from a dense eigvalsh."""
-    config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
-                         spec=GridSpec(4, 3, 3), epsilon=0.5)
-    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
-    for n in (1, 2, 3):
-        grid = refine_annulus(grid, config.sigma_at(n))
-    basis = build_basis(grid.n_modes, config.photon_cap)
-    H = assemble(nelson_hamiltonian(config.params.with_sigma(config.sigma_at(3)),
-                                    grid), basis)
-    assert H.shape[0] == 1540
-    return ground_state(H, config.tol), np.linalg.eigvalsh(H.toarray())
+    return bare_acceptance_scale(3, 1540)
+
+
+def test_bare_energy_and_gap_match_dense_oracle_at_scale_2():
+    # dim 703 is past DENSE_CUTOFF; there Lanczos finds the true gap
+    rec, vals = bare_acceptance_scale(2, 703)
+    assert rec.method == "lanczos"
+    assert abs(rec.energy - vals[0]) < 1e-9
+    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
 
 
 def test_bare_energy_matches_dense_oracle_at_scale_3(bare_scale_3):
@@ -416,7 +474,7 @@ def test_bare_gap_matches_dense_oracle_at_scale_3(bare_scale_3):
 
 def test_contour_sup_norm_diagonal_closed_form():
     d = np.array([0.0, 0.5, 0.9, 2.0, 3.0])
-    H = np.diag(d)
+    H = sp.diags(d, format="csr")
     rng = np.random.default_rng(2)
     v = rng.standard_normal(5)
     sup = contour_sup_norm(H, 0.0, np.eye(5)[0], 0.2, v)
@@ -429,10 +487,10 @@ def test_contour_sup_norm_eigenvector_is_inverse_radius():
     # v along psi: ||(H - z)^{-1} v|| = ||v|| / r everywhere on the circle
     d = np.array([0.0, 0.7, 1.3, 2.2])
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    sup = contour_sup_norm(np.diag(d), 0.0, v, 0.25, v)
+    sup = contour_sup_norm(sp.diags(d, format="csr"), 0.0, v, 0.25, v)
     assert abs(sup - 1.0 / 0.25) < 1e-12
     H, _ = random_case(29, 40)
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(H.toarray())
     radius = (vals[1] - vals[0]) / 3.0
     sup = contour_sup_norm(H, vals[0], vecs[:, 0], radius, -2.5 * vecs[:, 0])
     assert abs(sup - 2.5 / radius) < 1e-12 * (2.5 / radius)
@@ -453,8 +511,8 @@ def test_contour_sup_norm_sparse_vs_direct():
 
 
 def test_contour_sup_norm_zero_vector():
-    assert contour_sup_norm(np.diag([1.0, 2.0]), 1.0, np.eye(2)[0], 0.3,
-                            np.zeros(2)) == 0.0
+    assert contour_sup_norm(sp.diags([1.0, 2.0], format="csr"), 1.0, np.eye(2)[0],
+                            0.3, np.zeros(2)) == 0.0
 
 
 @pytest.mark.parametrize("where", ["inside the gap", "past the second eigenvalue"])
@@ -462,10 +520,11 @@ def test_contour_sup_norm_is_the_max_over_3600_angles(where):
     # the supremum sits at z = E + r for any radius off the spectrum, also
     # when the circle encloses excited eigenvalues
     H, v = random_case(23, 40)
-    vals, vecs = np.linalg.eigh(H)
+    Hd = H.toarray()
+    vals, vecs = np.linalg.eigh(Hd)
     radius = ((vals[1] - vals[0]) / 3.0 if where == "inside the gap"
               else 0.5 * (vals[1] + vals[2]) - vals[0])
-    norms = np.array([np.linalg.norm(np.linalg.solve(H - z * np.eye(40),
+    norms = np.array([np.linalg.norm(np.linalg.solve(Hd - z * np.eye(40),
                                                      v.astype(complex)))
                       for z in circle(vals[0], radius, 3600)])
     sup = contour_sup_norm(H, vals[0], vecs[:, 0], radius, v)
