@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
@@ -81,21 +81,17 @@ def _parse_floats(text: str):
     return tuple(float(p) for p in text.replace(",", " ").split() if p)
 
 
-# section -> key -> (converter, RunConfig field)
+# section -> keys; each key is the RunConfig field it sets, read by the type
+# of the field's default unless it has a parser of its own
 _INI_SCHEMA = {
-    "model": {"coupling": (float, "coupling"), "alpha_bar": (float, "alpha_bar"),
-              "kappa": (float, "kappa"), "epsilon0": (float, "epsilon0"),
-              "sigma": (float, "sigma"), "p": (_parse_vec3, "p")},
-    "grid": {"shells_per_decade": (int, "shells_per_decade"),
-             "n_polar": (int, "n_polar"), "n_azimuthal": (int, "n_azimuthal")},
-    "basis": {"photon_cap": (int, "photon_cap"), "dim_cap": (int, "dim_cap")},
-    "solver": {"tol": (float, "tol")},
-    "sweep": {"epsilon": (float, "epsilon"), "scales": (int, "scales"),
-              "lambdas": (_parse_floats, "lambdas"),
-              "max_probes": (int, "max_probes")},
-    "run": {"out": (str, "out"), "seed": (int, "seed"),
-            "q_max": (int, "q_max"), "jobs": (int, "jobs")},
+    "model": ("coupling", "alpha_bar", "kappa", "epsilon0", "sigma", "p"),
+    "grid": ("shells_per_decade", "n_polar", "n_azimuthal"),
+    "basis": ("photon_cap", "dim_cap"),
+    "solver": ("tol",),
+    "sweep": ("epsilon", "scales", "lambdas", "max_probes"),
+    "run": ("out", "seed", "q_max", "jobs"),
 }
+_INI_PARSERS = {"p": _parse_vec3, "lambdas": _parse_floats}
 
 
 def _read_ini(path: str) -> dict:
@@ -116,9 +112,9 @@ def _read_ini(path: str) -> dict:
         for key, raw in parser.items(section):
             if key not in _INI_SCHEMA[section]:
                 raise ConfigError(f"unknown config key '{key}' in [{section}]")
-            conv, fieldname = _INI_SCHEMA[section][key]
+            conv = _INI_PARSERS.get(key, type(getattr(RunConfig, key)))
             try:
-                overrides[fieldname] = conv(raw)
+                overrides[key] = conv(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for '{key}' in [{section}]: {raw!r} ({exc})"
@@ -165,10 +161,6 @@ def validate_config(cfg: RunConfig) -> None:
         bad("jobs", "must be >= 0")
 
 
-_FLAG_FIELDS = ("coupling", "sigma", "epsilon", "scales", "q_max", "out",
-                "jobs", "seed", "p", "photon_cap", "alpha_bar")
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     """defaults < INI file < environment (out dir only) < flags."""
     cfg = RunConfig()
@@ -178,10 +170,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     env_out = os.environ.get("NELSON_LAB_OUT")
     if env_out:
         cfg.out = env_out
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     validate_config(cfg)
     return cfg
 
@@ -426,8 +418,8 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
         lines.append(",".join(cells))
     ctx.write_text("f1.csv", "\n".join(lines) + "\n")
     summary = {"n_modes": bg.grid.n_modes, "bound_constant_f1": c_bound,
-               "max_route_gap_f1": float(np.max(np.abs(f1 - f1_pull)))
-               if bg.grid.n_modes else 0.0,
+               "max_route_gap_f1": float(np.max(np.abs(f1 - f1_pull),
+                                                initial=0.0)),
                "tables": {"1": bg.grid.n_modes}}
     for q in range(2, q_top + 1):
         with ctx.timed(f"f{q}"):
@@ -459,7 +451,6 @@ def _lambda_tag(coupling: float) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    from dataclasses import replace
     from .multiscale import SweepConfig, run_sweep
     from .svgplot import LogLogSeries, loglog_svg
     ctx = RunContext("sweep", cfg)
@@ -467,7 +458,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for lam in cfg.sweep_couplings():
         tag = _lambda_tag(lam)
         sweep_cfg = SweepConfig(
-            params=replace(_model_params(cfg), coupling=lam),
+            params=_model_params(cfg, coupling=lam),
             spec=_grid_spec(cfg), epsilon=cfg.epsilon,
             n_scales=cfg.scales + 1, photon_cap=cfg.photon_cap, tol=cfg.tol,
             max_probes=cfg.max_probes, dim_cap=cfg.dim_cap)

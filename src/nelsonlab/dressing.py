@@ -176,14 +176,14 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     deficit means a steep photon-emission threshold.
 
     Each probe reads one number, so it asks `ground_state` for the lowest
-    eigenvalue alone (gap=False: k=1 Lanczos from the vacuum-weighted start
-    vector).  That start vector cannot miss the bottom when coupling > 0:
-    conjugated by (-1)^N the probe Hamiltonian has every off-diagonal entry
-    -g_m sqrt(n) <= 0 and is irreducible, so by Perron-Frobenius its ground
-    state is non-degenerate with a non-zero vacuum component, and no mirror
-    symmetry of the grid can hide it from a symmetric Krylov space.  At
-    coupling 0 the matrix is diagonal and the min-diagonal fallback of
-    `ground_state` applies.
+    eigenvalue alone (gap=False: above the dense cutoff, k=1 Lanczos from the
+    vacuum-weighted start vector).  That start vector cannot miss the bottom
+    when coupling > 0: conjugated by (-1)^N the probe Hamiltonian has every
+    off-diagonal entry -g_m sqrt(n) <= 0 and is irreducible, so by
+    Perron-Frobenius its ground state is non-degenerate with a non-zero
+    vacuum component, and no mirror symmetry of the grid can hide it from a
+    symmetric Krylov space.  At coupling 0 the matrix is diagonal and the
+    min-diagonal fallback of `ground_state` applies.
 
     A symmetry R of the grid with R P = P (`point_group_permutations`) maps
     H(P - k_m) onto H(P - R k_m) by permuting modes, so the ratio is constant

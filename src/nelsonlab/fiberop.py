@@ -102,7 +102,7 @@ def nelson_hamiltonian(params: ModelParams, grid: MomentumGrid) -> FiberOperator
     Discrete mode operators absorb sqrt(w_m): the coupling coefficient is
     g_m = v(k_m) sqrt(w_m) with v the continuum form factor.
     """
-    g = form_factor(grid.k, params) * np.sqrt(grid.w) if grid.n_modes else np.zeros(0)
+    g = form_factor(grid.k, params) * np.sqrt(grid.w)
     return FiberOperator(
         w=params.P_vec,
         K=-grid.k,
@@ -116,8 +116,6 @@ def nelson_hamiltonian(params: ModelParams, grid: MomentumGrid) -> FiberOperator
 def alpha_factors(grid: MomentumGrid, gradE) -> np.ndarray:
     """Direction factors alpha_m = 1 - k_hat_m . gradE (must stay positive)."""
     gradE = np.asarray(gradE, dtype=float)
-    if grid.n_modes == 0:
-        return np.zeros(0)
     alpha = 1.0 - (grid.k @ gradE) / grid.r
     if np.any(alpha <= 0.0):
         raise ValueError(f"alpha factor not positive (min {alpha.min():.3g}); "
@@ -127,8 +125,6 @@ def alpha_factors(grid: MomentumGrid, gradE) -> np.ndarray:
 
 def weyl_coefficients(params: ModelParams, grid: MomentumGrid, gradE) -> np.ndarray:
     """Displacement amplitudes h_m = -g_m / (|k_m| alpha_m) of the dressing."""
-    if grid.n_modes == 0:
-        return np.zeros(0)
     alpha = alpha_factors(grid, gradE)
     g = form_factor(grid.k, params) * np.sqrt(grid.w)
     return -g / (grid.r * alpha)
@@ -179,13 +175,9 @@ def transformed_hamiltonian_routes(params: ModelParams, grid: MomentumGrid, grad
     route_displaced = displace(ham, h)
 
     gam = gamma_operator(params, grid, gradE)
-    if grid.n_modes:
-        alpha = alpha_factors(grid, gradE)
-        d = alpha * grid.r
-        self_energy = float(np.sum(ham.g**2 / (grid.r * alpha)))
-    else:
-        d = np.zeros(0)
-        self_energy = 0.0
+    alpha = alpha_factors(grid, gradE)
+    d = alpha * grid.r
+    self_energy = float(np.sum(ham.g**2 / (grid.r * alpha)))
     P = params.P_vec
     c = 0.5 * float(P @ P) - 0.5 * float((P - gradE) @ (P - gradE)) - self_energy
     route_closed = FiberOperator(gam.w, gam.K, gam.C, d, np.zeros(grid.n_modes), c)

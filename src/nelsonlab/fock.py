@@ -125,11 +125,11 @@ class StateVector:
         self.basis = basis
 
     def to_csv(self, path=None) -> str:
-        # the cells never need quoting, so plain rows match csv.writer's bytes
-        rows = zip(np.real(self.data).astype(float).tolist(),
-                   np.imag(self.data).astype(float).tolist())
-        text = "index,re,im\n" + "".join(f"{i},{r!r},{m!r}\n"
-                                         for i, (r, m) in enumerate(rows))
+        # the cells never need quoting, so plain rows match csv.writer's bytes;
+        # a complex vector fails the safe cast instead of losing its im part
+        values = self.data.astype(float, casting="safe").tolist()
+        text = "index,re,im\n" + "".join(f"{i},{r!r},0.0\n"
+                                         for i, r in enumerate(values))
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
@@ -138,12 +138,12 @@ class StateVector:
     @staticmethod
     def from_csv(text: str, basis: FockBasis) -> "StateVector":
         """Parse `to_csv` output; every index 0 .. dim-1 must appear exactly
-        once, otherwise ValueError names the defect."""
+        once and every `im` cell must be zero, otherwise ValueError names the
+        defect."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["index", "re", "im"]:
             raise ValueError("unexpected state vector CSV header")
         re = np.zeros(basis.dim)
-        im = np.zeros(basis.dim)
         seen = np.zeros(basis.dim, dtype=bool)
         for line, row in enumerate(rows[1:], start=2):
             if len(row) != 3:
@@ -156,13 +156,14 @@ class StateVector:
             if seen[i]:
                 raise ValueError(f"state vector CSV repeats index {i}")
             seen[i] = True
-            re[i], im[i] = float(row[1]), float(row[2])
+            re[i] = float(row[1])
+            if float(row[2]) != 0.0:
+                raise ValueError(f"state vector CSV line {line} has im = "
+                                 f"{row[2]}; state vectors are real")
         if not seen.all():
             missing = np.flatnonzero(~seen)
             raise ValueError(f"state vector CSV lacks {len(missing)} of "
                              f"{basis.dim} indices, first {missing[0]}")
-        if np.any(im):
-            return StateVector(re + 1j * im, basis)
         return StateVector(re, basis)
 
 

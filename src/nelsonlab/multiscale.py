@@ -48,11 +48,9 @@ from .fiberop import assemble, assemble_vector_component, gamma_operator, \
     transformed_hamiltonian, weyl_coefficients
 from .fock import FockBasis, StateVector, apply_displacement, basis_dimension, \
     build_basis, embed
-from .grid import GridSpec, ModelParams, MomentumGrid, build_grid, form_factor, \
-    refine_annulus
-from .spectral import contour_sup_norm, ground_state, solve_reduced_resolvent
-from .wavefunctions import BareGround, bound_constant_f1, extract_f1, \
-    f1_resolvent
+from .grid import GridSpec, ModelParams, MomentumGrid, build_grid, refine_annulus
+from .spectral import contour_sup_norm, ground_state
+from .wavefunctions import BareGround, bound_constant_f1, extract_f1
 
 __all__ = [
     "SweepConfig",
@@ -60,14 +58,13 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "fit_exponent",
-    "cancellation_demo",
 ]
 
 # Version of the numerics behind every checkpointed number.  It is part of
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 9
+NUMERICS_VERSION = 10
 
 
 @dataclass(frozen=True)
@@ -168,16 +165,16 @@ class SweepResult:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
-    def compute_fits(self, tail: int = 4) -> dict:
+    def compute_fits(self) -> dict:
         """Scaling exponents over sigma, plus spreads of the per-scale
         stability constants.
 
-        Exponent fits use the last `tail` scales: the first scales after
+        Exponent fits use the last four scales: the first scales after
         onset still carry the annulus-filling transient, and all power-law
         statements here are asymptotic ones.  Each fit carries the OLS slope
         standard error.
         """
-        lo = max(1, len(self.rows) - tail)
+        lo = max(1, len(self.rows) - 4)
         sig = self.column("sigma")[lo:]
         fits = {"fit_rows": (lo, len(self.rows) - 1)}
         for name in ("psi_cauchy", "phi_cauchy", "grad_drift", "n0", "n1"):
@@ -360,14 +357,13 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
             row.c_energy = row.energy_drop / (lam * lam * config.sigma_at(n - 1))
         row.grad_drift = float(np.linalg.norm(state.grad_e - prev_state.grad_e))
         _intermediate_quantities(config, state, prev_state, row)
-    if grid.n_modes:
-        bg = BareGround.from_state(state)
-        row.f1_bound_c = bound_constant_f1(bg, extract_f1(bg))[0]
-        row.deficit = dispersion_probe(params, grid, basis, H=state.H,
-                                       energy=state.energy,
-                                       max_probes=config.max_probes,
-                                       tol=config.tol)[0]
-        _derivative_quantities(state, row)
+    bg = BareGround.from_state(state)
+    row.f1_bound_c = bound_constant_f1(bg, extract_f1(bg))[0]
+    row.deficit = dispersion_probe(params, grid, basis, H=state.H,
+                                   energy=state.energy,
+                                   max_probes=config.max_probes,
+                                   tol=config.tol)[0]
+    _derivative_quantities(state, row)
     row.wall_time = time.monotonic() - t0
     return row, RestoredScale.of(state)
 
@@ -406,8 +402,7 @@ def _load_checkpoint(directory, config, n, grid, basis):
     with open(phi_path) as fh:
         phi = StateVector.from_csv(fh.read(), basis).data
     prev = RestoredScale(basis, row_dict["energy"],
-                         np.asarray(row_dict["grad_e"], dtype=float),
-                         np.real(psi), np.real(phi))
+                         np.asarray(row_dict["grad_e"], dtype=float), psi, phi)
     return ScaleRow(**row_dict), prev
 
 
@@ -441,118 +436,3 @@ def run_sweep(config: SweepConfig, checkpoint_dir=None,
     result = SweepResult(config, rows)
     result.compute_fits()
     return result
-
-
-# ---------------------------------------------------------------------------
-# cancellation demonstration for the second P-derivative of f^1
-
-
-def _bare_directional_data(bg: BareGround, e: np.ndarray, tol: float):
-    """(grad E, M diagonal, directional dpsi, directional hessian) for a
-    bare ground state; exact derivatives of the truncated eigenvalue
-    family."""
-    from .dressing import hellmann_feynman_gradient
-    from .fiberop import pf_diagonals
-    grad = hellmann_feynman_gradient(bg.params, bg.grid, bg.basis, bg.psi)
-    pf_e = pf_diagonals(bg.basis, bg.grid) @ e
-    m_diag = float(bg.params.P_vec @ e) - pf_e - float(grad @ e)
-    rhs = m_diag * bg.psi
-    dpsi = -solve_reduced_resolvent(bg.H, bg.energy, bg.psi, rhs, tol)
-    hess = 1.0 + 2.0 * float(rhs @ dpsi)
-    return grad, m_diag, dpsi, hess
-
-
-def cancellation_demo(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
-                      k_probe, tol: float = 1e-10) -> dict:
-    """Decompose the second P-derivative of f^1(k) along e = k-hat.
-
-    With R = (H_{P-k} - E_P + |k|)^{-1} and M = (P - k - P_f - grad E_P).e,
-    differentiating f^1 = -v <Omega, R psi_P> twice in direction e gives the
-    exact five-term expansion (everything a polynomial family in P, so the
-    terms are exact derivatives of the truncated model):
-
-        d2 f^1 = -v [ 2 <Omega, R M R M R psi>               (chains)
-                      - (1 - e.HessE_P.e) <Omega, R^2 psi>   (undesirable)
-                      - 2 <Omega, R M R dpsi>                (cross)
-                      + <Omega, R d2psi> ]                   (curvature)
-
-    The scalar pole terms isolate the ground-state channel of the
-    undesirable term and of the chains; each carries the full
-    R_sc^2 = (E_{P-k} - E_P + |k|)^{-2} ~ |k|^{-2} singularity:
-
-        T1      = (1 - e.HessE_P.e)     <Omega, psi_{P-k}> R_sc^2 v
-        T2 = T3 = (e.HessE_{P-k}.e - 1) <Omega, psi_{P-k}> R_sc^2 v / 2
-
-    and their sum is proportional to the hessian difference between P and
-    P - k, one power of |k| better than any single term.
-    """
-    k_probe = np.asarray(k_probe, dtype=float)
-    r = float(np.linalg.norm(k_probe))
-    e = k_probe / r
-    v = float(form_factor(k_probe, params))
-
-    bg = BareGround.solve(params, grid, basis, tol)
-    bg_k = BareGround.solve(params.with_P(tuple(params.P_vec - k_probe)),
-                            grid, basis, tol)
-    grad, m0_diag, dpsi, hess_P = _bare_directional_data(bg, e, tol)
-    _, _, _, hess_Pk = _bare_directional_data(bg_k, e, tol)
-
-    # shifted resolvent solves (H_{P-k} - E_P + |k|)^{-1} via the diagonal
-    # momentum shift, exactly as in the pull-through formula
-    from .wavefunctions import _shifted_solve
-    from .fiberop import pf_diagonals
-
-    def R(x):
-        return _shifted_solve(bg, k_probe, r, x, tol)
-
-    pf_e = pf_diagonals(basis, grid) @ e
-    m_diag = float((params.P_vec - k_probe) @ e) - pf_e - float(grad @ e)
-
-    omega = np.zeros(basis.dim)
-    omega[0] = 1.0
-    y = R(omega)
-    x1 = R(bg.psi)
-    chain = float(y @ (m_diag * R(m_diag * x1)))
-    undesirable = -(1.0 - hess_P) * float(y @ x1)
-    cross = -2.0 * float(y @ (m_diag * R(dpsi)))
-    d2psi = -2.0 * solve_reduced_resolvent(bg.H, bg.energy, bg.psi,
-                                           m0_diag * dpsi, tol) \
-        - float(dpsi @ dpsi) * bg.psi
-    curvature = float(y @ d2psi)
-    terms = {"chains": -v * 2.0 * chain, "undesirable": -v * undesirable,
-             "cross": -v * cross, "curvature": -v * curvature}
-    d2_exact = sum(terms.values())
-
-    # central finite difference of the full f^1(P) along e
-    step = 5e-3 * max(r, 0.1)
-
-    def f_at(p_vec):
-        bgp = BareGround.solve(params.with_P(tuple(p_vec)), grid, basis, tol)
-        return f1_resolvent(bgp, k_probe, tol)
-
-    p0 = params.P_vec
-    f0 = -v * float(omega @ x1)
-    d2_fd = (f_at(p0 + step * e) - 2.0 * f0 + f_at(p0 - step * e)) / step**2
-
-    r_sc = 1.0 / (bg_k.energy - bg.energy + r)
-    vac = abs(float(bg_k.psi[0]))
-    common = vac * r_sc * r_sc * v
-    t1 = (1.0 - hess_P) * common
-    t2 = 0.5 * (hess_Pk - 1.0) * common
-    pole_sum = t1 + 2.0 * t2
-
-    return {
-        "k_radius": r,
-        "f1": f0,
-        "T1": t1, "T2": t2, "T3": t2,
-        "pole_sum": pole_sum,
-        "pole_scale": max(abs(t1), abs(t2)),
-        "cancellation_ratio": abs(pole_sum) / max(abs(t1), abs(t2)),
-        "d2_exact": d2_exact,
-        "d2_fd": d2_fd,
-        "terms": terms,
-        "hess_P": hess_P,
-        "hess_Pk": hess_Pk,
-        "vacuum_overlap": vac,
-        "resolvent_scale": r_sc,
-    }

@@ -9,15 +9,19 @@ shift-invert fallback factors).  Only `_row_abs_sums` tells the kinds apart:
 it takes the row sums of |H| of a sparse matrix and the row bound
 `row_abs_bound()` of a factored one.
 
-Eigensolves compute only what the caller reads (see ground_state).  The
-lowest eigenpair with its gap comes from a dense solve of the two lowest
-eigenpairs up to DENSE_CUTOFF, and from Lanczos (ARPACK, k=2) above it.  The
-lowest eigenpair alone (gap=False) is a k=1 Lanczos at any size ARPACK
-accepts.  DENSE_CUTOFF = 300 is the measured crossover of the two k=2
-solvers on the sweep's bare and dressed operators (Q=2, one BLAS thread):
-the dense solve, O(dim^3) with the materialization, ties Lanczos at dims
-231-325 (3-7 ms each) and is 4-7 times slower at dim 703 (39-44 ms against
-6-10 ms).  The scale-1 dim 190 stays dense.
+Eigensolves compute only what the caller reads (see ground_state): the
+lowest eigenpair, and with the gap also the second one.  The dimension
+alone picks the method: a dense solve for those one or two eigenpairs up to
+DENSE_CUTOFF, and Lanczos (ARPACK) above it.  DENSE_CUTOFF = 300 is the
+measured crossover of the two k=2 solvers on the sweep's bare and dressed
+operators (Q=2, one BLAS thread): the dense solve, O(dim^3) with the
+materialization, ties Lanczos at dims 231-325 (3-7 ms each) and is 4-7
+times slower at dim 703 (39-44 ms against 6-10 ms).  For one eigenpair the
+two tie at the scale-1 dim 190 (1.3-1.9 ms per bare probe matrix, either
+way) and k=1 Lanczos is far faster at dim 703 (2.4 ms against 35 ms).
+At coupling 0, where H is diagonal, the dense ground vector is the vacuum
+with exact zeros elsewhere; a k=1 Lanczos vector, which ends in the
+shift-invert fallback there, leaves entries of 1e-17.
 
 Lanczos starts from a deterministic vector, so repeated runs reproduce
 bit-identical results: by default a fixed vacuum-weighted one, or the
@@ -96,17 +100,18 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     """Lowest eigenpair, with the spectral gap and the second eigenvector
     unless gap=False.
 
-    With the gap: the two lowest eigenpairs by a dense solve up to
-    DENSE_CUTOFF, else Lanczos (ARPACK, k=2).  Without it: Lanczos with k=1
-    and at most 16 basis vectors at any dimension from 3 (a one-eigenvalue
-    dense solve below), and `gap` is nan and `excited` None.  Lanczos starts
-    from `start` when given (the dense solve ignores it), else from a fixed
-    vacuum-weighted vector; it falls back to shift-invert from a Gershgorin
-    bound if plain Lanczos does not converge or misses the bottom of the
-    spectrum, records that in `method`, and raises ArithmeticError when the
-    true residual exceeds its budget.  Any other solver error propagates.
-    Both returned vectors are normalized with a positive vacuum component
-    (positive largest component if the vacuum one vanishes).
+    `gap` sets only the number k of eigenpairs, 2 or 1; without the gap,
+    `gap` is nan and `excited` None.  The dimension sets the method: a dense
+    solve for the k lowest eigenpairs up to DENSE_CUTOFF, else Lanczos
+    (ARPACK) with k eigenpairs and at most 48 (k=2) or 16 (k=1) basis
+    vectors.  Lanczos starts from `start` when given (the dense solve
+    ignores it), else from a fixed vacuum-weighted vector; it falls back to
+    shift-invert from a Gershgorin bound if plain Lanczos does not converge
+    or misses the bottom of the spectrum, records that in `method`, and
+    raises ArithmeticError when the true residual exceeds its budget.  Any
+    other solver error propagates.  Both returned vectors are normalized
+    with a positive vacuum component (positive largest component if the
+    vacuum one vanishes).
     """
     dim = H.shape[0]
     budget = _residual_budget(H, tol)
@@ -114,7 +119,7 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
         return GroundStateRecord(float(H.diagonal()[0]), np.ones(1), np.inf, 0.0,
                                  "trivial")
     k = 2 if gap else 1
-    if dim <= (DENSE_CUTOFF if gap else 2):
+    if dim <= DENSE_CUTOFF:
         Hd = H.toarray()
         vals, vecs = eigh(Hd, subset_by_index=[0, k - 1], driver="evr")
         psi = _fix_phase(vecs[:, 0])

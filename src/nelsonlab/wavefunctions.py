@@ -24,9 +24,9 @@ f^2 and f^3 share every common prefix: the first link of an f^q chain is
 an f^1 solve, an f^3 chain extends an f^2 chain, and orderings that repeat
 a mode sequence (tuples with a repeated mode) cost no solve.
 
-The resolvent route also evaluates f^1 off the grid nodes (`f1_resolvent`),
-which the cancellation demonstration for the second P-derivative of f^1
-uses.
+The same shifted solves evaluate f^1 off the grid nodes and decompose its
+second P-derivative into the terms whose pole singularities cancel
+(`cancellation_demo`).
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian
+from .dressing import hellmann_feynman_gradient
+from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian, \
+    pf_diagonals
 from .fock import FockBasis
 from .grid import ModelParams, MomentumGrid, form_factor
-from .spectral import DENSE_CUTOFF, ground_state, solve_shifted
+from .spectral import ground_state, solve_reduced_resolvent, solve_shifted
 
 __all__ = [
     "BareGround",
@@ -52,8 +54,8 @@ __all__ = [
     "froehlich_f1",
     "permutation_tail_sum",
     "permutation_identity_gap",
-    "f1_resolvent",
     "bound_constant_f1",
+    "cancellation_demo",
 ]
 
 
@@ -78,11 +80,7 @@ class BareGround:
     def solve(cls, params: ModelParams, grid: MomentumGrid, basis: FockBasis,
               tol: float = 1e-10) -> "BareGround":
         H = assemble(nelson_hamiltonian(params, grid), basis)
-        # Nothing here reads the gap.  Past DENSE_CUTOFF one Lanczos eigenpair
-        # costs a quarter of two; below it the dense solve of two is as cheap
-        # and exact in every component the extraction reads (at coupling 0,
-        # exact zeros where a Lanczos vector leaves 1e-17).
-        rec = ground_state(H, tol, gap=basis.dim <= DENSE_CUTOFF)
+        rec = ground_state(H, tol, gap=False)
         return cls(params, grid, basis, H, rec.energy, rec.vector)
 
     @classmethod
@@ -184,12 +182,115 @@ def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def f1_resolvent(bg: BareGround, k, tol: float = 1e-10) -> float:
-    """f^1(k) = -v(k) <Omega, (H_{P-k} - E + |k|)^{-1} psi> at an arbitrary
-    probe momentum k (not restricted to grid nodes)."""
-    k = np.asarray(k, dtype=float)
-    a = _shifted_solve(bg, k, float(np.linalg.norm(k)), bg.psi, tol)
-    return -float(form_factor(k, bg.params)) * a[0]
+# ---------------------------------------------------------------------------
+# cancellation demonstration for the second P-derivative of f^1
+
+
+def _bare_directional_data(bg: BareGround, e: np.ndarray, tol: float):
+    """(grad E, M diagonal, directional dpsi, directional hessian) for a
+    bare ground state; exact derivatives of the truncated eigenvalue
+    family."""
+    grad = hellmann_feynman_gradient(bg.params, bg.grid, bg.basis, bg.psi)
+    pf_e = pf_diagonals(bg.basis, bg.grid) @ e
+    m_diag = float(bg.params.P_vec @ e) - pf_e - float(grad @ e)
+    rhs = m_diag * bg.psi
+    dpsi = -solve_reduced_resolvent(bg.H, bg.energy, bg.psi, rhs, tol)
+    hess = 1.0 + 2.0 * float(rhs @ dpsi)
+    return grad, m_diag, dpsi, hess
+
+
+def cancellation_demo(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
+                      k_probe, tol: float = 1e-10) -> dict:
+    """Decompose the second P-derivative of f^1(k) along e = k-hat.
+
+    With R = (H_{P-k} - E_P + |k|)^{-1} and M = (P - k - P_f - grad E_P).e,
+    differentiating f^1 = -v <Omega, R psi_P> twice in direction e gives the
+    exact five-term expansion (everything a polynomial family in P, so the
+    terms are exact derivatives of the truncated model):
+
+        d2 f^1 = -v [ 2 <Omega, R M R M R psi>               (chains)
+                      - (1 - e.HessE_P.e) <Omega, R^2 psi>   (undesirable)
+                      - 2 <Omega, R M R dpsi>                (cross)
+                      + <Omega, R d2psi> ]                   (curvature)
+
+    The scalar pole terms isolate the ground-state channel of the
+    undesirable term and of the chains; each carries the full
+    R_sc^2 = (E_{P-k} - E_P + |k|)^{-2} ~ |k|^{-2} singularity:
+
+        T1      = (1 - e.HessE_P.e)     <Omega, psi_{P-k}> R_sc^2 v
+        T2 = T3 = (e.HessE_{P-k}.e - 1) <Omega, psi_{P-k}> R_sc^2 v / 2
+
+    and their sum is proportional to the hessian difference between P and
+    P - k, one power of |k| better than any single term.
+    """
+    k_probe = np.asarray(k_probe, dtype=float)
+    r = float(np.linalg.norm(k_probe))
+    e = k_probe / r
+    v = float(form_factor(k_probe, params))
+
+    bg = BareGround.solve(params, grid, basis, tol)
+    bg_k = BareGround.solve(params.with_P(tuple(params.P_vec - k_probe)),
+                            grid, basis, tol)
+    grad, m0_diag, dpsi, hess_P = _bare_directional_data(bg, e, tol)
+    _, _, _, hess_Pk = _bare_directional_data(bg_k, e, tol)
+
+    # shifted resolvent solves (H_{P-k} - E_P + |k|)^{-1} via the diagonal
+    # momentum shift, exactly as in the pull-through formula
+    def R(x):
+        return _shifted_solve(bg, k_probe, r, x, tol)
+
+    pf_e = pf_diagonals(basis, grid) @ e
+    m_diag = float((params.P_vec - k_probe) @ e) - pf_e - float(grad @ e)
+
+    omega = np.zeros(basis.dim)
+    omega[0] = 1.0
+    y = R(omega)
+    x1 = R(bg.psi)
+    chain = float(y @ (m_diag * R(m_diag * x1)))
+    undesirable = -(1.0 - hess_P) * float(y @ x1)
+    cross = -2.0 * float(y @ (m_diag * R(dpsi)))
+    d2psi = -2.0 * solve_reduced_resolvent(bg.H, bg.energy, bg.psi,
+                                           m0_diag * dpsi, tol) \
+        - float(dpsi @ dpsi) * bg.psi
+    curvature = float(y @ d2psi)
+    terms = {"chains": -v * 2.0 * chain, "undesirable": -v * undesirable,
+             "cross": -v * cross, "curvature": -v * curvature}
+    d2_exact = sum(terms.values())
+
+    # central finite difference of the full f^1(P) along e, each f^1 one
+    # shifted solve off the grid nodes
+    step = 5e-3 * max(r, 0.1)
+
+    def f_at(p_vec):
+        bgp = BareGround.solve(params.with_P(tuple(p_vec)), grid, basis, tol)
+        return -v * float(_shifted_solve(bgp, k_probe, r, bgp.psi, tol)[0])
+
+    p0 = params.P_vec
+    f0 = -v * float(omega @ x1)
+    d2_fd = (f_at(p0 + step * e) - 2.0 * f0 + f_at(p0 - step * e)) / step**2
+
+    r_sc = 1.0 / (bg_k.energy - bg.energy + r)
+    vac = abs(float(bg_k.psi[0]))
+    common = vac * r_sc * r_sc * v
+    t1 = (1.0 - hess_P) * common
+    t2 = 0.5 * (hess_Pk - 1.0) * common
+    pole_sum = t1 + 2.0 * t2
+
+    return {
+        "k_radius": r,
+        "f1": f0,
+        "T1": t1, "T2": t2, "T3": t2,
+        "pole_sum": pole_sum,
+        "pole_scale": max(abs(t1), abs(t2)),
+        "cancellation_ratio": abs(pole_sum) / max(abs(t1), abs(t2)),
+        "d2_exact": d2_exact,
+        "d2_fd": d2_fd,
+        "terms": terms,
+        "hess_P": hess_P,
+        "hess_Pk": hess_Pk,
+        "vacuum_overlap": vac,
+        "resolvent_scale": r_sc,
+    }
 
 
 # ---------------------------------------------------------------------------

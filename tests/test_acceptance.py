@@ -34,10 +34,10 @@ from nelsonlab.fiberop import (FiberOperator, assemble,
                                transformed_hamiltonian_routes)
 from nelsonlab.fock import apply_displacement, build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid
-from nelsonlab.multiscale import SweepConfig, cancellation_demo, run_sweep
+from nelsonlab.multiscale import SweepConfig, run_sweep
 from nelsonlab.spectral import ground_state
-from nelsonlab.wavefunctions import (BareGround, extract_f1, extract_fq,
-                                     froehlich_f1, froehlich_fq,
+from nelsonlab.wavefunctions import (BareGround, cancellation_demo, extract_f1,
+                                     extract_fq, froehlich_f1, froehlich_fq,
                                      permutation_identity_gap)
 
 from helpers import random_momentum_grid, toy_grid

@@ -7,6 +7,8 @@ volatile file (timings.json), config errors must name the offending key,
 and the sweep ledger must carry the documented column layout.
 """
 
+import argparse
+import configparser
 import csv
 import hashlib
 import json
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import nelsonlab
-from nelsonlab.cli import main
+from nelsonlab.cli import _INI_SCHEMA, RunConfig, build_parser, main
 
 LEDGER_HEADER = (
     "n,sigma,n_modes,dim,energy,energy_w,gap,gap_w,"
@@ -32,6 +34,7 @@ LEDGER_HEADER = (
     "n0,n1,n2,energy_mismatch,dressing_defect,grad_defect_norm,"
     "grid_hash,basis_hash,wall_time"
 )
+DOCS_FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 F1_HEADER = "mode,kx,ky,kz,radius,f1_extract,f1_pullthrough,envelope_ratio"
 
 
@@ -255,6 +258,25 @@ def test_env_var_sets_out_dir_but_flag_wins(tmp_path, small_ini, monkeypatch):
     assert main(["ground-state", "--config", str(small_ini),
                  "--out", str(flag_dir)]) == 0
     assert (flag_dir / "ground_state.json").exists()
+
+
+def test_every_flag_sets_a_run_config_field():
+    # load_config applies every RunConfig field that a flag set; --config
+    # names the file and --corrupt-weight is a verify switch, no setting
+    fields = set(RunConfig.__dataclass_fields__)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for sub in subparsers.choices.values()
+             for action in sub._actions if action.option_strings}
+    assert dests - {"help", "config", "corrupt_weight"} <= fields
+
+
+def test_formats_doc_lists_the_ini_schema():
+    ini = DOCS_FORMATS.read_text().split("```ini\n")[1].split("```")[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(ini)
+    documented = {section: tuple(parser[section]) for section in parser.sections()}
+    assert documented == _INI_SCHEMA
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +514,22 @@ def test_sweep_rerun_resumes_byte_identical(sweep_dir):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} changed across reruns"
+
+
+def test_resume_refuses_a_checkpoint_with_an_imaginary_part(tmp_path, small_ini,
+                                                           capsys):
+    argv = ["sweep", "--config", str(small_ini), "--scales", "1",
+            "--epsilon", "0.5", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    psi = tmp_path / "run" / "checkpoints" / "lam0p1" / "scale_01_psi.csv"
+    lines = psi.read_text().splitlines()
+    assert lines[2].endswith(",0.0")
+    lines[2] = lines[2][:-len("0.0")] + "0.001"
+    psi.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sweep failed" in err and "line 3 has im = 0.001" in err
 
 
 def test_fresh_sweeps_write_the_same_bytes(tmp_path):

@@ -209,7 +209,7 @@ def test_derivative_stages_make_five_reduced_solves(tmp_path, monkeypatch):
         calls.append(1)
         return solve_reduced_resolvent(*args, **kwargs)
 
-    for mod in (dressing, dv, multiscale):
+    for mod in (dressing, dv):
         monkeypatch.setattr(mod, "solve_reduced_resolvent", counting)
     grid = random_momentum_grid(np.random.default_rng(42), n_modes=5,
                                 sigma=0.15, kappa=1.0)

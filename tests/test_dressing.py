@@ -4,7 +4,7 @@ dressed-frame consistency, and the photon-emission dispersion probe."""
 import numpy as np
 import pytest
 
-from nelsonlab import spectral
+from nelsonlab import dressing, spectral
 from nelsonlab.dressing import (
     dispersion_probe,
     dressed_ground_state,
@@ -168,22 +168,33 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
             basis, grid, params.P_vec, params.P_vec - grid.k[m])))[0]) / grid.r[m]
         for m in range(0, grid.n_modes, step)])
 
-    ks = []
-    real_eigsh = spectral.eigsh
+    # up to DENSE_CUTOFF a probe is one dense solve for one eigenvalue,
+    # past it one k=1 Lanczos
+    solves = []
+    real_eigsh, real_eigh = spectral.eigsh, spectral.eigh
 
     def recording_eigsh(A, **kwargs):
-        ks.append(kwargs["k"])
+        solves.append(("eigsh", kwargs["k"]))
         return real_eigsh(A, **kwargs)
+
+    def recording_eigh(A, **kwargs):
+        solves.append(("eigh", tuple(kwargs["subset_by_index"])))
+        return real_eigh(A, **kwargs)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense eigensolve in a probe")
 
     monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
-    monkeypatch.setattr(spectral, "eigh", no_dense)
-    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    if case == "below_cutoff":
+        monkeypatch.setattr(spectral, "eigh", recording_eigh)
+        expected = ("eigh", (0, 0))
+    else:
+        monkeypatch.setattr(spectral, "eigh", no_dense)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        expected = ("eigsh", 1)
     deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
                                             max_probes=max_probes)
-    assert len(idx) == len(exact) and ks and set(ks) == {1}
+    assert len(idx) == len(exact) and solves and set(solves) == {expected}
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)
 
@@ -201,17 +212,17 @@ def test_dispersion_probe_solves_one_mode_per_orbit(monkeypatch):
         for m in range(grid.n_modes)])
 
     calls = []
-    real_eigsh = spectral.eigsh
+    real_ground_state = dressing.ground_state
 
-    def counting_eigsh(A, **kwargs):
-        calls.append(kwargs["k"])
-        return real_eigsh(A, **kwargs)
+    def counting_ground_state(*args, **kwargs):
+        calls.append(kwargs["gap"])
+        return real_ground_state(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "eigsh", counting_eigsh)
+    monkeypatch.setattr(dressing, "ground_state", counting_ground_state)
     deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
                                             max_probes=grid.n_modes)
     assert np.array_equal(idx, np.arange(grid.n_modes))
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)
     # 18 modes: two shells of four orbits each, of sizes 4, 2, 2 and 1
-    assert len(calls) == 8 < len(idx)
+    assert calls == [False] * 8 and len(calls) < len(idx)

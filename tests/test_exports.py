@@ -95,3 +95,34 @@ def test_benchmark_calls_keep_their_signatures():
     for fn in (froehlich_f1, froehlich_fq):
         assert "tol" in inspect.signature(fn).parameters
     inspect.signature(BareGround).bind(*range(6))
+
+
+SRC = Path(nelsonlab.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_keep_their_choices_to_themselves(path):
+    # each module keeps its internals: no `_private` name crosses a module
+    # boundary, only cli.py defers imports into functions (so that --jobs
+    # caps the BLAS threads before numpy loads), and the dense-solve
+    # threshold is read where the solver is chosen
+    tree = ast.parse(path.read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")
+               and not alias.name.startswith("__")]
+    assert private == []
+    if path.name != "cli.py":
+        deferred = [f"line {inner.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.ImportFrom) and inner.level > 0]
+        assert deferred == []
+    if path.name != "spectral.py":
+        reads = [f"line {node.lineno}" for node in ast.walk(tree)
+                 if (isinstance(node, ast.Name) and node.id == "DENSE_CUTOFF")
+                 or (isinstance(node, ast.Attribute)
+                     and node.attr == "DENSE_CUTOFF")
+                 or (isinstance(node, ast.alias)
+                     and node.name == "DENSE_CUTOFF")]
+        assert reads == []

@@ -1,5 +1,5 @@
 """Tests for the infrared iteration: per-scale ledger rows, exponent fits,
-checkpointing, and the second-P-derivative cancellation demonstration."""
+and checkpointing."""
 
 import gc
 import json
@@ -12,14 +12,8 @@ import pytest
 
 from nelsonlab import dressing, fiberop, multiscale
 from nelsonlab.fiberop import weyl_coefficients
-from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
-from nelsonlab.multiscale import (
-    SweepConfig,
-    cancellation_demo,
-    fit_exponent,
-    run_sweep,
-)
+from nelsonlab.multiscale import SweepConfig, fit_exponent, run_sweep
 
 
 def small_config(**over):
@@ -294,30 +288,3 @@ def test_config_hash_tracks_content():
     changed = small_config(params=ModelParams(coupling=0.2,
                                               P=(0.1, 0.05, 0.02)))
     assert changed.content_hash() != small_config().content_hash()
-
-
-# ---------------------------------------------------------------------------
-# cancellation of the |k|^{-2} pole terms in d^2_P f^1
-
-
-def test_cancellation_demo_pole_terms():
-    params = ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0), kappa=1.0,
-                         sigma=0.03, alpha_bar=0.0)
-    grid = build_grid(params, GridSpec(4, 3, 3))
-    basis = build_basis(grid.n_modes, 2)
-    outer = cancellation_demo(params, grid, basis, (0.2, 0.0, 0.0))
-    inner = cancellation_demo(params, grid, basis, (0.1, 0.0, 0.0))
-
-    for out in (outer, inner):
-        # the exact five-term expansion reproduces the finite difference
-        assert abs(out["d2_exact"] - out["d2_fd"]) < 1e-4 * abs(out["d2_fd"])
-        # each pole term dwarfs the sum
-        assert out["cancellation_ratio"] < 0.25
-        assert abs(out["T2"] - out["T3"]) == 0.0
-
-    # individual terms blow up at least like the squared scalar resolvent
-    growth = abs(inner["T1"]) / abs(outer["T1"])
-    assert growth > (outer["resolvent_scale"] / inner["resolvent_scale"]) ** -2
-    assert growth > 4.0
-    # ...but the sum gains a power of |k|: the ratio drops ~linearly
-    assert inner["cancellation_ratio"] < 0.6 * outer["cancellation_ratio"]

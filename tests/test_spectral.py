@@ -209,10 +209,15 @@ def test_ground_state_finds_zero_energy_past_cutoff(gap):
 
 
 def test_one_eigenvalue_finds_zero_energy_below_cutoff():
-    # without the gap, Lanczos runs below DENSE_CUTOFF too
+    # without the gap, too, the dense solve runs up to DENSE_CUTOFF, and its
+    # ground vector is the vacuum exactly: every other entry is an exact zero
     H = zero_energy_hamiltonian(2)
     assert H.shape[0] <= spectral.DENSE_CUTOFF
-    check_zero_ground_energy(H, ground_state(H, gap=False), False)
+    rec = ground_state(H, gap=False)
+    assert rec.method == "dense"
+    assert abs(rec.energy) <= 1e-12
+    assert rec.vector[0] == 1.0 and not np.any(rec.vector[1:])
+    assert np.isnan(rec.gap)
 
 
 def random_case(seed, n):

@@ -1,5 +1,6 @@
 """Tests for photon wavefunction extraction, resolvent-chain formulas, the
-permutation-sum identity, and the f^1 envelope constant."""
+permutation-sum identity, the f^1 envelope constant, and the
+second-P-derivative cancellation demonstration."""
 
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from nelsonlab import wavefunctions as wf
 from nelsonlab.fock import apply_displacement, build_basis
-from nelsonlab.grid import ModelParams
+from nelsonlab.grid import GridSpec, ModelParams, build_grid
 
 from helpers import random_momentum_grid, toy_grid
 
@@ -152,3 +153,30 @@ def test_bound_constant_sane(three_mode):
     assert np.all(ratios >= 0.0)
     assert c == ratios.max()
     assert 0.05 < c < 10.0
+
+
+# ---------------------------------------------------------------------------
+# cancellation of the |k|^{-2} pole terms in d^2_P f^1
+
+
+def test_cancellation_demo_pole_terms():
+    params = ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0), kappa=1.0,
+                         sigma=0.03, alpha_bar=0.0)
+    grid = build_grid(params, GridSpec(4, 3, 3))
+    basis = build_basis(grid.n_modes, 2)
+    outer = wf.cancellation_demo(params, grid, basis, (0.2, 0.0, 0.0))
+    inner = wf.cancellation_demo(params, grid, basis, (0.1, 0.0, 0.0))
+
+    for out in (outer, inner):
+        # the exact five-term expansion reproduces the finite difference
+        assert abs(out["d2_exact"] - out["d2_fd"]) < 1e-4 * abs(out["d2_fd"])
+        # each pole term dwarfs the sum
+        assert out["cancellation_ratio"] < 0.25
+        assert abs(out["T2"] - out["T3"]) == 0.0
+
+    # individual terms blow up at least like the squared scalar resolvent
+    growth = abs(inner["T1"]) / abs(outer["T1"])
+    assert growth > (outer["resolvent_scale"] / inner["resolvent_scale"]) ** -2
+    assert growth > 4.0
+    # ...but the sum gains a power of |k|: the ratio drops ~linearly
+    assert inner["cancellation_ratio"] < 0.6 * outer["cancellation_ratio"]
