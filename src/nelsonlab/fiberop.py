@@ -357,6 +357,6 @@ def momentum_shift_diagonal(basis: FockBasis, grid: MomentumGrid, P, P_new) -> n
     P_new = np.asarray(P_new, dtype=float)
     dP = P_new - P
     out = np.full(basis.dim, 0.5 * float(P_new @ P_new - P @ P))
-    if grid.n_modes and np.any(dP):
+    if np.any(dP):
         out -= basis.number_diagonal(grid.k @ dP)
     return out

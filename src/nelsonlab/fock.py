@@ -7,6 +7,13 @@ the vacuum at index 0.  That ordering is deterministic and survives grid
 refinement: because refined grids keep parent modes as a prefix, every parent
 basis state is literally a valid state of the refined basis.
 
+The occupation and annihilation arrays are built one photon sector at a time,
+from the sector's states as an (n, q) array of nondecreasing rows.  A state's
+position inside its sector is its lexicographic rank, which `_sector_rank`
+computes in closed form; that is only right because
+`itertools.combinations_with_replacement` emits each sector in lexicographic
+order, so the states list and the rank agree.
+
 `FockBasis.lowering(c)` is the single builder of L = sum_m c_m b_m, which
 never leaves the basis.  The field L + L^T, the displacement generator
 L - L^T and the top-sector term in `fiberop.assemble` are all built from it.
@@ -14,12 +21,10 @@ L - L^T and the top-sector term in `fiberop.assemble` are all built from it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,11 +34,43 @@ __all__ = ["FockBasis", "StateVector", "basis_dimension", "build_basis", "embed"
            "displacement_generator", "apply_displacement"]
 
 
-def _enumerate_states(n_modes: int, n_max: int):
-    states = [()]
-    for q in range(1, n_max + 1):
-        states.extend(itertools.combinations_with_replacement(range(n_modes), q))
-    return states
+def _enumerate_sectors(n_modes: int, n_max: int):
+    """Each photon sector's states, in lexicographic order, as a list of
+    sorted tuples and as an (n, q) int64 array of the same rows."""
+    for q in range(n_max + 1):
+        states = list(itertools.combinations_with_replacement(range(n_modes), q))
+        rows = np.fromiter(itertools.chain.from_iterable(states), dtype=np.int64,
+                           count=len(states) * q)
+        yield states, rows.reshape(len(states), q)
+
+
+def _sector_rank(rows: np.ndarray, n_modes: int) -> np.ndarray:
+    """Lexicographic rank of each nondecreasing row among all rows of its
+    length k over n_modes modes.
+
+    The rows after a in that order first exceed it at some position j; from
+    j on they are a nondecreasing row of length k - j over the modes above
+    a_j.  Every count is below the sector size, so no int64 overflows, unlike
+    a base-M key, which does once M^k reaches 2^63.
+    """
+    n, k = rows.shape
+    if rows.size == 0:
+        return np.zeros(n, dtype=np.int64)
+    # above[s, t]: nondecreasing rows of length t >= 1 over s modes
+    above = np.array([[math.comb(s + t - 1, t) if s else 0 for t in range(k + 1)]
+                      for s in range(n_modes)], dtype=np.int64)
+    later = np.zeros(n, dtype=np.int64)
+    for j in range(k):
+        later += above[n_modes - 1 - rows[:, j], k - j]
+    return math.comb(n_modes + k - 1, k) - 1 - later
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of every run of equal modes in the
+    nondecreasing rows."""
+    start = np.ones(rows.shape, dtype=bool)
+    start[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return start
 
 
 class FockBasis:
@@ -53,31 +90,35 @@ class FockBasis:
             raise ValueError("n_modes and n_max must be nonnegative")
         self.n_modes = int(n_modes)
         self.n_max = int(n_max)
-        self.states = _enumerate_states(self.n_modes, self.n_max)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self._build_occupancy_arrays()
+        self.states, sectors = [], []
+        for states, rows in _enumerate_sectors(self.n_modes, self.n_max):
+            self.states.extend(states)
+            sectors.append(rows)
+        self.index = dict(zip(self.states, range(len(self.states))))
+        self._build_occupancy_arrays(sectors)
         self._ann_arrays = None
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
-    def _build_occupancy_arrays(self):
-        # CSR rows: each state's distinct occupied modes and their counts
-        ptr = [0]
-        modes, cnts = [], []
-        for s in self.states:
-            c = Counter(s)
-            for m in sorted(c):
-                modes.append(m)
-                cnts.append(c[m])
-            ptr.append(len(modes))
+    def _build_occupancy_arrays(self, sectors):
+        # CSR rows: each state's distinct occupied modes and their counts.  A
+        # run of equal modes in a sorted row is one occupied mode; its length
+        # is the occupation number.  Every row starts a run, so the run after
+        # a row's last one starts where that row ends.
+        modes, cnts, nnz = [], [], []
+        for a in sectors:
+            start = _run_starts(a)
+            modes.append(a[start])
+            cnts.append(np.diff(np.append(np.flatnonzero(start), a.size)))
+            nnz.append(start.sum(axis=1))
+        ptr = np.concatenate([[0], np.cumsum(np.concatenate(nnz))])
         self.occupation = sp.csr_matrix(
-            (np.array(cnts, dtype=float), np.array(modes, dtype=np.int64),
-             np.array(ptr, dtype=np.int64)),
+            (np.concatenate(cnts).astype(float), np.concatenate(modes), ptr),
             shape=(self.dim, self.n_modes))
-        self.photon_count = np.fromiter((len(s) for s in self.states),
-                                        dtype=np.int64, count=self.dim)
+        self.photon_count = np.repeat(np.arange(self.n_max + 1, dtype=np.int64),
+                                      [len(a) for a in sectors])
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -90,16 +131,26 @@ class FockBasis:
 
     def annihilation_arrays(self):
         """COO-style arrays for all b_m actions inside the basis:
-        (source state, mode, target state, amplitude sqrt(n_m))."""
+        (source state, mode, target state, amplitude sqrt(n_m)), ordered by
+        source state, then by mode."""
         if self._ann_arrays is None:
             occ = self.occupation
             src = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(occ.indptr))
-            tgt = np.empty(len(src), dtype=np.int64)
-            for e, (i, m) in enumerate(zip(src.tolist(), occ.indices.tolist())):
-                lowered = list(self.states[i])
-                lowered.remove(m)
-                tgt[e] = self.index[tuple(lowered)]
-            self._ann_arrays = (src, occ.indices, tgt, np.sqrt(occ.data))
+            # sector q's rows, read back from the occupation entries
+            first = np.searchsorted(self.photon_count, np.arange(self.n_max + 2))
+            tgt = [np.zeros(0, dtype=np.int64)]
+            for q in range(1, self.n_max + 1):
+                lo, hi = occ.indptr[first[q]], occ.indptr[first[q + 1]]
+                a = np.repeat(occ.indices[lo:hi].astype(np.int64),
+                              occ.data[lo:hi].astype(np.int64)).reshape(-1, q)
+                # drop the first photon of each run: one lowered row per
+                # (state, occupied mode), found by its rank in sector q-1
+                row, col = np.nonzero(_run_starts(a))
+                lowered = np.empty((len(row), q - 1), dtype=np.int64)
+                for j in range(q - 1):
+                    lowered[:, j] = np.where(j < col, a[row, j], a[row, j + 1])
+                tgt.append(first[q - 1] + _sector_rank(lowered, self.n_modes))
+            self._ann_arrays = (src, occ.indices, np.concatenate(tgt), np.sqrt(occ.data))
         return self._ann_arrays
 
     def lowering(self, coeff) -> sp.csr_matrix:
@@ -112,6 +163,10 @@ class FockBasis:
         """sum_m coeff[m] * (b_m + b*_m) on the truncated basis."""
         lower = self.lowering(coeff)
         return lower + lower.T
+
+
+# one checkpoint row: index, re, im
+_CSV_ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
 
 
 class StateVector:
@@ -140,30 +195,43 @@ class StateVector:
         """Parse `to_csv` output; every index 0 .. dim-1 must appear exactly
         once and every `im` cell must be zero, otherwise ValueError names the
         defect."""
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["index", "re", "im"]:
+        header, _, body = text.partition("\n")
+        if header.rstrip("\r").split(",") != ["index", "re", "im"]:
             raise ValueError("unexpected state vector CSV header")
-        re = np.zeros(basis.dim)
-        seen = np.zeros(basis.dim, dtype=bool)
-        for line, row in enumerate(rows[1:], start=2):
-            if len(row) != 3:
-                raise ValueError(f"state vector CSV line {line} has {len(row)} "
-                                 "cells, expected 3")
-            i = int(row[0])
-            if not 0 <= i < basis.dim:
-                raise ValueError(f"state vector CSV index {i} outside "
-                                 f"0..{basis.dim - 1}")
-            if seen[i]:
-                raise ValueError(f"state vector CSV repeats index {i}")
-            seen[i] = True
-            re[i] = float(row[1])
-            if float(row[2]) != 0.0:
-                raise ValueError(f"state vector CSV line {line} has im = "
-                                 f"{row[2]}; state vectors are real")
-        if not seen.all():
+        # the parser skips blank lines, which would shift the line numbers
+        blank = ("\n" + body).find("\n\n")
+        if blank >= 0:
+            line = body.count("\n", 0, blank) + 2
+            raise ValueError(f"state vector CSV line {line} has 0 cells, expected 3")
+        rows = np.zeros(0, dtype=_CSV_ROW)
+        if body:
+            try:
+                rows = np.loadtxt(io.StringIO(body), dtype=_CSV_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"state vector CSV does not parse: {exc}") from exc
+        idx, im = rows["index"], rows["im"]
+        outside = np.flatnonzero((idx < 0) | (idx >= basis.dim))
+        if len(outside):
+            raise ValueError(f"state vector CSV index {idx[outside[0]]} outside "
+                             f"0..{basis.dim - 1}")
+        repeated = np.ones(len(idx), dtype=bool)
+        repeated[np.unique(idx, return_index=True)[1]] = False
+        if repeated.any():
+            raise ValueError(f"state vector CSV repeats index {idx[repeated][0]}")
+        imaginary = np.flatnonzero(im != 0.0)
+        if len(imaginary):
+            row = imaginary[0]
+            raise ValueError(f"state vector CSV line {row + 2} has im = "
+                             f"{float(im[row])!r}; state vectors are real")
+        if len(idx) < basis.dim:
+            seen = np.zeros(basis.dim, dtype=bool)
+            seen[idx] = True
             missing = np.flatnonzero(~seen)
             raise ValueError(f"state vector CSV lacks {len(missing)} of "
                              f"{basis.dim} indices, first {missing[0]}")
+        re = np.empty(basis.dim)
+        re[idx] = rows["re"]
         return StateVector(re, basis)
 
 

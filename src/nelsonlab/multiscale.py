@@ -344,19 +344,18 @@ def _derivative_quantities(state: DressedScaleState, row: ScaleRow):
 
 def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
                    basis: FockBasis,
-                   prev_state: RestoredScale | None):
+                   prev_state: RestoredScale):
     t0 = time.monotonic()
     sigma = config.sigma_at(n)
     params = config.params.with_sigma(sigma)
     state = dressed_ground_state(params, grid, basis, config.tol)
     row = _state_row(n, sigma, state)
-    if prev_state is not None:
-        row.energy_drop = prev_state.energy - state.energy
-        lam = config.params.coupling
-        if lam > 0.0:
-            row.c_energy = row.energy_drop / (lam * lam * config.sigma_at(n - 1))
-        row.grad_drift = float(np.linalg.norm(state.grad_e - prev_state.grad_e))
-        _intermediate_quantities(config, state, prev_state, row)
+    row.energy_drop = prev_state.energy - state.energy
+    lam = config.params.coupling
+    if lam > 0.0:
+        row.c_energy = row.energy_drop / (lam * lam * config.sigma_at(n - 1))
+    row.grad_drift = float(np.linalg.norm(state.grad_e - prev_state.grad_e))
+    _intermediate_quantities(config, state, prev_state, row)
     bg = BareGround.from_state(state)
     row.f1_bound_c = bound_constant_f1(bg, extract_f1(bg))[0]
     row.deficit = dispersion_probe(params, grid, basis, H=state.H,

@@ -323,6 +323,12 @@ def test_momentum_shift_diagonal():
     H_new = assemble(nelson_hamiltonian(params.with_P(P_new), grid), basis).toarray()
     shift = momentum_shift_diagonal(basis, grid, P, P_new)
     assert np.max(np.abs(H + np.diag(shift) - H_new)) <= 1e-14
+    # no modes: only the free kinetic term moves, on the vacuum alone
+    empty = build_grid(ModelParams(sigma=1.0, kappa=1.0, P=P))
+    assert empty.n_modes == 0
+    shift = momentum_shift_diagonal(build_basis(0, 2), empty, P, P_new)
+    expected = 0.5 * (np.dot(P_new, P_new) - np.dot(P, P))
+    assert shift.shape == (1,) and abs(shift[0] - expected) <= 1e-15
 
 
 def test_pf_diagonals_matches_number_diagonal():

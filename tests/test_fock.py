@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -156,19 +157,30 @@ def test_lowering_is_the_sum_of_single_mode_lowerings():
     assert np.array_equal(b.lowering(c).toarray(), expected)
 
 
-def test_annihilation_arrays_match_counter_reference():
-    # reference: a per-state Counter loop, independent of the occupancy arrays
-    b = build_basis(4, 3)
+@pytest.mark.parametrize("M, Q", [(0, 2), (3, 0), (1, 4), (4, 3), (6, 2), (2, 70)])
+def test_annihilation_arrays_match_counter_reference(M, Q):
+    # reference: a per-state Counter loop, independent of the occupancy
+    # arrays; in (2, 70) a base-2 key of a 70-photon row would pass int64
+    b = build_basis(M, Q)
+    ptr, occ_mode, occ_count = [0], [], []
     src, mode, tgt, amp = [], [], [], []
     for i, s in enumerate(b.states):
         c = Counter(s)
         for m in sorted(c):
+            occ_mode.append(m)
+            occ_count.append(c[m])
             lowered = list(s)
             lowered.remove(m)
             src.append(i)
             mode.append(m)
             tgt.append(b.index[tuple(lowered)])
             amp.append(math.sqrt(c[m]))
+        ptr.append(len(occ_mode))
+    occ = b.occupation
+    assert occ.shape == (b.dim, M)
+    for got, want in [(occ.indptr, ptr), (occ.indices, occ_mode), (occ.data, occ_count),
+                      (b.photon_count, [len(s) for s in b.states])]:
+        assert np.array_equal(got, want)
     for got, want in zip(b.annihilation_arrays(), (src, mode, tgt, amp)):
         assert np.array_equal(got, want)
 
@@ -190,10 +202,13 @@ def test_displacement_generator_antisymmetric():
 def test_state_vector_csv_round_trip():
     b = build_basis(2, 2)
     rng = np.random.default_rng(9)
-    sv = StateVector(rng.normal(size=b.dim), b)
+    sv = StateVector(rng.normal(size=b.dim) * np.logspace(-300, 300, b.dim), b)
     text = sv.to_csv()
     back = StateVector.from_csv(text, b)
     assert np.array_equal(back.data, sv.data)
+    # the parser rounds each cell as float() does
+    assert back.data.tolist() == [float(line.split(",")[1])
+                                  for line in text.splitlines()[1:]]
     assert back.to_csv() == text
 
 
@@ -243,6 +258,28 @@ def test_state_vector_csv_rejects_incomplete_input():
         StateVector.from_csv(imaginary, b)
     signed_zero = "\n".join(lines[:2] + ["1,1.0,-0.0"] + lines[3:]) + "\n"
     assert StateVector.from_csv(signed_zero, b).data[1] == 1.0
+    two_cells = "\n".join(lines[:2] + ["1,1.0"] + lines[3:]) + "\n"
+    with pytest.raises(ValueError, match="does not parse"):
+        StateVector.from_csv(two_cells, b)
+    not_a_number = "\n".join(lines[:2] + ["1,one,0.0"] + lines[3:]) + "\n"
+    with pytest.raises(ValueError, match="does not parse"):
+        StateVector.from_csv(not_a_number, b)
+    # a row that looks like a comment is a defect, not a line to skip
+    commented = "\n".join(lines[:2] + ["#1,1.0,0.0"] + lines[3:]) + "\n"
+    with pytest.raises(ValueError, match="does not parse"):
+        StateVector.from_csv(commented, b)
+    blank = "\n".join(lines[:3] + [""] + lines[3:]) + "\n"
+    with pytest.raises(ValueError, match="line 4 has 0 cells"):
+        StateVector.from_csv(blank, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lacks 6 of 6 indices, first 0"):
+            StateVector.from_csv(lines[0] + "\n", b)
+    # one row parses as one row, not as a scalar
+    vacuum = build_basis(0, 2)
+    text = StateVector(np.array([-0.75]), vacuum).to_csv()
+    assert text == "index,re,im\n0,-0.75,0.0\n"
+    assert StateVector.from_csv(text, vacuum).data.tolist() == [-0.75]
 
 
 def test_empty_mode_set():
