@@ -182,8 +182,8 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     off-diagonal entry -g_m sqrt(n) <= 0 and is irreducible, so by
     Perron-Frobenius its ground state is non-degenerate with a non-zero
     vacuum component, and no mirror symmetry of the grid can hide it from a
-    symmetric Krylov space.  At coupling 0 the matrix is diagonal and the
-    min-diagonal fallback of `ground_state` applies.
+    symmetric Krylov space.  At coupling 0 the matrix is diagonal, and
+    `ground_state` reads its lowest entry without an eigensolve.
 
     A symmetry R of the grid with R P = P (`point_group_permutations`) maps
     H(P - k_m) onto H(P - R k_m) by permuting modes, so the ratio is constant

@@ -10,18 +10,20 @@ it takes the row sums of |H| of a sparse matrix and the row bound
 `row_abs_bound()` of a factored one.
 
 Eigensolves compute only what the caller reads (see ground_state): the
-lowest eigenpair, and with the gap also the second one.  The dimension
-alone picks the method: a dense solve for those one or two eigenpairs up to
-DENSE_CUTOFF, and Lanczos (ARPACK) above it.  DENSE_CUTOFF = 300 is the
+lowest eigenpair, and with the gap also the second one.  Unless H is
+diagonal (below), the dimension alone picks the method: a dense solve for
+those one or two eigenpairs up to DENSE_CUTOFF, and Lanczos (ARPACK) above
+it.  DENSE_CUTOFF = 300 is the
 measured crossover of the two k=2 solvers on the sweep's bare and dressed
 operators (Q=2, one BLAS thread): the dense solve, O(dim^3) with the
 materialization, ties Lanczos at dims 231-325 (3-7 ms each) and is 4-7
 times slower at dim 703 (39-44 ms against 6-10 ms).  For one eigenpair the
 two tie at the scale-1 dim 190 (1.3-1.9 ms per bare probe matrix, either
 way) and k=1 Lanczos is far faster at dim 703 (2.4 ms against 35 ms).
-At coupling 0, where H is diagonal, the dense ground vector is the vacuum
-with exact zeros elsewhere; a k=1 Lanczos vector, which ends in the
-shift-invert fallback there, leaves entries of 1e-17.
+A diagonal operator, such as H at coupling 0, needs no eigensolve at any
+dimension: when the row sums of |H| (read once, for the residual budget)
+equal |diag(H)|, the ground vector is the basis vector of the lowest
+diagonal entry, with exact zeros elsewhere, and the method is "diagonal".
 
 Lanczos starts from a deterministic vector, so repeated runs reproduce
 bit-identical results: by default a fixed vacuum-weighted one, or the
@@ -89,10 +91,10 @@ def _row_abs_sums(H) -> np.ndarray:
     return H.row_abs_bound()
 
 
-def _residual_budget(H, tol: float) -> float:
+def _residual_budget(row_abs_sums: np.ndarray, tol: float) -> float:
     """Largest true eigen-residual `ground_state` accepts:
     1e3 tol max(1, ||H||_inf), with ||H||_inf read from `_row_abs_sums`."""
-    return 1e3 * tol * max(1.0, float(np.max(_row_abs_sums(H))))
+    return 1e3 * tol * max(1.0, float(np.max(row_abs_sums)))
 
 
 def ground_state(H, tol: float = 1e-10, gap: bool = True,
@@ -101,32 +103,44 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     unless gap=False.
 
     `gap` sets only the number k of eigenpairs, 2 or 1; without the gap,
-    `gap` is nan and `excited` None.  The dimension sets the method: a dense
-    solve for the k lowest eigenpairs up to DENSE_CUTOFF, else Lanczos
-    (ARPACK) with k eigenpairs and at most 48 (k=2) or 16 (k=1) basis
-    vectors.  Lanczos starts from `start` when given (the dense solve
-    ignores it), else from a fixed vacuum-weighted vector; it falls back to
-    shift-invert from a Gershgorin bound if plain Lanczos does not converge
-    or misses the bottom of the spectrum, records that in `method`, and
-    raises ArithmeticError when the true residual exceeds its budget.  Any
-    other solver error propagates.  Both returned vectors are normalized
-    with a positive vacuum component (positive largest component if the
-    vacuum one vanishes).
+    `gap` is nan and `excited` None.  A diagonal H returns its k lowest
+    basis vectors (method "diagonal").  Otherwise the dimension sets the
+    method: a dense solve for the k lowest eigenpairs up to DENSE_CUTOFF,
+    else Lanczos (ARPACK) with k eigenpairs and at most 48 (k=2) or 16
+    (k=1) basis vectors.  Lanczos starts from `start` when given (the dense
+    solve ignores it), else from a fixed vacuum-weighted vector; it falls
+    back to shift-invert from a Gershgorin bound if plain Lanczos does not
+    converge or misses the bottom of the spectrum, records that in
+    `method`, and raises ArithmeticError when the true residual exceeds its
+    budget.  Any other solver error propagates.  Both returned vectors are
+    normalized with a positive vacuum component (positive largest component
+    if the vacuum one vanishes).
     """
     dim = H.shape[0]
-    budget = _residual_budget(H, tol)
+    row_sums = _row_abs_sums(H)
+    budget = _residual_budget(row_sums, tol)
     if dim == 1:
         return GroundStateRecord(float(H.diagonal()[0]), np.ones(1), np.inf, 0.0,
                                  "trivial")
     k = 2 if gap else 1
-    if dim <= DENSE_CUTOFF:
+    diag = H.diagonal()
+    if np.array_equal(row_sums, np.abs(diag)):
+        # no off-diagonal entry moves a row sum: the eigenvectors are the
+        # basis vectors of the lowest diagonal entries, lowest index first
+        lowest = np.argsort(diag, kind="stable")[:k]
+        vals = diag[lowest]
+        vecs = np.zeros((dim, k))
+        vecs[lowest, np.arange(k)] = 1.0
+        psi = vecs[:, 0]
+        resid = float(np.linalg.norm(H @ psi - vals[0] * psi))
+        method = "diagonal"
+    elif dim <= DENSE_CUTOFF:
         Hd = H.toarray()
         vals, vecs = eigh(Hd, subset_by_index=[0, k - 1], driver="evr")
         psi = _fix_phase(vecs[:, 0])
         resid = float(np.linalg.norm(Hd @ psi - vals[0] * psi))
         method = "dense"
     else:
-        diag = H.diagonal()
         if start is None:
             v0 = np.full(dim, 1e-3)
             v0[0] = 1.0
@@ -144,7 +158,7 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
         # Every diagonal entry is a Rayleigh quotient, so a lowest value above
         # the smallest one means Lanczos missed the bottom.
         if method is None or np.min(vals) > np.min(diag) + budget:
-            lower = float(np.min(diag - (_row_abs_sums(H) - np.abs(diag)))) - 0.1
+            lower = float(np.min(diag - (row_sums - np.abs(diag)))) - 0.1
             vals, vecs = eigsh(H.tocsr(), k=k, sigma=lower, which="LM", v0=v0,
                                tol=tol)
             method = "shift-invert"

@@ -15,14 +15,17 @@ sum is the exact identity
       sum_pi prod_j 1 / (a_pi(1) + ... + a_pi(j)) = prod_j 1 / a_j,
 checked here in exact rational arithmetic.
 
-Each ordering seq = (m_1, ..., m_q) of the modes is one resolvent chain
+Each ordering (m_1, ..., m_q) of the modes is one resolvent chain
       R_q ... R_1 psi,
       R_j = (H_{P - k_{m_1} - ... - k_{m_j}} - E + |k_{m_1}| + ... + |k_{m_j}|)^{-1}.
-`chain` memoizes every chain in `BareGround.chains` under the key
-(seq, tol) and builds each link on the cached chain of seq[:-1], so f^1,
-f^2 and f^3 share every common prefix: the first link of an f^q chain is
-an f^1 solve, an f^3 chain extends an f^2 chain, and orderings that repeat
-a mode sequence (tuples with a repeated mode) cost no solve.
+The last link R_q depends only on the multiset T of the modes, through
+their total momentum and total frequency, so every ordering of T ends in
+the same R(T), and the sum S(T) over the orderings of T obeys
+      S(T) = R(T) sum_{positions p} S(T - p),    S(empty) = psi.
+`ordering_sum` runs this recursion and memoizes S in `BareGround.chains`
+under (sorted T, tol): one shifted solve per sub-multiset instead of one
+per ordering prefix.  f^1, f^2 and f^3 share every common sub-multiset:
+S((m,)) is the f^1 solve, and each f^3 sum reads the f^2 sums below it.
 
 The same shifted solves evaluate f^1 off the grid nodes and decompose its
 second P-derivative into the terms whose pole singularities cancel
@@ -63,8 +66,9 @@ __all__ = [
 class BareGround:
     """Bare fiber ground-state bundle consumed by the wavefunction routines.
 
-    `chains` maps (mode sequence, tol) to the resolvent chain computed for
-    it by `chain`; it fills as the pull-through routines run.
+    `chains` maps (sorted mode tuple T, tol) to the ordering sum S(T) that
+    `ordering_sum` computed for it; it fills as the pull-through routines
+    run.
     """
 
     params: ModelParams
@@ -100,22 +104,22 @@ def extract_fq(bg: BareGround, q: int) -> dict:
     Keys are the sorted mode tuples of the basis states; values carry the
     sqrt(n!)/sqrt(q!) multiplicity factors and the 1/sqrt(w) node weights.
     """
-    basis, grid = bg.basis, bg.grid
-    sqrt_fact = [math.sqrt(math.factorial(n)) for n in range(basis.n_max + 1)]
-    root_q = math.sqrt(math.factorial(q))
-    out = {}
-    for i, state in enumerate(basis.states):
-        if len(state) != q:
-            continue
-        val = bg.psi[i] / root_q
-        mult = 1
-        for m in set(state):
-            mult *= math.factorial(state.count(m))
-        val *= math.sqrt(mult)
-        for m in state:
-            val /= math.sqrt(grid.w[m])
-        out[state] = float(val)
-    return out
+    basis = bg.basis
+    lo, hi = np.searchsorted(basis.photon_count, [q, q + 1])
+    occ = basis.occupation[lo:hi]
+    # each state's modes, sorted and repeated n_m times: an (n, q) array
+    modes = np.repeat(occ.indices, occ.data.astype(np.int64)).reshape(hi - lo, q)
+    # prod_m n_m! as the product of every mode's position in its run, exact
+    run = np.ones(hi - lo)
+    mult = np.ones(hi - lo)
+    for j in range(1, q):
+        run = np.where(modes[:, j] == modes[:, j - 1], run + 1.0, 1.0)
+        mult *= run
+    val = bg.psi[lo:hi] / math.sqrt(math.factorial(q))
+    val *= np.sqrt(mult)
+    for j in range(q):
+        val /= np.sqrt(bg.grid.w[modes[:, j]])
+    return dict(zip(basis.states[lo:hi], val.tolist()))
 
 
 def extract_f1(bg: BareGround) -> np.ndarray:
@@ -140,24 +144,23 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     return solve_shifted(bg.H, bg.energy - freq_total - shift, rhs, tol)
 
 
-def chain(bg: BareGround, seq: tuple, tol: float) -> np.ndarray:
-    """The resolvent chain R_q ... R_1 psi of the mode sequence
-    seq = (m_1, ..., m_q) (module docstring).
+def ordering_sum(bg: BareGround, modes: tuple, tol: float) -> np.ndarray:
+    """S(T) = sum over the orderings of T = modes of R_q ... R_1 psi, by
+    the recursion of the module docstring.
 
-    Every prefix is looked up in, or stored into, `bg.chains` under the key
-    (prefix, tol), so a chain costs one solve per link not computed before.
-    """
-    v = bg.psi
-    k_sum = np.zeros(3)
-    freq = 0.0
-    for j, m in enumerate(seq, 1):
-        k_sum = k_sum + bg.grid.k[m]
-        freq += bg.grid.r[m]
-        key = (seq[:j], tol)
-        if key not in bg.chains:
-            bg.chains[key] = _shifted_solve(bg, k_sum, freq, v, tol)
-        v = bg.chains[key]
-    return v
+    Every S is looked up in, or stored into, `bg.chains` under the key
+    (sorted T, tol), so a sum costs one solve per sub-multiset not solved
+    before."""
+    key = (tuple(sorted(modes)), tol)
+    if key not in bg.chains:
+        T = key[0]
+        if not T:
+            return bg.psi
+        parts = [ordering_sum(bg, T[:p] + T[p + 1:], tol) for p in range(len(T))]
+        rhs = sum(parts[1:], parts[0])
+        bg.chains[key] = _shifted_solve(bg, bg.grid.k[list(T)].sum(axis=0),
+                                        float(bg.grid.r[list(T)].sum()), rhs, tol)
+    return bg.chains[key]
 
 
 def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
@@ -165,9 +168,7 @@ def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
     chains; exact on the untruncated discrete model."""
     modes = tuple(modes)
     q = len(modes)
-    vac = 0.0
-    for order in permutations(range(q)):
-        vac += chain(bg, tuple(modes[j] for j in order), tol)[0]
+    vac = ordering_sum(bg, modes, tol)[0]
     ff = float(np.prod(form_factor(bg.grid.k[list(modes)], bg.params)))
     return (-1.0) ** q * ff * vac / math.sqrt(math.factorial(q))
 
@@ -177,7 +178,7 @@ def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
     node."""
     out = np.zeros(bg.grid.n_modes)
     for m in range(bg.grid.n_modes):
-        vac = chain(bg, (m,), tol)[0]
+        vac = ordering_sum(bg, (m,), tol)[0]
         out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * vac
     return out
 

@@ -189,6 +189,17 @@ def zero_energy_hamiltonian(photon_cap):
     return assemble(nelson_hamiltonian(params, grid), build_basis(16, photon_cap))
 
 
+def coupled_zero_energy_hamiltonian(photon_cap):
+    """`zero_energy_hamiltonian` plus couplings 0.01 between neighbouring
+    photon states: the vacuum row stays empty, so the ground energy is
+    still exactly 0, but H is no longer diagonal and reaches the
+    eigensolvers."""
+    H = zero_energy_hamiltonian(photon_cap)
+    off = np.full(H.shape[0] - 2, 0.01)
+    coupling = sp.diags([off, off], [-1, 1])
+    return (H + sp.block_diag([sp.csr_matrix((1, 1)), coupling])).tocsr()
+
+
 def check_zero_ground_energy(H, rec, gap):
     # Lanczos alone skips an exactly zero energy and must hand over to
     # shift-invert
@@ -196,14 +207,14 @@ def check_zero_ground_energy(H, rec, gap):
     assert rec.method == "shift-invert"
     assert abs(rec.vector[0] - 1.0) < 1e-12
     if gap:
-        assert abs(rec.gap - np.sort(H.diagonal())[1]) < 1e-9
+        assert abs(rec.gap - np.linalg.eigvalsh(H.toarray())[1]) < 1e-9
     else:
         assert np.isnan(rec.gap)
 
 
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
 def test_ground_state_finds_zero_energy_past_cutoff(gap):
-    H = zero_energy_hamiltonian(3)
+    H = coupled_zero_energy_hamiltonian(3)
     assert H.shape[0] > spectral.DENSE_CUTOFF
     check_zero_ground_energy(H, ground_state(H, gap=gap), gap)
 
@@ -211,13 +222,37 @@ def test_ground_state_finds_zero_energy_past_cutoff(gap):
 def test_one_eigenvalue_finds_zero_energy_below_cutoff():
     # without the gap, too, the dense solve runs up to DENSE_CUTOFF, and its
     # ground vector is the vacuum exactly: every other entry is an exact zero
-    H = zero_energy_hamiltonian(2)
+    H = coupled_zero_energy_hamiltonian(2)
     assert H.shape[0] <= spectral.DENSE_CUTOFF
     rec = ground_state(H, gap=False)
     assert rec.method == "dense"
     assert abs(rec.energy) <= 1e-12
     assert rec.vector[0] == 1.0 and not np.any(rec.vector[1:])
     assert np.isnan(rec.gap)
+
+
+@pytest.mark.parametrize("photon_cap", [2, 3], ids=["dense_dim", "lanczos_dim"])
+@pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
+def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
+    # at coupling 0 the ground vector is the vacuum exactly at every dim,
+    # read off the diagonal: no eigensolver runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called on a diagonal operator")
+
+    monkeypatch.setattr(spectral, "eigh", refuse)
+    monkeypatch.setattr(spectral, "eigsh", refuse)
+    H = zero_energy_hamiltonian(photon_cap)
+    rec = ground_state(H, gap=gap)
+    assert rec.method == "diagonal"
+    assert rec.energy == 0.0 and rec.residual == 0.0
+    assert rec.vector[0] == 1.0 and not np.any(rec.vector[1:])
+    if gap:
+        second = int(np.argsort(H.diagonal(), kind="stable")[1])
+        assert rec.gap == H.diagonal()[second]
+        assert rec.excited[second] == 1.0
+        assert np.count_nonzero(rec.excited) == 1
+    else:
+        assert np.isnan(rec.gap) and rec.excited is None
 
 
 def random_case(seed, n):
@@ -389,7 +424,8 @@ def test_factored_residual_budget_is_the_exact_one(dressed_scales):
         assert not sp.issparse(Hw)
         exact = 1e3 * state.tol * max(1.0, np.max(np.sum(np.abs(Hw.toarray()),
                                                          axis=1)))
-        assert abs(spectral._residual_budget(Hw, state.tol) - exact) <= 1e-12 * exact
+        budget = spectral._residual_budget(spectral._row_abs_sums(Hw), state.tol)
+        assert abs(budget - exact) <= 1e-12 * exact
         assert state.diagnostics["residual_w"] <= exact
 
 

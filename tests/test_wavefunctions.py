@@ -4,13 +4,16 @@ second-P-derivative cancellation demonstration."""
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from nelsonlab import wavefunctions as wf
+from nelsonlab.fiberop import momentum_shift_diagonal
 from nelsonlab.fock import apply_displacement, build_basis
-from nelsonlab.grid import GridSpec, ModelParams, build_grid
+from nelsonlab.grid import GridSpec, ModelParams, build_grid, form_factor
+from nelsonlab.spectral import DENSE_CUTOFF, solve_shifted
 
 from helpers import random_momentum_grid, toy_grid
 
@@ -62,8 +65,9 @@ def _fresh(bg):
 
 
 def test_chains_share_prefixes_across_q(three_mode, solves):
-    """f^2 chains start with f^1 solves, f^3 chains with f^2 chains, and a
-    repeated mode repeats orderings: only new links cost a solve, and the
+    """The ordering sum of a mode multiset reads the sums of its
+    sub-multisets: f^2 sums start from f^1 solves, f^3 sums from f^2 sums,
+    and each multiset costs one solve, however many orderings it has; the
     values are those of a cold cache bit for bit."""
     bg = _fresh(three_mode)
     runs = [(wf.froehlich_f1, None), (wf.froehlich_fq, (0, 1)),
@@ -75,17 +79,74 @@ def test_chains_share_prefixes_across_q(three_mode, solves):
         counts.append(len(solves) - before)
         cold = fn(_fresh(bg)) if modes is None else fn(_fresh(bg), modes)
         assert np.all(val == cold)
-    assert counts == [3, 2, 4]
+    assert counts == [3, 1, 2]
 
 
 def test_chain_cache_is_keyed_by_tol(three_mode, solves):
     bg = _fresh(three_mode)
     wf.froehlich_fq(bg, (0, 1))
-    assert len(solves) == 4
+    assert len(solves) == 3
     wf.froehlich_fq(bg, (0, 1))
-    assert len(solves) == 4
+    assert len(solves) == 3
     wf.froehlich_fq(bg, (0, 1), tol=1e-9)
-    assert len(solves) == 8
+    assert len(solves) == 6
+
+
+def explicit_ordering_fq(bg, modes, tol=1e-10):
+    """f^q as the sum over all q! orderings of the chains R_q ... R_1 psi,
+    one shifted solve per link, with nothing shared."""
+    P = bg.params.P_vec
+    vac = 0.0
+    for order in permutations(modes):
+        v, k_sum, freq = bg.psi, np.zeros(3), 0.0
+        for m in order:
+            k_sum = k_sum + bg.grid.k[m]
+            freq += bg.grid.r[m]
+            shift = momentum_shift_diagonal(bg.basis, bg.grid, P, P - k_sum)
+            v = solve_shifted(bg.H, bg.energy - freq - shift, v, tol)
+        vac += v[0]
+    ff = float(np.prod(form_factor(bg.grid.k[list(modes)], bg.params)))
+    return (-1.0) ** len(modes) * ff * vac / math.sqrt(math.factorial(len(modes)))
+
+
+@pytest.mark.parametrize("modes", [(0, 1, 2), (0, 0, 1), (1, 1, 1), (1, 0)])
+def test_ordering_sum_matches_explicit_orderings(three_mode, modes):
+    value = wf.froehlich_fq(_fresh(three_mode), modes)
+    assert abs(value - explicit_ordering_fq(three_mode, modes)) < 1e-12
+
+
+def test_unsorted_modes_reuse_the_sorted_sum(three_mode, solves):
+    bg = _fresh(three_mode)
+    value = wf.froehlich_fq(bg, (0, 1))
+    before = len(solves)
+    assert wf.froehlich_fq(bg, (1, 0)) == value
+    assert len(solves) == before
+
+
+def extract_fq_reference(bg, q):
+    """`extract_fq` as a loop over the basis states."""
+    root_q = math.sqrt(math.factorial(q))
+    out = {}
+    for i, state in enumerate(bg.basis.states):
+        if len(state) != q:
+            continue
+        val = bg.psi[i] / root_q
+        mult = 1
+        for m in set(state):
+            mult *= math.factorial(state.count(m))
+        val *= math.sqrt(mult)
+        for m in state:
+            val /= math.sqrt(bg.grid.w[m])
+        out[state] = float(val)
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_extract_fq_matches_state_loop(three_mode, q):
+    table = wf.extract_fq(three_mode, q)
+    reference = extract_fq_reference(three_mode, q)
+    assert list(table) == list(reference)
+    assert list(table.values()) == list(reference.values())
 
 
 def test_contamination_dies_with_cap(two_mode):
@@ -124,6 +185,18 @@ def test_coherent_state_extraction_closed_form():
 def test_lambda_zero_f1_vanishes(three_mode):
     params = ModelParams(coupling=0.0, sigma=0.2)
     bg = wf.BareGround.solve(params, three_mode.grid, three_mode.basis)
+    assert not np.any(wf.extract_f1(bg))
+    assert not np.any(wf.froehlich_f1(bg))
+
+
+def test_lambda_zero_ground_state_is_the_vacuum_past_cutoff(three_mode):
+    # past the dense cutoff, too, the coupling-0 ground vector is the vacuum
+    # with exact zeros elsewhere
+    params = ModelParams(coupling=0.0, sigma=0.2)
+    basis = build_basis(3, 12)
+    assert basis.dim > DENSE_CUTOFF
+    bg = wf.BareGround.solve(params, three_mode.grid, basis)
+    assert bg.psi[0] == 1.0 and not np.any(bg.psi[1:])
     assert not np.any(wf.extract_f1(bg))
     assert not np.any(wf.froehlich_f1(bg))
 
