@@ -153,6 +153,13 @@ def validate_config(cfg: RunConfig) -> None:
         bad("max_probes", "must be >= 1")
     if any(l < 0.0 for l in cfg.lambdas):
         bad("lambdas", "couplings must be >= 0")
+    tags = {}
+    for lam in cfg.lambdas:
+        tag = _lambda_tag(lam)
+        if tag in tags:
+            bad("lambdas", f"couplings {tags[tag]!r} and {lam!r} share the "
+                           f"output tag {tag}")
+        tags[tag] = lam
     if cfg.q_max < 1:
         bad("q_max", "must be >= 1")
     if cfg.seed < 0:
@@ -611,8 +618,7 @@ def _verify_checks(cfg: RunConfig, corrupt_weight: bool, timed):
         number = FiberOperator(np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3)),
                                np.ones(3), np.zeros(3), 0.0)
         N = assemble(number, basis).toarray()
-        occ = np.array([len(state) for state in basis.states], dtype=float)
-        dev = float(np.max(np.abs(N - np.diag(occ))))
+        dev = float(np.max(np.abs(N - np.diag(basis.photon_count))))
         record("number-operator", dev, 1e-13,
                "assembled number operator vs occupation totals")
 

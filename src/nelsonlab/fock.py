@@ -1,18 +1,17 @@
 """Truncated symmetric Fock space over a finite mode set.
 
 Basis states are photon-occupation patterns with a cap on the total photon
-number.  States are stored as sorted tuples of occupied mode indices, ordered
-by total photon number first and lexicographically within each sector, with
-the vacuum at index 0.  That ordering is deterministic and survives grid
-refinement: because refined grids keep parent modes as a prefix, every parent
-basis state is literally a valid state of the refined basis.
+number, ordered by total photon number first and lexicographically within
+each sector, with the vacuum at index 0.  That ordering is deterministic and
+survives grid refinement: because refined grids keep parent modes as a
+prefix, every parent basis state is literally a valid state of the refined
+basis.
 
-The occupation and annihilation arrays are built one photon sector at a time,
-from the sector's states as an (n, q) array of nondecreasing rows.  A state's
-position inside its sector is its lexicographic rank, which `_sector_rank`
-computes in closed form; that is only right because
-`itertools.combinations_with_replacement` emits each sector in lexicographic
-order, so the states list and the rank agree.
+Sector q is stored once, as an (n_q, q) int64 array of nondecreasing mode
+rows; nothing else holds a state.  A row's position inside its sector is its
+lexicographic rank, which `_sector_rank` computes in closed form (the
+combinatorial number system; Weisse and Fehske, Lect. Notes Phys. 739
+(2008)); it finds every annihilation target and every embedded parent state.
 
 `FockBasis.lowering(c)` is the single builder of L = sum_m c_m b_m, which
 never leaves the basis.  The field L + L^T, the displacement generator
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import math
 
 import numpy as np
@@ -34,14 +32,18 @@ __all__ = ["FockBasis", "StateVector", "basis_dimension", "build_basis", "embed"
            "displacement_generator", "apply_displacement"]
 
 
-def _enumerate_sectors(n_modes: int, n_max: int):
-    """Each photon sector's states, in lexicographic order, as a list of
-    sorted tuples and as an (n, q) int64 array of the same rows."""
-    for q in range(n_max + 1):
-        states = list(itertools.combinations_with_replacement(range(n_modes), q))
-        rows = np.fromiter(itertools.chain.from_iterable(states), dtype=np.int64,
-                           count=len(states) * q)
-        yield states, rows.reshape(len(states), q)
+def _enumerate_sectors(n_modes: int, n_max: int) -> list:
+    """Each photon sector's states, in lexicographic order: sector q extends
+    each row of sector q - 1, in order, by every mode from its last one up."""
+    sectors = [np.zeros((1, 0), dtype=np.int64)]
+    for q in range(1, n_max + 1):
+        prev = sectors[-1]
+        low = prev[:, -1] if q > 1 else np.zeros(1, dtype=np.int64)
+        count = n_modes - low
+        first = np.cumsum(count) - count
+        last = np.arange(count.sum()) - np.repeat(first - low, count)
+        sectors.append(np.column_stack([np.repeat(prev, count, axis=0), last]))
+    return sectors
 
 
 def _sector_rank(rows: np.ndarray, n_modes: int) -> np.ndarray:
@@ -80,9 +82,10 @@ class FockBasis:
     ----------
     n_modes : number of photon modes M
     n_max : total photon cap Q
-    states : list of sorted mode tuples, vacuum first
-    index : dict mapping state tuple -> position
+    sectors : per q = 0..Q, the q-photon states as (n_q, q) int64 rows
+    offsets : (Q + 2,) sector starts; sector q is offsets[q]:offsets[q + 1]
     occupation : (dim, n_modes) CSR matrix of occupation numbers n_m
+    photon_count : (dim,) int64 total photon number of each state
     """
 
     def __init__(self, n_modes: int, n_max: int):
@@ -90,25 +93,24 @@ class FockBasis:
             raise ValueError("n_modes and n_max must be nonnegative")
         self.n_modes = int(n_modes)
         self.n_max = int(n_max)
-        self.states, sectors = [], []
-        for states, rows in _enumerate_sectors(self.n_modes, self.n_max):
-            self.states.extend(states)
-            sectors.append(rows)
-        self.index = dict(zip(self.states, range(len(self.states))))
-        self._build_occupancy_arrays(sectors)
+        self.sectors = _enumerate_sectors(self.n_modes, self.n_max)
+        sizes = [len(a) for a in self.sectors]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.photon_count = np.repeat(np.arange(self.n_max + 1, dtype=np.int64), sizes)
+        self._build_occupancy_arrays()
         self._ann_arrays = None
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return int(self.offsets[-1])
 
-    def _build_occupancy_arrays(self, sectors):
+    def _build_occupancy_arrays(self):
         # CSR rows: each state's distinct occupied modes and their counts.  A
         # run of equal modes in a sorted row is one occupied mode; its length
         # is the occupation number.  Every row starts a run, so the run after
         # a row's last one starts where that row ends.
         modes, cnts, nnz = [], [], []
-        for a in sectors:
+        for a in self.sectors:
             start = _run_starts(a)
             modes.append(a[start])
             cnts.append(np.diff(np.append(np.flatnonzero(start), a.size)))
@@ -117,8 +119,6 @@ class FockBasis:
         self.occupation = sp.csr_matrix(
             (np.concatenate(cnts).astype(float), np.concatenate(modes), ptr),
             shape=(self.dim, self.n_modes))
-        self.photon_count = np.repeat(np.arange(self.n_max + 1, dtype=np.int64),
-                                      [len(a) for a in sectors])
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -136,20 +136,16 @@ class FockBasis:
         if self._ann_arrays is None:
             occ = self.occupation
             src = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(occ.indptr))
-            # sector q's rows, read back from the occupation entries
-            first = np.searchsorted(self.photon_count, np.arange(self.n_max + 2))
             tgt = [np.zeros(0, dtype=np.int64)]
             for q in range(1, self.n_max + 1):
-                lo, hi = occ.indptr[first[q]], occ.indptr[first[q + 1]]
-                a = np.repeat(occ.indices[lo:hi].astype(np.int64),
-                              occ.data[lo:hi].astype(np.int64)).reshape(-1, q)
+                a = self.sectors[q]
                 # drop the first photon of each run: one lowered row per
                 # (state, occupied mode), found by its rank in sector q-1
                 row, col = np.nonzero(_run_starts(a))
                 lowered = np.empty((len(row), q - 1), dtype=np.int64)
                 for j in range(q - 1):
                     lowered[:, j] = np.where(j < col, a[row, j], a[row, j + 1])
-                tgt.append(first[q - 1] + _sector_rank(lowered, self.n_modes))
+                tgt.append(self.offsets[q - 1] + _sector_rank(lowered, self.n_modes))
             self._ann_arrays = (src, occ.indices, np.concatenate(tgt), np.sqrt(occ.data))
         return self._ann_arrays
 
@@ -257,9 +253,11 @@ def embed(v: np.ndarray, parent: FockBasis, child: FockBasis) -> np.ndarray:
         raise ValueError("child basis does not contain the parent basis")
     v = np.asarray(v)
     out = np.zeros(child.dim, dtype=v.dtype)
-    cindex = child.index
-    for i, s in enumerate(parent.states):
-        out[cindex[s]] = v[i]
+    # parent modes are a prefix of the child's, so each parent row is a child
+    # row of the same sector, found by its rank there
+    for q, rows in enumerate(parent.sectors):
+        out[child.offsets[q] + _sector_rank(rows, child.n_modes)] = \
+            v[parent.offsets[q]:parent.offsets[q + 1]]
     return out
 
 

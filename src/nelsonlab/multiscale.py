@@ -26,6 +26,7 @@ standard error, so scaling claims carry uncertainties.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -381,28 +382,38 @@ def _save_checkpoint(directory, config, n, row, state):
         json.dump(payload, fh, indent=1, sort_keys=True)
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise a defect read inside the block as a ValueError naming path."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
+
+
 def _load_checkpoint(directory, config, n, grid, basis):
-    """Read a scale from disk; returns (row, RestoredScale) or None on any
-    mismatch (hash, shape) so the scale is recomputed."""
+    """Read a scale from disk; returns (row, RestoredScale), or None when a
+    file is missing or a stored hash does not match, so that the scale is
+    recomputed.  A file that does not parse, or a row that is not a ledger
+    row, raises ValueError naming the file."""
     meta, psi_path, phi_path = _checkpoint_paths(directory, n)
     if not (os.path.exists(meta) and os.path.exists(psi_path)
             and os.path.exists(phi_path)):
         return None
-    with open(meta) as fh:
-        payload = json.load(fh)
-    if payload.get("config_hash") != config.content_hash():
+    with _naming(meta):
+        with open(meta) as fh:
+            payload = json.load(fh)
+        if payload.get("config_hash") != config.content_hash():
+            return None
+        row = ScaleRow(**payload["row"])
+    if row.grid_hash != grid.content_hash() or row.basis_hash != basis.content_hash():
         return None
-    row_dict = payload["row"]
-    if row_dict.get("grid_hash") != grid.content_hash() \
-            or row_dict.get("basis_hash") != basis.content_hash():
-        return None
-    with open(psi_path) as fh:
-        psi = StateVector.from_csv(fh.read(), basis).data
-    with open(phi_path) as fh:
-        phi = StateVector.from_csv(fh.read(), basis).data
-    prev = RestoredScale(basis, row_dict["energy"],
-                         np.asarray(row_dict["grad_e"], dtype=float), psi, phi)
-    return ScaleRow(**row_dict), prev
+    vectors = []
+    for path in (psi_path, phi_path):
+        with _naming(path), open(path) as fh:
+            vectors.append(StateVector.from_csv(fh.read(), basis).data)
+    return row, RestoredScale(basis, row.energy, np.asarray(row.grad_e, dtype=float),
+                              *vectors)
 
 
 def run_sweep(config: SweepConfig, checkpoint_dir=None,

@@ -105,21 +105,20 @@ def extract_fq(bg: BareGround, q: int) -> dict:
     sqrt(n!)/sqrt(q!) multiplicity factors and the 1/sqrt(w) node weights.
     """
     basis = bg.basis
-    lo, hi = np.searchsorted(basis.photon_count, [q, q + 1])
-    occ = basis.occupation[lo:hi]
-    # each state's modes, sorted and repeated n_m times: an (n, q) array
-    modes = np.repeat(occ.indices, occ.data.astype(np.int64)).reshape(hi - lo, q)
+    if q > basis.n_max:
+        return {}
+    modes = basis.sectors[q]
     # prod_m n_m! as the product of every mode's position in its run, exact
-    run = np.ones(hi - lo)
-    mult = np.ones(hi - lo)
+    run = np.ones(len(modes))
+    mult = np.ones(len(modes))
     for j in range(1, q):
         run = np.where(modes[:, j] == modes[:, j - 1], run + 1.0, 1.0)
         mult *= run
-    val = bg.psi[lo:hi] / math.sqrt(math.factorial(q))
+    val = bg.psi[basis.offsets[q]:basis.offsets[q + 1]] / math.sqrt(math.factorial(q))
     val *= np.sqrt(mult)
     for j in range(q):
         val /= np.sqrt(bg.grid.w[modes[:, j]])
-    return dict(zip(basis.states[lo:hi], val.tolist()))
+    return dict(zip(map(tuple, modes.tolist()), val.tolist()))
 
 
 def extract_f1(bg: BareGround) -> np.ndarray:

@@ -16,6 +16,19 @@ from nelsonlab.fock import FockBasis
 from nelsonlab.grid import GridSpec, MomentumGrid
 
 
+def basis_states(n_modes: int, n_max: int) -> list:
+    """Every basis state as a sorted tuple of occupied modes, in the
+    documented order: photon number first, lexicographic within a sector
+    (the order `combinations_with_replacement` emits), vacuum first."""
+    return [s for q in range(n_max + 1)
+            for s in itertools.combinations_with_replacement(range(n_modes), q)]
+
+
+def state_index(n_modes: int, n_max: int) -> dict:
+    """Position of each state tuple in `basis_states(n_modes, n_max)`."""
+    return {s: i for i, s in enumerate(basis_states(n_modes, n_max))}
+
+
 def lowering_matrix(basis: FockBasis, m: int) -> sp.csr_matrix:
     """Sparse matrix of b_m on the truncated basis, from the package's
     annihilation_arrays (exact: lowering never leaves the space).  Its
@@ -58,7 +71,7 @@ def product_state_index(occ, per_mode_dim):
 def compression_map(basis: FockBasis, per_mode_dim):
     """Rows of the product space corresponding to the truncated basis states."""
     rows = []
-    for s in basis.states:
+    for s in basis_states(basis.n_modes, basis.n_max):
         occ = [0] * basis.n_modes
         for m in s:
             occ[m] += 1
@@ -121,7 +134,7 @@ def random_momentum_grid(rng, n_modes, sigma=0.1, kappa=1.0):
 def all_occupations(basis: FockBasis):
     """Occupation vectors (length n_modes) for every basis state."""
     out = np.zeros((basis.dim, basis.n_modes), dtype=int)
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(basis_states(basis.n_modes, basis.n_max)):
         for m in s:
             out[i, m] += 1
     return out

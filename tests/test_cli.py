@@ -207,6 +207,21 @@ def test_sweep_counts_below_one_are_rejected(tmp_path, capsys, key, value):
     assert not out.exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("lambdas", ["0.1 0.1000001", "0.05 0.1 0.05"])
+def test_couplings_sharing_an_output_tag_are_refused(tmp_path, capsys, lambdas):
+    # each coupling's ledger, checkpoints and plots are named by its tag;
+    # two couplings with one tag would overwrite each other's files
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[sweep]\nlambdas = {lambdas}\n")
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", str(bad), "--scales", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'lambdas'" in err and "share the output tag lam0p" in err
+    assert not out.exists()
+
+
 def test_removed_contour_samples_key_is_refused(tmp_path, capsys):
     # each contour norm is one solve now; an old config that still sets the
     # sample count is refused as an unknown key, not silently ignored
@@ -530,6 +545,30 @@ def test_resume_refuses_a_checkpoint_with_an_imaginary_part(tmp_path, small_ini,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "sweep failed" in err and "line 3 has im = 0.001" in err
+    assert "scale_01_psi.csv" in err
+
+
+@pytest.mark.parametrize("defect", ["truncated", "unknown key"])
+def test_resume_names_a_checkpoint_json_that_does_not_parse(tmp_path, small_ini,
+                                                            capsys, defect):
+    argv = ["sweep", "--config", str(small_ini), "--scales", "1",
+            "--epsilon", "0.5", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    meta = tmp_path / "run" / "checkpoints" / "lam0p1" / "scale_01.json"
+    if defect == "truncated":
+        text = meta.read_text()
+        meta.write_text(text[:text.index('"row"') + 3])
+        why = "Unterminated string"
+    else:
+        payload = json.loads(meta.read_text())
+        payload["row"]["stray"] = 1.0
+        meta.write_text(json.dumps(payload))
+        why = "unexpected keyword argument 'stray'"
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sweep failed: checkpoint " in err and "scale_01.json" in err
+    assert why in err
 
 
 def test_fresh_sweeps_write_the_same_bytes(tmp_path):

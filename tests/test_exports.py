@@ -100,12 +100,37 @@ def test_benchmark_calls_keep_their_signatures():
 SRC = Path(nelsonlab.__file__).resolve().parent
 
 
+def _occupation_row_reads(tree):
+    """Lines that read a CSR field of `occupation`, directly or through a
+    name bound to an expression over it."""
+    def over_occupation(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "occupation"
+                   for n in ast.walk(node))
+    aliases = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and over_occupation(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("indices", "data", "indptr")
+            and (over_occupation(node.value)
+                 or (isinstance(node.value, ast.Name) and node.value.id in aliases))]
+
+
+def test_occupation_row_guard_sees_aliases():
+    snippet = ("occ = basis.occupation[lo:hi]\n"
+               "modes = np.repeat(occ.indices, occ.data)\n"
+               "ptr = basis.occupation.indptr\n"
+               "ok = basis.sectors[2].data\n")
+    assert sorted(_occupation_row_reads(ast.parse(snippet))) == ["line 2", "line 2", "line 3"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_modules_keep_their_choices_to_themselves(path):
     # each module keeps its internals: no `_private` name crosses a module
     # boundary, only cli.py defers imports into functions (so that --jobs
-    # caps the BLAS threads before numpy loads), and the dense-solve
-    # threshold is read where the solver is chosen
+    # caps the BLAS threads before numpy loads), the dense-solve
+    # threshold is read where the solver is chosen, and only fock.py knows
+    # how `occupation` lays out a state's modes (others read `sectors`)
     tree = ast.parse(path.read_text())
     private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
@@ -126,3 +151,5 @@ def test_modules_keep_their_choices_to_themselves(path):
                  or (isinstance(node, ast.alias)
                      and node.name == "DENSE_CUTOFF")]
         assert reads == []
+    if path.name != "fock.py":
+        assert _occupation_row_reads(tree) == []

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import lowering_matrix
+from helpers import basis_states, lowering_matrix, state_index
 from nelsonlab.fock import (StateVector, apply_displacement, build_basis,
                             displacement_generator, embed)
 
@@ -22,19 +22,27 @@ def test_dimension_stars_and_bars():
         assert build_basis(M, Q).dim == math.comb(M + Q, Q)
 
 
+def sector_rows(b):
+    """The package's basis states, sector by sector, as tuples."""
+    return [tuple(row) for rows in b.sectors for row in rows.tolist()]
+
+
 def test_ordering_photon_major_then_lex():
-    b = build_basis(3, 2)
-    assert b.states[0] == ()
-    assert b.states[1:4] == [(0,), (1,), (2,)]
-    assert b.states[4:] == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    assert basis_states(3, 2) == [(), (0,), (1,), (2,), (0, 0), (0, 1), (0, 2),
+                                  (1, 1), (1, 2), (2, 2)]
+    for M, Q in [(0, 2), (3, 0), (3, 2), (4, 3), (1, 5), (7, 4)]:
+        assert sector_rows(build_basis(M, Q)) == basis_states(M, Q)
 
 
 def test_index_round_trip():
+    # position i holds the i-th reference state, inside its sector's offsets
     b = build_basis(4, 3)
-    for i, s in enumerate(b.states):
-        assert b.index[s] == i
-    with pytest.raises(KeyError):
-        b.index[(0, 0, 0, 0)]
+    assert len(b.sectors) == b.n_max + 1 and b.offsets[-1] == b.dim
+    for i, s in enumerate(basis_states(4, 3)):
+        q = len(s)
+        assert b.offsets[q] <= i < b.offsets[q + 1]
+        assert tuple(b.sectors[q][i - b.offsets[q]]) == s
+        assert b.photon_count[i] == q
 
 
 def test_dim_cap_guard():
@@ -45,7 +53,7 @@ def test_dim_cap_guard():
 def test_ccr_on_interior_states():
     # [b_m, b*_m'] = delta_mm' away from the caps
     b = build_basis(3, 3)
-    interior = np.array([len(s) <= b.n_max - 1 for s in b.states])
+    interior = b.photon_count <= b.n_max - 1
     for m in range(3):
         Bm = lowering_matrix(b, m).toarray()
         for mp in range(3):
@@ -69,35 +77,37 @@ def test_number_diagonal_matches_counter():
     b = build_basis(3, 3)
     f = np.array([0.5, 1.5, -0.3])
     diag = b.number_diagonal(f)
-    for i, s in enumerate(b.states):
+    for i, s in enumerate(basis_states(3, 3)):
         c = Counter(s)
         assert abs(diag[i] - sum(f[m] * c[m] for m in c)) <= 1e-15
 
 
 def test_apply_annihilate_amplitudes():
     b = build_basis(2, 3)
+    index = state_index(2, 3)
     v = np.zeros(b.dim)
-    v[b.index[(0, 0, 1)]] = 1.0
+    v[index[(0, 0, 1)]] = 1.0
     out = lowering_matrix(b, 0) @ v
-    assert abs(out[b.index[(0, 1)]] - math.sqrt(2.0)) <= 1e-15
+    assert abs(out[index[(0, 1)]] - math.sqrt(2.0)) <= 1e-15
     assert abs(np.linalg.norm(out) - math.sqrt(2.0)) <= 1e-15
 
 
 def test_raising_is_lowering_transpose_on_truncation():
     # b*_m |s> = sqrt(n_m + 1) |s + m> below the cap; the top sector maps to 0
     b = build_basis(2, 2)
+    index = state_index(2, 2)
     for m in range(2):
         R = lowering_matrix(b, m).T.toarray()
         expected = np.zeros((b.dim, b.dim))
-        for i, s in enumerate(b.states):
+        for s, i in index.items():
             if len(s) < b.n_max:
                 raised = tuple(sorted(s + (m,)))
-                expected[b.index[raised], i] = math.sqrt(Counter(s)[m] + 1.0)
+                expected[index[raised], i] = math.sqrt(Counter(s)[m] + 1.0)
         assert np.max(np.abs(R - expected)) <= 1e-15
     v = np.zeros(b.dim)
-    v[b.index[(1,)]] = 2.0
+    v[index[(1,)]] = 2.0
     out = lowering_matrix(b, 1).T @ v
-    assert abs(out[b.index[(1, 1)]] - 2.0 * math.sqrt(2.0)) <= 1e-15
+    assert abs(out[index[(1, 1)]] - 2.0 * math.sqrt(2.0)) <= 1e-15
 
 
 def test_embed_isometry_and_placement():
@@ -107,10 +117,25 @@ def test_embed_isometry_and_placement():
     v = rng.normal(size=parent.dim)
     u = embed(v, parent, child)
     assert abs(np.linalg.norm(u) - np.linalg.norm(v)) <= 1e-15
-    assert u[child.index[(0, 1)]] == v[parent.index[(0, 1)]]
-    assert u[child.index[(2,)]] == 0.0
+    assert u[state_index(4, 2)[(0, 1)]] == v[state_index(2, 2)[(0, 1)]]
+    assert u[state_index(4, 2)[(2,)]] == 0.0
     with pytest.raises(ValueError):
         embed(u, child, parent)
+
+
+@pytest.mark.parametrize("parent, child", [((2, 2), (4, 2)), ((3, 2), (3, 3)),
+                                           ((0, 2), (3, 2)), ((2, 70), (3, 70))],
+                         ids=["more_modes", "higher_cap", "no_modes", "70_photons"])
+def test_embed_matches_dict_loop_reference(parent, child):
+    # reference: each parent state placed at its child position by a dict;
+    # in (2, 70) -> (3, 70) a base-3 key of a 70-photon row would pass int64
+    v = np.random.default_rng(13).normal(size=build_basis(*parent).dim)
+    index = state_index(*child)
+    expected = np.zeros(len(index))
+    for i, s in enumerate(basis_states(*parent)):
+        expected[index[s]] = v[i]
+    assert np.array_equal(embed(v, build_basis(*parent), build_basis(*child)),
+                          expected)
 
 
 def test_embed_commutes_with_operators():
@@ -164,7 +189,8 @@ def test_annihilation_arrays_match_counter_reference(M, Q):
     b = build_basis(M, Q)
     ptr, occ_mode, occ_count = [0], [], []
     src, mode, tgt, amp = [], [], [], []
-    for i, s in enumerate(b.states):
+    index = state_index(M, Q)
+    for s, i in index.items():
         c = Counter(s)
         for m in sorted(c):
             occ_mode.append(m)
@@ -173,13 +199,13 @@ def test_annihilation_arrays_match_counter_reference(M, Q):
             lowered.remove(m)
             src.append(i)
             mode.append(m)
-            tgt.append(b.index[tuple(lowered)])
+            tgt.append(index[tuple(lowered)])
             amp.append(math.sqrt(c[m]))
         ptr.append(len(occ_mode))
     occ = b.occupation
     assert occ.shape == (b.dim, M)
     for got, want in [(occ.indptr, ptr), (occ.indices, occ_mode), (occ.data, occ_count),
-                      (b.photon_count, [len(s) for s in b.states])]:
+                      (b.photon_count, [len(s) for s in basis_states(M, Q)])]:
         assert np.array_equal(got, want)
     for got, want in zip(b.annihilation_arrays(), (src, mode, tgt, amp)):
         assert np.array_equal(got, want)
@@ -285,7 +311,7 @@ def test_state_vector_csv_rejects_incomplete_input():
 def test_empty_mode_set():
     b = build_basis(0, 2)
     assert b.dim == 1
-    assert b.states == [()]
+    assert [rows.shape for rows in b.sectors] == [(1, 0), (0, 1), (0, 2)]
     assert np.array_equal(b.number_diagonal(np.zeros(0)), np.zeros(1))
     # modes but no photons: the vacuum alone, with no occupation
     assert np.array_equal(build_basis(3, 0).number_diagonal([1.0, 2.0, 3.0]),

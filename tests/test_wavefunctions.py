@@ -15,7 +15,7 @@ from nelsonlab.fock import apply_displacement, build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, form_factor
 from nelsonlab.spectral import DENSE_CUTOFF, solve_shifted
 
-from helpers import random_momentum_grid, toy_grid
+from helpers import basis_states, random_momentum_grid, toy_grid
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def extract_fq_reference(bg, q):
     """`extract_fq` as a loop over the basis states."""
     root_q = math.sqrt(math.factorial(q))
     out = {}
-    for i, state in enumerate(bg.basis.states):
+    for i, state in enumerate(basis_states(bg.basis.n_modes, bg.basis.n_max)):
         if len(state) != q:
             continue
         val = bg.psi[i] / root_q
