@@ -176,14 +176,17 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     deficit means a steep photon-emission threshold.
 
     Each probe reads one number, so it asks `ground_state` for the lowest
-    eigenvalue alone (gap=False: above the dense cutoff, k=1 Lanczos from the
-    vacuum-weighted start vector).  That start vector cannot miss the bottom
-    when coupling > 0: conjugated by (-1)^N the probe Hamiltonian has every
+    eigenvalue alone (gap=False: above the dense cutoff, LOBPCG from the
+    vacuum-weighted start vector).  That solve cannot miss the bottom when
+    coupling > 0: conjugated by (-1)^N the probe Hamiltonian has every
     off-diagonal entry -g_m sqrt(n) <= 0 and is irreducible, so by
     Perron-Frobenius its ground state is non-degenerate with a non-zero
-    vacuum component, and no mirror symmetry of the grid can hide it from a
-    symmetric Krylov space.  At coupling 0 the matrix is diagonal, and
-    `ground_state` reads its lowest entry without an eigensolve.
+    vacuum component.  Let G be the mode permutations that commute with the
+    probe Hamiltonian: the vacuum-weighted start and the G-invariant
+    diagonal preconditioner keep every iterate in the symmetric sector,
+    which holds the ground state, so no mirror symmetry of the grid can hide
+    it.  At coupling 0 the matrix is diagonal, and `ground_state` reads its
+    lowest entry without an eigensolve.
 
     A symmetry R of the grid with R P = P (`point_group_permutations`) maps
     H(P - k_m) onto H(P - R k_m) by permuting modes, so the ratio is constant

@@ -65,7 +65,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 11
+NUMERICS_VERSION = 12
 
 
 @dataclass(frozen=True)

@@ -12,28 +12,39 @@ it takes the row sums of |H| of a sparse matrix and the row bound
 Eigensolves compute only what the caller reads (see ground_state): the
 lowest eigenpair, and with the gap also the second one.  Unless H is
 diagonal (below), the dimension alone picks the method: a dense solve for
-those one or two eigenpairs up to DENSE_CUTOFF, and Lanczos (ARPACK) above
-it.  DENSE_CUTOFF = 300 is the
-measured crossover of the two k=2 solvers on the sweep's bare and dressed
-operators (Q=2, one BLAS thread): the dense solve, O(dim^3) with the
-materialization, ties Lanczos at dims 231-325 (3-7 ms each) and is 4-7
-times slower at dim 703 (39-44 ms against 6-10 ms).  For one eigenpair the
-two tie at the scale-1 dim 190 (1.3-1.9 ms per bare probe matrix, either
-way) and k=1 Lanczos is far faster at dim 703 (2.4 ms against 35 ms).
-A diagonal operator, such as H at coupling 0, needs no eigensolve at any
-dimension: when the row sums of |H| (read once, for the residual budget)
-equal |diag(H)|, the ground vector is the basis vector of the lowest
-diagonal entry, with exact zeros elsewhere, and the method is "diagonal".
+those one or two eigenpairs up to DENSE_CUTOFF, and above it Lanczos
+(ARPACK) for two eigenpairs and a block-1 LOBPCG for one.  DENSE_CUTOFF =
+300 is the measured crossover of the two k=2 solvers on the sweep's bare
+and dressed operators (Q=2, one BLAS thread): the dense solve, O(dim^3)
+with the materialization, ties Lanczos at dims 231-325 (3-7 ms each) and is
+4-7 times slower at dim 703 (39-44 ms against 6-10 ms).  For one eigenpair
+LOBPCG and the dense solve tie at the scale-1 dim 190 (1.7-1.9 ms against
+2.0-2.2 ms per bare probe matrix), so the one threshold serves both k;
+above it LOBPCG takes about half the time of k=1 Lanczos on the sweep's
+probes at dims 703-2,701 and 2-4 times less at dims 6,000-92,000, with
+20-30 matvecs per solve.  A diagonal operator, such as H at coupling 0,
+needs no eigensolve at any dimension: when the row sums of |H| (read once,
+for the residual budget) equal |diag(H)|, the ground vector is the basis
+vector of the lowest diagonal entry, with exact zeros elsewhere, and the
+method is "diagonal".
 
-Lanczos starts from a deterministic vector, so repeated runs reproduce
-bit-identical results: by default a fixed vacuum-weighted one, or the
-caller's `start`, a guess of the lowest eigenvectors such as the transported
-eigenpair of a unitarily equivalent operator.  With the gap, the record also
-carries the second eigenvector (`excited`), so that a caller can warm-start
-the next solve from both.  Every linear solve is a MINRES solve on a
-matvec at any dimension and checks its true residual.  A resolvent sup-norm
-on a circle around the lowest eigenvalue is one reduced-resolvent solve
-(see contour_sup_norm).
+LOBPCG (see _lobpcg) preconditions by |diag(H) - theta|^{-1}, floored at
+1e-3, with theta the current Ritz value, and stops when the true residual
+||H x - theta x|| is at most 1e-6 times the residual budget, i.e.
+1e-3 tol max(1, ||H||_inf).  The stop is that tight because the ground
+vector itself is read (the pull-through chains of `wavefunctions` start
+from it): at dim 9,139 a stop at tol ||H||_inf leaves it 7e-10 from a
+tol=1e-14 Lanczos vector, this one 5e-13, and k=1 Lanczos at tol 1.1e-12.
+
+Lanczos and LOBPCG start from a deterministic vector and draw no random
+numbers, so repeated runs reproduce bit-identical results: by default a
+fixed vacuum-weighted one, or the caller's `start`, a guess of the lowest
+eigenvectors such as the transported eigenpair of a unitarily equivalent
+operator.  With the gap, the record also carries the second eigenvector
+(`excited`), so that a caller can warm-start the next solve from both.
+Every linear solve is a MINRES solve on a matvec at any dimension and
+checks its true residual.  A resolvent sup-norm on a circle around the
+lowest eigenvalue is one reduced-resolvent solve (see contour_sup_norm).
 
 MINRES is preconditioned by the diagonal M^{-1} = |diag(H) - z|^{-1}, with
 exact zeros of diag(H) - z replaced by 1.  Absolute values of nonzero
@@ -64,6 +75,7 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 300
+LOBPCG_MAXITER = 1000
 
 
 @dataclass
@@ -97,6 +109,47 @@ def _residual_budget(row_abs_sums: np.ndarray, tol: float) -> float:
     return 1e3 * tol * max(1.0, float(np.max(row_abs_sums)))
 
 
+def _lobpcg(H, x: np.ndarray, diag: np.ndarray, stop: float):
+    """Lowest eigenpair (theta, x) of H by LOBPCG with block size 1 (Knyazev,
+    SIAM J. Sci. Comput. 23 (2001) 517), from the unit vector x; None when
+    LOBPCG_MAXITER steps end with the residual above `stop`.
+
+    Each step is a Rayleigh-Ritz on the unit vectors [x, w, p], through the
+    Cholesky factor of their Gram matrix: w is the residual r = Hx - theta x
+    preconditioned by max(|diag(H) - theta|, 1e-3)^{-1}, p the previous
+    step.  When that Gram is not positive definite, p is dropped.  H x and
+    H p are carried along as combinations, one matvec (H w) per step, so a
+    residual that meets `stop` is recomputed from a fresh H x, and only that
+    true residual ends the iteration."""
+    Hx, fresh = H @ x, True
+    p = Hp = None
+    for _ in range(LOBPCG_MAXITER):
+        theta = float(x @ Hx)
+        r = Hx - theta * x
+        if np.linalg.norm(r) <= stop:
+            if fresh:
+                return theta, x
+            Hx, fresh = H @ x, True
+            continue
+        w = r / np.maximum(np.abs(diag - theta), 1e-3)
+        w /= np.linalg.norm(w)
+        S, HS = np.array([x, w]), np.array([Hx, H @ w])
+        if p is not None:
+            S, HS = np.vstack([S, p]), np.vstack([HS, Hp])
+        try:
+            L = np.linalg.cholesky(S @ S.T)
+        except np.linalg.LinAlgError:
+            S, HS = S[:2], HS[:2]
+            L = np.linalg.cholesky(S @ S.T)
+        Li = np.linalg.inv(L)
+        c = Li.T @ np.linalg.eigh(Li @ (S @ HS.T) @ Li.T)[1][:, 0]
+        p, Hp = c[1:] @ S[1:], c[1:] @ HS[1:]
+        x, Hx = c[0] * x + p, c[0] * Hx + Hp
+        scale, size = np.linalg.norm(x), np.linalg.norm(p)
+        x, Hx, p, Hp, fresh = x / scale, Hx / scale, p / size, Hp / size, False
+    return None
+
+
 def ground_state(H, tol: float = 1e-10, gap: bool = True,
                  start: np.ndarray | None = None) -> GroundStateRecord:
     """Lowest eigenpair, with the spectral gap and the second eigenvector
@@ -105,16 +158,17 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     `gap` sets only the number k of eigenpairs, 2 or 1; without the gap,
     `gap` is nan and `excited` None.  A diagonal H returns its k lowest
     basis vectors (method "diagonal").  Otherwise the dimension sets the
-    method: a dense solve for the k lowest eigenpairs up to DENSE_CUTOFF,
-    else Lanczos (ARPACK) with k eigenpairs and at most 48 (k=2) or 16
-    (k=1) basis vectors.  Lanczos starts from `start` when given (the dense
-    solve ignores it), else from a fixed vacuum-weighted vector; it falls
-    back to shift-invert from a Gershgorin bound if plain Lanczos does not
-    converge or misses the bottom of the spectrum, records that in
-    `method`, and raises ArithmeticError when the true residual exceeds its
-    budget.  Any other solver error propagates.  Both returned vectors are
-    normalized with a positive vacuum component (positive largest component
-    if the vacuum one vanishes).
+    method: a dense solve for the k lowest eigenpairs up to DENSE_CUTOFF;
+    above it Lanczos (ARPACK, at most 48 basis vectors) for k=2 and LOBPCG
+    (at most LOBPCG_MAXITER steps) for k=1.  Both start from `start` when
+    given (the dense solve ignores it), else from a fixed vacuum-weighted
+    vector.  When Lanczos does not converge, LOBPCG runs out of steps, or
+    either misses the bottom of the spectrum, the solve falls back to
+    shift-invert from a Gershgorin bound and records that in `method`; it
+    raises ArithmeticError when the true residual exceeds its budget.  Any
+    other solver error propagates.  Both returned vectors are normalized
+    with a positive vacuum component (positive largest component if the
+    vacuum one vanishes).
     """
     dim = H.shape[0]
     row_sums = _row_abs_sums(H)
@@ -147,16 +201,23 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
         else:
             v0 = np.asarray(start, dtype=float)
         v0 = v0 / np.linalg.norm(v0)
-        try:
-            vals, vecs = eigsh(H, k=k, which="SA", v0=v0, tol=tol,
-                               maxiter=10_000, ncv=min(dim - 1, 48 if gap else 16))
-            method = "lanczos"
-        except ArpackNoConvergence:
-            method = None
+        method = None
+        if gap:
+            try:
+                vals, vecs = eigsh(H, k=2, which="SA", v0=v0, tol=tol,
+                                   maxiter=10_000, ncv=min(dim - 1, 48))
+                method = "lanczos"
+            except ArpackNoConvergence:
+                pass
+        else:
+            found = _lobpcg(H, v0, diag, 1e-6 * budget)
+            if found is not None:
+                vals, vecs = np.array([found[0]]), found[1][:, None]
+                method = "lobpcg"
         # ARPACK accepts a Ritz value relative to its size, so an exactly zero
         # ground energy never converges and eigsh returns the values above it.
         # Every diagonal entry is a Rayleigh quotient, so a lowest value above
-        # the smallest one means Lanczos missed the bottom.
+        # the smallest one means the iteration missed the bottom.
         if method is None or np.min(vals) > np.min(diag) + budget:
             lower = float(np.min(diag - (row_sums - np.abs(diag)))) - 0.1
             vals, vecs = eigsh(H.tocsr(), k=k, sigma=lower, which="LM", v0=v0,

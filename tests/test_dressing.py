@@ -169,9 +169,16 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
         for m in range(0, grid.n_modes, step)])
 
     # up to DENSE_CUTOFF a probe is one dense solve for one eigenvalue,
-    # past it one k=1 Lanczos
-    solves = []
-    real_eigsh, real_eigh = spectral.eigsh, spectral.eigh
+    # past it one LOBPCG: no ARPACK call, and no dense eigensolve beyond
+    # its 3 x 3 Rayleigh-Ritz problems
+    solves, methods = [], []
+    real_eigsh, real_eigh, real_np_eigh = spectral.eigsh, spectral.eigh, np.linalg.eigh
+    real_ground_state = dressing.ground_state
+
+    def recording_ground_state(*args, **kwargs):
+        rec = real_ground_state(*args, **kwargs)
+        methods.append(rec.method)
+        return rec
 
     def recording_eigsh(A, **kwargs):
         solves.append(("eigsh", kwargs["k"]))
@@ -181,20 +188,26 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
         solves.append(("eigh", tuple(kwargs["subset_by_index"])))
         return real_eigh(A, **kwargs)
 
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense eigensolve in a probe")
+    def at_most_3x3(real):
+        def eigh(A, *args, **kwargs):
+            if np.shape(A)[0] > 3:
+                raise AssertionError("dense eigensolve in a probe")
+            return real(A, *args, **kwargs)
+        return eigh
 
+    monkeypatch.setattr(dressing, "ground_state", recording_ground_state)
     monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
     if case == "below_cutoff":
         monkeypatch.setattr(spectral, "eigh", recording_eigh)
-        expected = ("eigh", (0, 0))
+        expected, method = {("eigh", (0, 0))}, "dense"
     else:
-        monkeypatch.setattr(spectral, "eigh", no_dense)
-        monkeypatch.setattr(np.linalg, "eigh", no_dense)
-        expected = ("eigsh", 1)
+        monkeypatch.setattr(spectral, "eigh", at_most_3x3(real_eigh))
+        monkeypatch.setattr(np.linalg, "eigh", at_most_3x3(real_np_eigh))
+        expected, method = set(), "lobpcg"
     deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
                                             max_probes=max_probes)
-    assert len(idx) == len(exact) and solves and set(solves) == {expected}
+    assert len(idx) == len(exact) and set(solves) == expected
+    assert methods and set(methods) == {method}
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)
 

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import aslinearoperator
 
 import nelsonlab
+from nelsonlab import spectral
 from nelsonlab.fiberop import assemble, nelson_hamiltonian, transformed_hamiltonian
 from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid
@@ -46,6 +48,19 @@ def test_benchmark_tracer_lookups_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in functions.values()
                if not hasattr(importlib.import_module(f"nelsonlab.{mod}"), attr)]
     assert functions and missing == []
+
+
+def test_spectral_binds_the_solvers_the_tracer_rebinds():
+    # the tracer counts solver matvecs by assigning `spectral.eigsh` and
+    # `spectral.minres`; spectral must bind scipy's functions under those
+    # names, or `--trace 1` breaks
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    hooks = {target.attr for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Attribute)
+             and isinstance(target.value, ast.Name) and target.value.id == "spectral"}
+    assert hooks == {"eigsh", "minres"}
+    assert all(getattr(spectral, name) is getattr(scipy.sparse.linalg, name)
+               for name in hooks)
 
 
 @pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])

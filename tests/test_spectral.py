@@ -4,7 +4,7 @@ sup-norm routines against closed forms and dense-factorization oracles."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from nelsonlab import spectral
 from nelsonlab.dressing import dressed_ground_state
@@ -97,11 +97,13 @@ def test_ground_state_sparse_matches_dense(nelson_instance):
 
 
 def test_ground_state_sparse_deterministic(nelson_instance):
+    # Lanczos (k=2) and LOBPCG (k=1) alike
     H = nelson_instance[0]
-    r1 = ground_state(H)
-    r2 = ground_state(H)
-    assert r1.energy == r2.energy
-    assert np.array_equal(r1.vector, r2.vector)
+    for gap in (True, False):
+        r1 = ground_state(H, gap=gap)
+        r2 = ground_state(H, gap=gap)
+        assert r1.energy == r2.energy
+        assert np.array_equal(r1.vector, r2.vector)
 
 
 def test_ground_state_falls_back_only_on_arpack_nonconvergence(monkeypatch):
@@ -180,6 +182,82 @@ def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["sparse", "factored"])
+def test_one_eigenpair_past_cutoff_is_lobpcg(kind, nelson_instance):
+    # k=1 past DENSE_CUTOFF is LOBPCG on both operand kinds, and its pair
+    # agrees with a dense eigh
+    H = (nelson_instance[0] if kind == "sparse"
+         else factored_tridiagonal(spectral.DENSE_CUTOFF + 100))
+    assert H.shape[0] > spectral.DENSE_CUTOFF
+    vals, vecs = np.linalg.eigh(H.toarray())
+    rec = ground_state(H, gap=False)
+    assert rec.method == "lobpcg"
+    assert abs(rec.energy - vals[0]) < 1e-12
+    assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
+    assert np.isnan(rec.gap) and rec.excited is None
+
+
+def test_one_eigenpair_vector_is_as_close_as_arpack(nelson_instance):
+    # the ground vector feeds the pull-through chains, so LOBPCG's stop must
+    # leave it no farther from a tol=1e-14 Lanczos reference than the k=1
+    # ARPACK solve at tol=1e-10 (16 basis vectors) that it replaced; a stop
+    # at tol ||H||_inf would leave it about 1e-9 away
+    H = nelson_instance[0]
+    v0 = np.full(H.shape[0], 1e-3)
+    v0[0] = 1.0
+
+    def lanczos(tol, **kwargs):
+        vec = eigsh(H, k=1, which="SA", v0=v0, tol=tol, **kwargs)[1][:, 0]
+        return vec * np.sign(vec[0])
+
+    reference = lanczos(1e-14)
+    rec = ground_state(H, 1e-10, gap=False)
+    assert rec.method == "lobpcg"
+    assert (np.linalg.norm(rec.vector - reference)
+            <= np.linalg.norm(lanczos(1e-10, ncv=16) - reference))
+
+
+def test_lobpcg_drops_p_when_the_gram_is_not_positive_definite(monkeypatch,
+                                                               nelson_instance):
+    # Cholesky refuses the 3 x 3 Gram of [x, w, p] when p lies in the span of
+    # x and w; the step then runs on [x, w] alone, and the solve converges
+    H, _, vals, vecs = nelson_instance
+    real_cholesky, grams = np.linalg.cholesky, []
+
+    def refuse_3x3(G):
+        grams.append(G.shape)
+        if G.shape == (3, 3):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real_cholesky(G)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse_3x3)
+    rec = ground_state(H, gap=False)
+    assert rec.method == "lobpcg" and (3, 3) in grams
+    assert abs(rec.energy - vals[0]) < 1e-12
+    assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
+
+
+def test_exhausted_lobpcg_falls_back_to_shift_invert(monkeypatch, nelson_instance):
+    H, _, vals, _ = nelson_instance
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 2)
+    rec = ground_state(H, gap=False)
+    assert rec.method == "shift-invert"
+    assert abs(rec.energy - vals[0]) < 1e-9
+
+
+def test_lobpcg_above_the_bottom_falls_back_to_shift_invert(monkeypatch,
+                                                            nelson_instance):
+    # every diagonal entry is a Rayleigh quotient, so a LOBPCG pair above
+    # min diag(H), as from a start without a ground-state component, missed
+    # the bottom; here LOBPCG converges to the top eigenpair
+    H, _, vals, vecs = nelson_instance
+    assert vals[-1] > np.min(H.diagonal()) + 1.0
+    monkeypatch.setattr(spectral, "_lobpcg", lambda *args: (vals[-1], vecs[:, -1]))
+    rec = ground_state(H, gap=False)
+    assert rec.method == "shift-invert"
+    assert abs(rec.energy - vals[0]) < 1e-9
+
+
 def zero_energy_hamiltonian(photon_cap):
     """lambda = 0, P = 0 Hamiltonian on 16 random modes: diagonal, with an
     empty vacuum row, so the ground energy is exactly 0."""
@@ -200,23 +278,21 @@ def coupled_zero_energy_hamiltonian(photon_cap):
     return (H + sp.block_diag([sp.csr_matrix((1, 1)), coupling])).tocsr()
 
 
-def check_zero_ground_energy(H, rec, gap):
-    # Lanczos alone skips an exactly zero energy and must hand over to
-    # shift-invert
+@pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
+def test_ground_state_finds_zero_energy_past_cutoff(gap):
+    # ARPACK accepts a Ritz value relative to its size, so k=2 Lanczos skips
+    # an exactly zero energy and must hand over to shift-invert; LOBPCG
+    # stops on an absolute residual and finds it itself
+    H = coupled_zero_energy_hamiltonian(3)
+    assert H.shape[0] > spectral.DENSE_CUTOFF
+    rec = ground_state(H, gap=gap)
     assert abs(rec.energy) <= 1e-12
-    assert rec.method == "shift-invert"
+    assert rec.method == ("shift-invert" if gap else "lobpcg")
     assert abs(rec.vector[0] - 1.0) < 1e-12
     if gap:
         assert abs(rec.gap - np.linalg.eigvalsh(H.toarray())[1]) < 1e-9
     else:
         assert np.isnan(rec.gap)
-
-
-@pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
-def test_ground_state_finds_zero_energy_past_cutoff(gap):
-    H = coupled_zero_energy_hamiltonian(3)
-    assert H.shape[0] > spectral.DENSE_CUTOFF
-    check_zero_ground_energy(H, ground_state(H, gap=gap), gap)
 
 
 def test_one_eigenvalue_finds_zero_energy_below_cutoff():
