@@ -194,8 +194,6 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     is solved; the other probed modes of the orbit copy its ratio.
     """
     n = grid.n_modes
-    if n == 0:
-        return -np.inf, np.zeros(0), np.zeros(0, dtype=int)
     step = max(1, int(np.ceil(n / max_probes)))
     idx = np.arange(0, n, step)
     P = params.P_vec
@@ -209,4 +207,4 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
             ratio = (energy - e_m) / grid.r[m]
             known.update((int(perm[m]), ratio) for perm in perms)
         ratios[i] = known[m]
-    return float(np.max(ratios)), ratios, idx
+    return float(np.max(ratios, initial=-np.inf)), ratios, idx

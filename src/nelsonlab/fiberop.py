@@ -284,7 +284,7 @@ class FiberMatrix:
                 + 0.5 * (absS.T @ np.asarray(absS.sum(axis=1)).ravel()))
 
     def toarray(self) -> np.ndarray:
-        return self.F.toarray() + 0.5 * (self.St @ self.S).toarray()
+        return self.tocsr().toarray()
 
     def tocsr(self) -> sp.csr_matrix:
         return (self.F + 0.5 * (self.St @ self.S)).tocsr()

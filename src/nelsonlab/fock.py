@@ -275,7 +275,7 @@ def displacement_generator(basis: FockBasis, delta) -> sp.csr_matrix:
 def apply_displacement(basis: FockBasis, delta, v: np.ndarray) -> np.ndarray:
     """exp(sum_m delta_m (b_m - b*_m)) applied to v (norm-preserving)."""
     delta = np.asarray(delta, dtype=float)
-    if basis.n_modes == 0 or not np.any(delta):
+    if not np.any(delta):
         return np.asarray(v).copy()
     G = displacement_generator(basis, delta)
     return expm_multiply(G, np.asarray(v))

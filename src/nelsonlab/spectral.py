@@ -22,11 +22,12 @@ LOBPCG and the dense solve tie at the scale-1 dim 190 (1.7-1.9 ms against
 2.0-2.2 ms per bare probe matrix), so the one threshold serves both k;
 above it LOBPCG takes about half the time of k=1 Lanczos on the sweep's
 probes at dims 703-2,701 and 2-4 times less at dims 6,000-92,000, with
-20-30 matvecs per solve.  A diagonal operator, such as H at coupling 0,
-needs no eigensolve at any dimension: when the row sums of |H| (read once,
-for the residual budget) equal |diag(H)|, the ground vector is the basis
-vector of the lowest diagonal entry, with exact zeros elsewhere, and the
-method is "diagonal".
+20-30 matvecs per solve.  A diagonal operator, such as H at coupling 0 or
+any 1 x 1 one, needs no eigensolve at any dimension: when the row sums of
+|H| (read once, for the residual budget) equal |diag(H)|, the ground vector
+is the basis vector of the lowest diagonal entry, with exact zeros
+elsewhere, and the method is "diagonal".  Every method's pairs then take
+one path: phase fixed, made contiguous, and the true residual checked.
 
 LOBPCG (see _lobpcg) preconditions by |diag(H) - theta|^{-1}, floored at
 1e-3, with theta the current Ritz value, and stops when the true residual
@@ -156,27 +157,25 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     unless gap=False.
 
     `gap` sets only the number k of eigenpairs, 2 or 1; without the gap,
-    `gap` is nan and `excited` None.  A diagonal H returns its k lowest
-    basis vectors (method "diagonal").  Otherwise the dimension sets the
-    method: a dense solve for the k lowest eigenpairs up to DENSE_CUTOFF;
-    above it Lanczos (ARPACK, at most 48 basis vectors) for k=2 and LOBPCG
-    (at most LOBPCG_MAXITER steps) for k=1.  Both start from `start` when
-    given (the dense solve ignores it), else from a fixed vacuum-weighted
-    vector.  When Lanczos does not converge, LOBPCG runs out of steps, or
-    either misses the bottom of the spectrum, the solve falls back to
-    shift-invert from a Gershgorin bound and records that in `method`; it
-    raises ArithmeticError when the true residual exceeds its budget.  Any
-    other solver error propagates.  Both returned vectors are normalized
-    with a positive vacuum component (positive largest component if the
-    vacuum one vanishes).
+    `gap` is nan and `excited` None, and a one-state H has gap inf.  A
+    diagonal H, 1 x 1 included, returns its k lowest basis vectors (method
+    "diagonal").  Otherwise the dimension sets the method: a dense solve
+    for the k lowest eigenpairs up to DENSE_CUTOFF; above it Lanczos
+    (ARPACK, at most 48 basis vectors) for k=2 and LOBPCG (at most
+    LOBPCG_MAXITER steps) for k=1.  Both start from `start` when given (the
+    dense solve ignores it), else from a fixed vacuum-weighted vector.
+    When Lanczos does not converge, LOBPCG runs out of steps, or either
+    misses the bottom of the spectrum, the solve falls back to shift-invert
+    from a Gershgorin bound and records that in `method`.  Whatever the
+    method, it raises ArithmeticError when the true residual ||H psi - E psi||
+    exceeds its budget.  Any other solver error propagates.  Both returned
+    vectors are contiguous and normalized, with a positive vacuum component
+    (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
+    k = min(2 if gap else 1, dim)
     row_sums = _row_abs_sums(H)
     budget = _residual_budget(row_sums, tol)
-    if dim == 1:
-        return GroundStateRecord(float(H.diagonal()[0]), np.ones(1), np.inf, 0.0,
-                                 "trivial")
-    k = 2 if gap else 1
     diag = H.diagonal()
     if np.array_equal(row_sums, np.abs(diag)):
         # no off-diagonal entry moves a row sum: the eigenvectors are the
@@ -185,14 +184,9 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
         vals = diag[lowest]
         vecs = np.zeros((dim, k))
         vecs[lowest, np.arange(k)] = 1.0
-        psi = vecs[:, 0]
-        resid = float(np.linalg.norm(H @ psi - vals[0] * psi))
         method = "diagonal"
     elif dim <= DENSE_CUTOFF:
-        Hd = H.toarray()
-        vals, vecs = eigh(Hd, subset_by_index=[0, k - 1], driver="evr")
-        psi = _fix_phase(vecs[:, 0])
-        resid = float(np.linalg.norm(Hd @ psi - vals[0] * psi))
+        vals, vecs = eigh(H.toarray(), subset_by_index=[0, k - 1], driver="evr")
         method = "dense"
     else:
         if start is None:
@@ -224,17 +218,19 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
                                tol=tol)
             method = "shift-invert"
         order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        psi = _fix_phase(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-        resid = float(np.linalg.norm(H @ psi - vals[0] * psi))
-        if resid > budget:
-            raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds "
-                                  f"budget ({budget:.3e}); method={method}")
-    if not gap:
-        return GroundStateRecord(float(vals[0]), psi, np.nan, resid, method)
-    excited = _fix_phase(vecs[:, 1] / np.linalg.norm(vecs[:, 1]))
-    return GroundStateRecord(float(vals[0]), psi, float(vals[1] - vals[0]), resid,
-                             method, excited)
+        vals = vals[order]
+        vecs = vecs[:, order] / [np.linalg.norm(vecs[:, j]) for j in order]
+    vectors = [np.ascontiguousarray(_fix_phase(vecs[:, j])) for j in range(k)]
+    psi = vectors[0]
+    resid = float(np.linalg.norm(H @ psi - vals[0] * psi))
+    if resid > budget:
+        raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds "
+                              f"budget ({budget:.3e}); method={method}")
+    if k == 2:
+        gap_value, excited = float(vals[1] - vals[0]), vectors[1]
+    else:
+        gap_value, excited = (np.inf if gap else np.nan), None
+    return GroundStateRecord(float(vals[0]), psi, gap_value, resid, method, excited)
 
 
 def _project_out(v: np.ndarray, psi: np.ndarray) -> np.ndarray:

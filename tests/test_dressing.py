@@ -212,6 +212,23 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
     assert deficit == np.max(ratios)
 
 
+def test_dispersion_probe_on_an_empty_grid(monkeypatch):
+    # sigma = kappa leaves no mode: nothing is probed, and the deficit is
+    # the maximum over no ratios, -inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve on an empty probe set")
+
+    monkeypatch.setattr(dressing, "ground_state", refuse)
+    params = ModelParams(coupling=0.1, sigma=1.0, P=(1 / 6, 0.0, 0.0))
+    grid = build_grid(params, GridSpec(2, 2, 2))
+    basis = build_basis(grid.n_modes, 2)
+    assert grid.n_modes == 0 and basis.dim == 1
+    H = assemble(nelson_hamiltonian(params, grid), basis)
+    deficit, ratios, idx = dispersion_probe(params, grid, basis, H, 0.0)
+    assert deficit == -np.inf
+    assert ratios.shape == (0,) and idx.shape == (0,)
+
+
 def test_dispersion_probe_solves_one_mode_per_orbit(monkeypatch):
     # the scale-1 grid with P on the x axis has the y and z mirrors: probing
     # every mode takes one solve per orbit, and each copied ratio matches a

@@ -83,7 +83,7 @@ def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     wrapped = aslinearoperator(H)
     assert wrapped.dtype == np.float64
     assert np.array_equal(wrapped.matvec(x), H @ x)
-    assert np.max(np.abs(H.tocsr().toarray() - H.toarray())) <= 1e-14
+    assert np.array_equal(H.tocsr().toarray(), H.toarray())
 
 
 def _nelsonlab_imports(path):
@@ -113,6 +113,41 @@ def test_benchmark_calls_keep_their_signatures():
 
 
 SRC = Path(nelsonlab.__file__).resolve().parent
+
+
+def _assigned_methods(tree):
+    """Every string constant assigned to a name `method` or passed as the
+    `method` field of a `GroundStateRecord`, by position or keyword, also
+    as one side of a conditional expression."""
+    values = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "method" for t in node.targets):
+            values.append(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "GroundStateRecord":
+            values += node.args[4:5]
+            values += [kw.value for kw in node.keywords if kw.arg == "method"]
+    return {const.value for value in values for const in ast.walk(value)
+            if isinstance(const, ast.Constant) and isinstance(const.value, str)}
+
+
+def test_assigned_methods_guard_sees_every_branch():
+    snippet = ('method = "dense"\n'
+               'method = "a" if x else "b"\n'
+               'other = "c"\n'
+               'GroundStateRecord(1.0, v, g, 0.0, "d", None)\n'
+               'GroundStateRecord(1.0, v, g, 0.0, method="e")\n')
+    assert _assigned_methods(ast.parse(snippet)) == {"dense", "a", "b", "d", "e"}
+
+
+def test_every_eigensolve_method_is_documented():
+    # `ground_state` records the method in ground_state.json, whose format
+    # lists every value it can take
+    methods = _assigned_methods(ast.parse((SRC / "spectral.py").read_text()))
+    formats = (SRC.parents[1] / "docs" / "formats.md").read_text()
+    assert methods >= {"diagonal", "dense", "lanczos", "lobpcg", "shift-invert"}
+    assert sorted(m for m in methods if f"`{m}`" not in formats) == []
 
 
 def _occupation_row_reads(tree):

@@ -68,9 +68,33 @@ def test_ground_state_dense_toeplitz_closed_form():
     assert rec.residual < 1e-12
 
 
-def test_ground_state_dim_one():
-    rec = ground_state(sp.csr_matrix([[3.5]]))
-    assert rec.energy == 3.5 and rec.gap == np.inf
+def test_ground_state_dim_one(monkeypatch):
+    # a 1 x 1 operator is diagonal: its pair is read off without an
+    # eigensolve, and asked for the gap, it has no second eigenvalue
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called on a 1 x 1 operator")
+
+    monkeypatch.setattr(spectral, "eigh", refuse)
+    monkeypatch.setattr(spectral, "eigsh", refuse)
+    for gap in (True, False):
+        rec = ground_state(sp.csr_matrix([[3.5]]), gap=gap)
+        assert rec.method == "diagonal"
+        assert rec.energy == 3.5 and rec.residual == 0.0
+        assert rec.vector.tolist() == [1.0] and rec.excited is None
+        assert (rec.gap == np.inf) if gap else np.isnan(rec.gap)
+
+
+def test_dense_pair_over_budget_raises(monkeypatch):
+    # the dense pair passes the same residual check as the iterative ones
+    real_eigh = spectral.eigh
+
+    def perturbed(A, **kwargs):
+        vals, vecs = real_eigh(A, **kwargs)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(spectral, "eigh", perturbed)
+    with pytest.raises(ArithmeticError, match="method=dense"):
+        ground_state(toeplitz_tridiag(40, 2.0, 0.7))
 
 
 def test_ground_state_phase_anchors():
@@ -329,6 +353,26 @@ def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
         assert np.count_nonzero(rec.excited) == 1
     else:
         assert np.isnan(rec.gap) and rec.excited is None
+
+
+@pytest.mark.parametrize("method", ["diagonal", "dense", "lanczos", "lobpcg",
+                                    "shift-invert"])
+def test_vectors_are_contiguous_for_every_method(method, monkeypatch,
+                                                 nelson_instance):
+    # downstream sums read the vectors; a strided column view of a solver's
+    # array changes their rounding, so every method returns contiguous copies
+    H = nelson_instance[0]
+    if method == "diagonal":
+        H = zero_energy_hamiltonian(2)
+    elif method == "dense":
+        H = toeplitz_tridiag(40, 2.0, 0.7)
+    elif method == "shift-invert":
+        stall_plain_lanczos(monkeypatch, H.shape[0])
+    gap = method != "lobpcg"
+    rec = ground_state(H, gap=gap)
+    assert rec.method == method
+    for v in [rec.vector] + ([rec.excited] if gap else []):
+        assert v.ndim == 1 and v.dtype == np.float64 and v.flags.c_contiguous
 
 
 def random_case(seed, n):
