@@ -97,7 +97,7 @@ _INI_PARSERS = {"p": _parse_vec3, "lambdas": _parse_floats}
 def _read_ini(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -126,6 +126,11 @@ def validate_config(cfg: RunConfig) -> None:
     def bad(key, why):
         raise ConfigError(f"invalid config value for '{key}': {why}")
 
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (value if isinstance(value, tuple) else (value,))):
+            bad(f.name, "must be finite")
     if cfg.coupling < 0.0:
         bad("coupling", "must be >= 0")
     if not 0.0 <= cfg.alpha_bar <= 0.5:

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from .fiberop import (
     FiberMatrix,
+    alpha_factors,
     assemble,
     assemble_vector_component,
     gamma_operator,
@@ -88,7 +89,7 @@ class DressedScaleState:
         """Worst-case direction factor 1 - k_hat . grad E over the grid."""
         if self.grid.n_modes == 0:
             return 1.0
-        return float(np.min(1.0 - (self.grid.k @ self.grad_e) / self.grid.r))
+        return float(np.min(alpha_factors(self.grid, self.grad_e)))
 
     @cached_property
     def gamma(self) -> list:

@@ -253,9 +253,8 @@ class FiberMatrix:
     one.  The Gram product is never formed: `H @ x` is F x + S^T (S x) / 2,
     which streams far fewer entries than the product matrix.  `nnz` counts
     the stored entries of F, S and S^T.  `dtype` and `matvec` let scipy's
-    `aslinearoperator` wrap it for Lanczos.  `toarray` materializes H for
-    the dense eigensolves; `tocsr` forms it as the sparse matrix that the
-    shift-invert fallback factors.
+    `aslinearoperator` wrap it for Lanczos.  Only `toarray`, for the dense
+    eigensolves up to `spectral.DENSE_CUTOFF`, multiplies H out.
     """
 
     dtype = np.dtype(float)
@@ -284,10 +283,7 @@ class FiberMatrix:
                 + 0.5 * (absS.T @ np.asarray(absS.sum(axis=1)).ravel()))
 
     def toarray(self) -> np.ndarray:
-        return self.tocsr().toarray()
-
-    def tocsr(self) -> sp.csr_matrix:
-        return (self.F + 0.5 * (self.St @ self.S)).tocsr()
+        return (self.F + 0.5 * (self.St @ self.S)).toarray()
 
 
 def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix:

@@ -3,11 +3,10 @@ sparse matrices and factored operators.
 
 An operator is a scipy sparse matrix or a `fiberop.FiberMatrix`, the
 dressed Hamiltonians kept as F + S^T S / 2.  Both kinds are read alike,
-through five members: `shape`, `@`, `diagonal()`, `toarray()` (dense
-eigensolves, only up to DENSE_CUTOFF) and `tocsr()` (the matrix the
-shift-invert fallback factors).  Only `_row_abs_sums` tells the kinds apart:
-it takes the row sums of |H| of a sparse matrix and the row bound
-`row_abs_bound()` of a factored one.
+through four members: `shape`, `@`, `diagonal()` and `toarray()` (dense
+eigensolves, only up to DENSE_CUTOFF).  Only `_row_abs_sums` tells the
+kinds apart: it takes the row sums of |H| of a sparse matrix and the row
+bound `row_abs_bound()` of a factored one.
 
 Eigensolves compute only what the caller reads (see ground_state): the
 lowest eigenpair, and with the gap also the second one.  Unless H is
@@ -65,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
 __all__ = [
     "GroundStateRecord",
@@ -112,8 +111,8 @@ def _residual_budget(row_abs_sums: np.ndarray, tol: float) -> float:
 
 def _lobpcg(H, x: np.ndarray, diag: np.ndarray, stop: float):
     """Lowest eigenpair (theta, x) of H by LOBPCG with block size 1 (Knyazev,
-    SIAM J. Sci. Comput. 23 (2001) 517), from the unit vector x; None when
-    LOBPCG_MAXITER steps end with the residual above `stop`.
+    SIAM J. Sci. Comput. 23 (2001) 517), from the unit vector x; raises
+    ArithmeticError when LOBPCG_MAXITER steps leave the residual over `stop`.
 
     Each step is a Rayleigh-Ritz on the unit vectors [x, w, p], through the
     Cholesky factor of their Gram matrix: w is the residual r = Hx - theta x
@@ -148,7 +147,8 @@ def _lobpcg(H, x: np.ndarray, diag: np.ndarray, stop: float):
         x, Hx = c[0] * x + p, c[0] * Hx + Hp
         scale, size = np.linalg.norm(x), np.linalg.norm(p)
         x, Hx, p, Hp, fresh = x / scale, Hx / scale, p / size, Hp / size, False
-    return None
+    raise ArithmeticError(f"LOBPCG did not converge in {LOBPCG_MAXITER} "
+                          "steps; method=lobpcg")
 
 
 def ground_state(H, tol: float = 1e-10, gap: bool = True,
@@ -164,11 +164,12 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     (ARPACK, at most 48 basis vectors) for k=2 and LOBPCG (at most
     LOBPCG_MAXITER steps) for k=1.  Both start from `start` when given (the
     dense solve ignores it), else from a fixed vacuum-weighted vector.
-    When Lanczos does not converge, LOBPCG runs out of steps, or either
-    misses the bottom of the spectrum, the solve falls back to shift-invert
-    from a Gershgorin bound and records that in `method`.  Whatever the
-    method, it raises ArithmeticError when the true residual ||H psi - E psi||
-    exceeds its budget.  Any other solver error propagates.  Both returned
+    It raises ArithmeticError ending in `method=<name>`, and retries
+    nothing, when ARPACK fails (any ArpackError), LOBPCG runs out of steps,
+    either misses the bottom of the spectrum, or, whatever the method, the
+    true residual ||H psi - E psi|| exceeds its budget.  Lanczos misses an
+    exactly zero ground energy: ARPACK's convergence test is relative to
+    the Ritz value.  Any other solver error propagates.  Both returned
     vectors are contiguous and normalized, with a positive vacuum component
     (positive largest component if the vacuum one vanishes).
     """
@@ -195,28 +196,23 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
         else:
             v0 = np.asarray(start, dtype=float)
         v0 = v0 / np.linalg.norm(v0)
-        method = None
         if gap:
+            method = "lanczos"
             try:
                 vals, vecs = eigsh(H, k=2, which="SA", v0=v0, tol=tol,
                                    maxiter=10_000, ncv=min(dim - 1, 48))
-                method = "lanczos"
-            except ArpackNoConvergence:
-                pass
+            except ArpackError as exc:
+                raise ArithmeticError(f"{exc}; method={method}") from exc
         else:
-            found = _lobpcg(H, v0, diag, 1e-6 * budget)
-            if found is not None:
-                vals, vecs = np.array([found[0]]), found[1][:, None]
-                method = "lobpcg"
-        # ARPACK accepts a Ritz value relative to its size, so an exactly zero
-        # ground energy never converges and eigsh returns the values above it.
+            method = "lobpcg"
+            theta, x = _lobpcg(H, v0, diag, 1e-6 * budget)
+            vals, vecs = np.array([theta]), x[:, None]
         # Every diagonal entry is a Rayleigh quotient, so a lowest value above
         # the smallest one means the iteration missed the bottom.
-        if method is None or np.min(vals) > np.min(diag) + budget:
-            lower = float(np.min(diag - (row_sums - np.abs(diag)))) - 0.1
-            vals, vecs = eigsh(H.tocsr(), k=k, sigma=lower, which="LM", v0=v0,
-                               tol=tol)
-            method = "shift-invert"
+        if np.min(vals) > np.min(diag) + budget:
+            raise ArithmeticError(f"lowest value {np.min(vals):.6e} above min "
+                                  f"diag(H) {np.min(diag):.6e}: missed the "
+                                  f"bottom of the spectrum; method={method}")
         order = np.argsort(vals)
         vals = vals[order]
         vecs = vecs[:, order] / [np.linalg.norm(vecs[:, j]) for j in order]

@@ -115,6 +115,28 @@ def test_ground_state_free_field(tmp_path, small_ini):
         e["name"] for e in manifest["outputs"]}
 
 
+def test_solver_failure_exits_without_a_traceback(tmp_path, small_ini, capsys,
+                                                  monkeypatch):
+    # past DENSE_CUTOFF a Lanczos failure is an ArithmeticError naming the
+    # method, which the command reports as its failure
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from nelsonlab import spectral
+
+    def stalled(A, **kwargs):
+        raise ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 2)
+    monkeypatch.setattr(spectral, "eigsh", stalled)
+    rc = main(["ground-state", "--config", str(small_ini),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ground-state failed: ")
+    assert err.rstrip().endswith("method=lanczos")
+    assert "Traceback" not in err
+
+
 def test_unreadable_previous_manifest_is_reported(tmp_path, small_ini):
     out = tmp_path / "run"
     assert main(["derivatives", "--config", str(small_ini),
@@ -192,6 +214,35 @@ def test_invalid_flag_value_is_named(tmp_path, capsys):
     rc = main(["ground-state", "--sigma", "0", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "'sigma'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, ini, key", [
+    (["--lambda", "nan"], "", "coupling"),
+    (["--lambda", "inf"], "", "coupling"),
+    (["--P=nan,0,0"], "", "p"),
+    ([], "[solver]\ntol = inf\n", "tol"),
+    ([], "[sweep]\nlambdas = 0.1 -inf\n", "lambdas"),
+], ids=["lambda_nan", "lambda_inf", "P_nan", "ini_tol_inf", "ini_lambdas_inf"])
+def test_non_finite_values_are_rejected(tmp_path, capsys, args, ini, key):
+    # nan compares false with every bound and inf passes one-sided ones;
+    # both are refused before anything runs, never reaching ARPACK or a
+    # residual budget
+    config = tmp_path / "bad.ini"
+    config.write_text(ini)
+    out = tmp_path / "o"
+    rc = main(["ground-state", "--config", str(config), *args, "--out", str(out)])
+    assert rc == 2
+    assert f"invalid config value for '{key}': must be finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_percent_in_an_ini_value_is_read_verbatim(tmp_path):
+    out = tmp_path / "pct_100%_out"
+    config = tmp_path / "pct.ini"
+    config.write_text(f"[model]\ncoupling = 0\n[run]\nout = {out}\n")
+    assert main(["ground-state", "--config", str(config)]) == 0
+    assert (out / "ground_state.json").is_file()
 
 
 @pytest.mark.parametrize("key, value", [("max_probes", "0"),

@@ -114,7 +114,7 @@ def test_ground_state_sparse_matches_dense(nelson_instance):
     H, Hd, vals, vecs = nelson_instance
     assert H.shape[0] == 969 > spectral.DENSE_CUTOFF
     rec = ground_state(H)
-    assert rec.method in ("lanczos", "shift-invert")
+    assert rec.method == "lanczos"
     assert abs(rec.energy - vals[0]) < 5e-9
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-6
     assert abs(abs(vecs[:, 0] @ rec.vector) - 1.0) < 1e-9
@@ -130,29 +130,31 @@ def test_ground_state_sparse_deterministic(nelson_instance):
         assert np.array_equal(r1.vector, r2.vector)
 
 
-def test_ground_state_falls_back_only_on_arpack_nonconvergence(monkeypatch):
+def stall_lanczos(monkeypatch, exc):
+    """Every eigsh call raises exc."""
+    def fake(A, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(spectral, "eigsh", fake)
+
+
+def test_ground_state_fails_loudly_on_arpack_nonconvergence(monkeypatch):
+    # a Lanczos failure raises ArithmeticError naming the method, chained to
+    # ARPACK's error, and no other method retries; any other error of the
+    # solver propagates unchanged
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
     n = 150
     H = toeplitz_tridiag(n, 0.0, 0.4) + sp.diags(np.linspace(0.5, 3.5, n))
-    real_eigsh = spectral.eigsh
 
-    def lanczos_fails(exc):
-        # plain Lanczos raises exc; the shift-invert call (sigma=...) works
-        def fake(A, **kwargs):
-            if "sigma" not in kwargs:
-                raise exc
-            return real_eigsh(A, **kwargs)
-        return fake
-
-    monkeypatch.setattr(spectral, "eigsh", lanczos_fails(ValueError("bad input")))
-    with pytest.raises(ValueError):
+    stall_lanczos(monkeypatch, ValueError("bad input"))
+    with pytest.raises(ValueError, match="bad input"):
         ground_state(H)
 
     stalled = ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
-    monkeypatch.setattr(spectral, "eigsh", lanczos_fails(stalled))
-    rec = ground_state(H)
-    assert rec.method == "shift-invert"
-    assert abs(rec.energy - np.linalg.eigvalsh(H.toarray())[0]) < 1e-9
+    stall_lanczos(monkeypatch, stalled)
+    with pytest.raises(ArithmeticError, match="method=lanczos$") as info:
+        ground_state(H)
+    assert info.value.__cause__ is stalled
 
 
 def factored_tridiagonal(n):
@@ -161,36 +163,9 @@ def factored_tridiagonal(n):
                        toeplitz_tridiag(n, 1.0, 0.4))
 
 
-def stall_plain_lanczos(monkeypatch, n):
-    """Plain Lanczos raises ArpackNoConvergence; the shift-invert call
-    (sigma=...) runs and must receive a sparse matrix to factor."""
-    real_eigsh = spectral.eigsh
-    stalled = ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
-
-    def fake(A, **kwargs):
-        if "sigma" not in kwargs:
-            raise stalled
-        assert sp.issparse(A)
-        return real_eigsh(A, **kwargs)
-
-    monkeypatch.setattr(spectral, "eigsh", fake)
-
-
-def test_factored_operator_falls_back_on_its_csr_matrix(monkeypatch):
-    # shift-invert needs a matrix to factor; a FiberMatrix hands over its own
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
-    H = factored_tridiagonal(150)
-    stall_plain_lanczos(monkeypatch, 150)
-    rec = ground_state(H)
-    assert rec.method == "shift-invert"
-    vals = np.linalg.eigvalsh(H.toarray())
-    assert abs(rec.energy - vals[0]) < 1e-9
-    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
-
-
 def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
-    # above DENSE_CUTOFF neither Lanczos nor its shift-invert fallback forms
-    # the dense n x n array of a factored operator
+    # above DENSE_CUTOFF neither Lanczos (k=2) nor LOBPCG (k=1) forms the
+    # dense n x n array of a factored operator
     n = spectral.DENSE_CUTOFF + 100
     H = factored_tridiagonal(n)
     vals = np.linalg.eigvalsh(H.toarray())
@@ -199,11 +174,13 @@ def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
         raise AssertionError("dense n x n array formed")
 
     monkeypatch.setattr(FiberMatrix, "toarray", refuse)
-    stall_plain_lanczos(monkeypatch, n)
     rec = ground_state(H)
-    assert rec.method == "shift-invert"
+    assert rec.method == "lanczos"
     assert abs(rec.energy - vals[0]) < 1e-9
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
+    rec = ground_state(H, gap=False)
+    assert rec.method == "lobpcg"
+    assert abs(rec.energy - vals[0]) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["sparse", "factored"])
@@ -261,25 +238,22 @@ def test_lobpcg_drops_p_when_the_gram_is_not_positive_definite(monkeypatch,
     assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
 
 
-def test_exhausted_lobpcg_falls_back_to_shift_invert(monkeypatch, nelson_instance):
-    H, _, vals, _ = nelson_instance
+def test_exhausted_lobpcg_raises(monkeypatch, nelson_instance):
+    H = nelson_instance[0]
     monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 2)
-    rec = ground_state(H, gap=False)
-    assert rec.method == "shift-invert"
-    assert abs(rec.energy - vals[0]) < 1e-9
+    with pytest.raises(ArithmeticError, match="in 2 steps; method=lobpcg$"):
+        ground_state(H, gap=False)
 
 
-def test_lobpcg_above_the_bottom_falls_back_to_shift_invert(monkeypatch,
-                                                            nelson_instance):
+def test_lobpcg_above_the_bottom_raises(monkeypatch, nelson_instance):
     # every diagonal entry is a Rayleigh quotient, so a LOBPCG pair above
     # min diag(H), as from a start without a ground-state component, missed
     # the bottom; here LOBPCG converges to the top eigenpair
     H, _, vals, vecs = nelson_instance
     assert vals[-1] > np.min(H.diagonal()) + 1.0
     monkeypatch.setattr(spectral, "_lobpcg", lambda *args: (vals[-1], vecs[:, -1]))
-    rec = ground_state(H, gap=False)
-    assert rec.method == "shift-invert"
-    assert abs(rec.energy - vals[0]) < 1e-9
+    with pytest.raises(ArithmeticError, match="missed the bottom.*method=lobpcg$"):
+        ground_state(H, gap=False)
 
 
 def zero_energy_hamiltonian(photon_cap):
@@ -305,18 +279,20 @@ def coupled_zero_energy_hamiltonian(photon_cap):
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
 def test_ground_state_finds_zero_energy_past_cutoff(gap):
     # ARPACK accepts a Ritz value relative to its size, so k=2 Lanczos skips
-    # an exactly zero energy and must hand over to shift-invert; LOBPCG
-    # stops on an absolute residual and finds it itself
+    # an exactly zero energy, and the solve raises rather than return the
+    # values above it; LOBPCG stops on an absolute residual and finds it
     H = coupled_zero_energy_hamiltonian(3)
     assert H.shape[0] > spectral.DENSE_CUTOFF
+    if gap:
+        with pytest.raises(ArithmeticError,
+                           match="missed the bottom.*method=lanczos$"):
+            ground_state(H, gap=gap)
+        return
     rec = ground_state(H, gap=gap)
     assert abs(rec.energy) <= 1e-12
-    assert rec.method == ("shift-invert" if gap else "lobpcg")
+    assert rec.method == "lobpcg"
     assert abs(rec.vector[0] - 1.0) < 1e-12
-    if gap:
-        assert abs(rec.gap - np.linalg.eigvalsh(H.toarray())[1]) < 1e-9
-    else:
-        assert np.isnan(rec.gap)
+    assert np.isnan(rec.gap)
 
 
 def test_one_eigenvalue_finds_zero_energy_below_cutoff():
@@ -355,10 +331,8 @@ def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
         assert np.isnan(rec.gap) and rec.excited is None
 
 
-@pytest.mark.parametrize("method", ["diagonal", "dense", "lanczos", "lobpcg",
-                                    "shift-invert"])
-def test_vectors_are_contiguous_for_every_method(method, monkeypatch,
-                                                 nelson_instance):
+@pytest.mark.parametrize("method", ["diagonal", "dense", "lanczos", "lobpcg"])
+def test_vectors_are_contiguous_for_every_method(method, nelson_instance):
     # downstream sums read the vectors; a strided column view of a solver's
     # array changes their rounding, so every method returns contiguous copies
     H = nelson_instance[0]
@@ -366,8 +340,6 @@ def test_vectors_are_contiguous_for_every_method(method, monkeypatch,
         H = zero_energy_hamiltonian(2)
     elif method == "dense":
         H = toeplitz_tridiag(40, 2.0, 0.7)
-    elif method == "shift-invert":
-        stall_plain_lanczos(monkeypatch, H.shape[0])
     gap = method != "lobpcg"
     rec = ground_state(H, gap=gap)
     assert rec.method == method
@@ -566,8 +538,7 @@ def bare_acceptance_scale(n, dim):
 
 def count_lanczos_matvecs(monkeypatch):
     """List that receives, per eigsh call, a counter of the matvecs it makes
-    through a wrapping operator (plain Lanczos only: shift-invert needs the
-    matrix itself)."""
+    through a wrapping operator."""
     counters = []
     real_eigsh = spectral.eigsh
 
