@@ -27,6 +27,11 @@ under (sorted T, tol): one shifted solve per sub-multiset instead of one
 per ordering prefix.  f^1, f^2 and f^3 share every common sub-multiset:
 S((m,)) is the f^1 solve, and each f^3 sum reads the f^2 sums below it.
 
+A momentum shift moves only the diagonal of H, and H is diagonal on its
+top photon sector, so every R(T) is one `solve_shifted` on the split
+`BareGround.split`, built once per ground state: the top sector is
+eliminated exactly and MINRES iterates over the lower sectors alone.
+
 The same shifted solves evaluate f^1 off the grid nodes and decompose its
 second P-derivative into the terms whose pole singularities cancel
 (`cancellation_demo`).
@@ -47,7 +52,8 @@ from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian, \
     pf_diagonals
 from .fock import FockBasis
 from .grid import ModelParams, MomentumGrid, form_factor
-from .spectral import ground_state, solve_reduced_resolvent, solve_shifted
+from .spectral import SchurSplit, ground_state, solve_reduced_resolvent, \
+    solve_shifted
 
 __all__ = [
     "BareGround",
@@ -68,7 +74,9 @@ class BareGround:
 
     `chains` maps (sorted mode tuple T, tol) to the ordering sum S(T) that
     `ordering_sum` computed for it; it fills as the pull-through routines
-    run.
+    run.  `split` is H split at its top photon sector (`SchurSplit`), built
+    once here for every shifted solve; None when H is None (extraction
+    only).
     """
 
     params: ModelParams
@@ -79,6 +87,11 @@ class BareGround:
     psi: np.ndarray
     chains: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    split: SchurSplit | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "split",
+                           None if self.H is None else SchurSplit(self.H))
 
     @classmethod
     def solve(cls, params: ModelParams, grid: MomentumGrid, basis: FockBasis,
@@ -140,7 +153,7 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     diagonal of H moves under a momentum shift."""
     P = bg.params.P_vec
     shift = momentum_shift_diagonal(bg.basis, bg.grid, P, P - k_total)
-    return solve_shifted(bg.H, bg.energy - freq_total - shift, rhs, tol)
+    return solve_shifted(bg.split, bg.energy - freq_total - shift, rhs, tol)
 
 
 def ordering_sum(bg: BareGround, modes: tuple, tol: float) -> np.ndarray:

@@ -650,6 +650,26 @@ def test_fresh_sweeps_write_the_same_bytes(tmp_path):
     assert ledger(outs[0]) == ledger(outs[1])
 
 
+def test_fresh_wavefunction_runs_write_the_same_bytes(tmp_path):
+    # two runs in fresh processes: the extraction tables and every
+    # pull-through value, f^3 included, repeat byte for byte
+    src = str(Path(nelsonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        done = subprocess.run([sys.executable, "-m", "nelsonlab.cli",
+                               "wavefunctions", "--sigma", "0.5",
+                               "--photon-cap", "3", "--q-max", "3",
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    names = ["f1.csv", "f2.csv", "f3.csv", "wavefunctions.json"]
+    first, second = ([(out / name).read_bytes() for name in names] for out in outs)
+    header, row = (outs[0] / "f3.csv").read_text().splitlines()[:2]
+    assert header.endswith(",pullthrough") and not row.endswith(",")
+    assert first == second
+
+
 def test_report(sweep_dir):
     ini, out = sweep_dir
     rc = main(["report", "--config", str(ini), "--out", str(out)])

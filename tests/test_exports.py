@@ -63,6 +63,53 @@ def test_spectral_binds_the_solvers_the_tracer_rebinds():
                for name in hooks)
 
 
+LINEAR_SOLVERS = {"minres", "cg", "gmres", "bicgstab", "lgmres", "qmr",
+                  "spsolve", "splu", "spilu", "factorized", "lstsq",
+                  "solve_shifted"}
+
+
+def _solver_reaches(tree):
+    """Every way a tree reaches a linear solver: a call of a solver name,
+    written as given (`solve_shifted`, `spectral.minres`), a call into a
+    `linalg` module other than `norm`, and a `linalg` import."""
+    reaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in LINEAR_SOLVERS or (
+                    isinstance(func, ast.Attribute) and name != "norm"
+                    and ast.unparse(func.value).endswith("linalg")):
+                reaches.append(ast.unparse(func))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and "linalg" in ast.unparse(node):
+            reaches.append(ast.unparse(node))
+    return reaches
+
+
+def test_solver_guard_sees_every_route():
+    snippet = ("x = np.linalg.solve(A, b)\n"
+               "from scipy.sparse.linalg import spsolve\n"
+               "spectral.solve_shifted(H, z, r)\n"
+               "minres(A, b)\n"
+               "y = np.linalg.norm(v) + solve_shifted(H, z, r)\n"
+               "bg = BareGround.solve(params, grid, basis)\n")
+    assert sorted(_solver_reaches(ast.parse(snippet))) == sorted([
+        "np.linalg.solve", "from scipy.sparse.linalg import spsolve",
+        "spectral.solve_shifted", "minres", "solve_shifted"])
+
+
+def test_pullthrough_solves_go_through_the_bare_solve_shifted():
+    # the tracer and the tests count shifted solves by rebinding the module
+    # name `solve_shifted`; a solve reached any other way would escape both.
+    # MINRES is called from one place in spectral, where the tracer counts it
+    wavefunctions = _solver_reaches(ast.parse((SRC / "wavefunctions.py").read_text()))
+    assert wavefunctions and set(wavefunctions) == {"solve_shifted"}
+    spectral_reaches = _solver_reaches(ast.parse((SRC / "spectral.py").read_text()))
+    assert [r for r in spectral_reaches
+            if r == "minres" or r.endswith(".minres")] == ["minres"]
+
+
 @pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])
 def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     # the tracer records assemble(...).nnz and the nnz and shape of every
@@ -82,6 +129,12 @@ def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     wrapped = aslinearoperator(H)
     assert wrapped.dtype == np.float64
     assert np.array_equal(wrapped.matvec(x), H @ x)
+    if not dressed:
+        # the pull-through solves receive the bare H split at its top sector
+        split = spectral.SchurSplit(H)
+        assert split.shape == H.shape
+        assert isinstance(split.nnz, int) and 0 < split.nnz < H.nnz
+        assert np.array_equal(split.diagonal(), H.diagonal())
 
 
 def _nelsonlab_imports(path):

@@ -14,6 +14,7 @@ from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
 from nelsonlab.fock import apply_displacement, build_basis
 from nelsonlab.multiscale import SweepConfig
 from nelsonlab.spectral import (
+    SchurSplit,
     contour_sup_norm,
     ground_state,
     solve_reduced_resolvent,
@@ -450,6 +451,98 @@ def test_solve_shifted_indefinite_and_zero_diagonal():
     assert H.diagonal()[n // 3] - z_diag[n // 3] == 0.0
     x = solve_shifted(H, z_diag, rhs)
     assert np.linalg.norm(x - np.linalg.solve(Hd - np.diag(z_diag), rhs)) < 1e-10
+
+
+def planted_tail_case(seed, n_low, n_top):
+    """Symmetric CSR whose trailing n_top x n_top block is diagonal: dense
+    Gaussian K and couplings B, a graded tail diagonal; and a right-hand
+    side."""
+    rng = np.random.default_rng(seed)
+    dim = n_low + n_top
+    A = rng.standard_normal((dim, dim))
+    H = A + A.T
+    H[n_low:, n_low:] = np.diag(np.linspace(2.0, 6.0, n_top))
+    return sp.csr_matrix(H), rng.standard_normal(dim)
+
+
+def test_solve_shifted_eliminates_a_planted_diagonal_tail():
+    H, rhs = planted_tail_case(7, 30, 50)
+    Hd, dim = H.toarray(), H.shape[0]
+    assert SchurSplit(H).split == 30
+    vals = np.linalg.eigvalsh(Hd)
+    i = int(np.argmax(np.diff(vals)[20:60])) + 20
+    shifts = {"scalar": vals[0] - 0.5,
+              "per-state": vals[0] - 0.5 - np.linspace(0.0, 1.0, dim),
+              "indefinite": 0.5 * (vals[i] + vals[i + 1])}
+    for name, z in shifts.items():
+        exact = np.linalg.solve(Hd - np.diag(np.broadcast_to(z, (dim,))), rhs)
+        x = solve_shifted(H, z, rhs)
+        assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact), name
+
+
+def test_solve_shifted_divides_a_diagonal_operator(monkeypatch):
+    # nothing couples, so the split is 0 and x = rhs / (d - z) exactly
+    d = np.linspace(-1.0, 3.0, 40)
+    H = sp.diags(d).tocsr()
+    rhs = np.random.default_rng(2).standard_normal(40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("MINRES on a diagonal operator")
+
+    monkeypatch.setattr(spectral, "minres", refuse)
+    assert SchurSplit(H).split == 0
+    z = np.linspace(-2.0, -1.5, 40)
+    assert np.array_equal(solve_shifted(H, z, rhs), rhs / (d - z))
+    assert np.array_equal(solve_shifted(H, 5.0, rhs), rhs / (d - 5.0))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_bare_split_is_the_top_photon_sector(cap):
+    params = ModelParams(coupling=0.1, sigma=0.25, P=(1 / 6, 0.0, 0.0))
+    grid = build_grid(params, GridSpec(2, 2, 2))
+    basis = build_basis(grid.n_modes, cap)
+    H = assemble(nelson_hamiltonian(params, grid), basis)
+    assert SchurSplit(H).split == basis.offsets[cap]
+    free_params = ModelParams(coupling=0.0, sigma=0.25, P=(1 / 6, 0.0, 0.0))
+    free = assemble(nelson_hamiltonian(free_params, grid), basis)
+    assert SchurSplit(free).split == 0
+
+
+def test_off_diagonal_tail_entry_shrinks_the_tail():
+    # one coupling (45, 60) inside the planted tail: the split moves past
+    # 45, and the solve still matches the dense oracle
+    H, rhs = planted_tail_case(11, 30, 50)
+    Hd = H.toarray()
+    Hd[45, 60] = Hd[60, 45] = 0.7
+    H = sp.csr_matrix(Hd)
+    assert SchurSplit(H).split == 46
+    z = np.linalg.eigvalsh(Hd)[0] - 0.5
+    exact = np.linalg.solve(Hd - z * np.eye(80), rhs)
+    assert np.linalg.norm(solve_shifted(H, z, rhs) - exact) < 1e-10 * np.linalg.norm(exact)
+
+
+def test_zero_tail_pivot_stays_in_the_reduced_system():
+    # a per-state shift that makes the tail pivot of state 70 exactly 0:
+    # H - z stays nonsingular, and the row is solved, not divided by 0
+    H, rhs = planted_tail_case(3, 30, 50)
+    Hd, dim = H.toarray(), H.shape[0]
+    z = np.full(dim, np.linalg.eigvalsh(Hd)[0] - 0.5)
+    z[70] = Hd[70, 70]
+    assert H.diagonal()[70] - z[70] == 0.0
+    exact = np.linalg.solve(Hd - np.diag(z), rhs)
+    x = solve_shifted(H, z, rhs)
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact)
+
+
+def test_solve_shifted_returns_contiguous_float_vectors():
+    H, rhs = planted_tail_case(5, 30, 50)
+    split = SchurSplit(H)
+    for op in (H, split, sp.diags(H.diagonal()).tocsr()):
+        for z in (-20.0, np.full(80, -20.0)):
+            x = solve_shifted(op, z, list(rhs))
+            assert x.ndim == 1 and x.dtype == np.float64
+            assert x.flags.c_contiguous
 
 
 def test_reduced_resolvent_ground_state_on_a_basis_vector():

@@ -92,6 +92,24 @@ def test_chain_cache_is_keyed_by_tol(three_mode, solves):
     assert len(solves) == 6
 
 
+def test_chains_are_contiguous_float_vectors(three_mode):
+    bg = _fresh(three_mode)
+    wf.froehlich_f1(bg)
+    wf.froehlich_fq(bg, (0, 1, 2))
+    wf.froehlich_fq(bg, (1, 1))
+    assert len(bg.chains) == 3 + 3 + 1 + 1
+    for value in bg.chains.values():
+        assert value.ndim == 1 and value.dtype == np.float64
+        assert value.flags.c_contiguous
+
+
+def test_shifted_solves_receive_the_split_built_once(three_mode, solves):
+    bg = _fresh(three_mode)
+    assert bg.split.split == bg.basis.offsets[bg.basis.n_max]
+    wf.froehlich_fq(bg, (0, 1))
+    assert len(solves) == 3 and all(args[0] is bg.split for args in solves)
+
+
 def explicit_ordering_fq(bg, modes, tol=1e-10):
     """f^q as the sum over all q! orderings of the chains R_q ... R_1 psi,
     one shifted solve per link, with nothing shared."""
