@@ -409,7 +409,8 @@ def cmd_derivatives(cfg: RunConfig) -> int:
 def cmd_wavefunctions(cfg: RunConfig) -> int:
     import numpy as np
     from .wavefunctions import (BareGround, bound_constant_f1, extract_f1,
-                                extract_fq, froehlich_f1, froehlich_fq)
+                                extract_fq, froehlich_f1, froehlich_fq,
+                                ordering_sums)
     ctx = RunContext("wavefunctions", cfg)
     params, grid, basis = _model_setup(cfg, ctx)
     with ctx.timed("ground_state"):
@@ -436,17 +437,18 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     for q in range(2, q_top + 1):
         with ctx.timed(f"f{q}"):
             table = extract_fq(bg, q)
+            tuples = sorted(table)
+            # the probed sums are solved together, one level at a time
+            ordering_sums(bg, tuples[:cfg.max_probes], cfg.tol)
             rows = ["modes,value,pullthrough"]
-            checked = 0
             worst = 0.0
-            for modes in sorted(table):
+            for i, modes in enumerate(tuples):
                 val = float(table[modes])
                 pull = ""
-                if checked < cfg.max_probes:
+                if i < cfg.max_probes:
                     pval = float(froehlich_fq(bg, modes, tol=cfg.tol))
                     worst = max(worst, abs(pval - val))
                     pull = repr(pval)
-                    checked += 1
                 rows.append(f"{';'.join(map(str, modes))},{val!r},{pull}")
         ctx.write_text(f"f{q}.csv", "\n".join(rows) + "\n")
         summary["tables"][str(q)] = len(table)

@@ -22,15 +22,17 @@ The last link R_q depends only on the multiset T of the modes, through
 their total momentum and total frequency, so every ordering of T ends in
 the same R(T), and the sum S(T) over the orderings of T obeys
       S(T) = R(T) sum_{positions p} S(T - p),    S(empty) = psi.
-`ordering_sum` runs this recursion and memoizes S in `BareGround.chains`
-under (sorted T, tol): one shifted solve per sub-multiset instead of one
-per ordering prefix.  f^1, f^2 and f^3 share every common sub-multiset:
-S((m,)) is the f^1 solve, and each f^3 sum reads the f^2 sums below it.
+`ordering_sums` runs this recursion one level (multiset size) at a time
+and memoizes S in `BareGround.chains` under (sorted T, tol): one shifted
+solve per sub-multiset instead of one per ordering prefix.  f^1, f^2 and
+f^3 share every common sub-multiset: S((m,)) is the f^1 solve, and each
+f^3 sum reads the f^2 sums below it.
 
 A momentum shift moves only the diagonal of H, and H is diagonal on its
-top photon sector, so every R(T) is one `solve_shifted` on the split
-`BareGround.split`, built once per ground state: the top sector is
-eliminated exactly and MINRES iterates over the lower sectors alone.
+top photon sector, so the R(T) of one level are `solve_shifted` calls on
+the split `BareGround.split`, built once per ground state, each with up
+to BLOCK_WIDTH right-hand sides: the top sector is eliminated exactly and
+one block MINRES iterates over the lower sectors alone.
 
 The same shifted solves evaluate f^1 off the grid nodes and decompose its
 second P-derivative into the terms whose pole singularities cancel
@@ -61,11 +63,18 @@ __all__ = [
     "extract_f1",
     "froehlich_fq",
     "froehlich_f1",
+    "ordering_sums",
     "permutation_tail_sum",
     "permutation_identity_gap",
     "bound_constant_f1",
     "cancellation_demo",
 ]
+
+BLOCK_WIDTH = 8
+"""Most columns (multisets) one `solve_shifted` call of `ordering_sums`
+takes.  One sparse product serves a block's columns, so wider blocks cut
+the per-step overhead, while each column of the block keeps (dim,) arrays
+for the right-hand side, the shift and the solution alive."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,7 @@ class BareGround:
     """Bare fiber ground-state bundle consumed by the wavefunction routines.
 
     `chains` maps (sorted mode tuple T, tol) to the ordering sum S(T) that
-    `ordering_sum` computed for it; it fills as the pull-through routines
+    `ordering_sums` computed for it; it fills as the pull-through routines
     run.  `split` is H split at its top photon sector (`SchurSplit`), built
     once here for every shifted solve; None when H is None (extraction
     only).
@@ -102,8 +111,9 @@ class BareGround:
 
     @classmethod
     def from_state(cls, state) -> "BareGround":
-        """Adopt the bare half of a dressed pipeline state."""
-        return cls(state.params, state.grid, state.basis, state.H,
+        """Adopt the bare half of a dressed pipeline state for extraction:
+        H is None, so no split is built and no shifted solve is possible."""
+        return cls(state.params, state.grid, state.basis, None,
                    state.energy, state.psi)
 
 
@@ -156,23 +166,58 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     return solve_shifted(bg.split, bg.energy - freq_total - shift, rhs, tol)
 
 
-def ordering_sum(bg: BareGround, modes: tuple, tol: float) -> np.ndarray:
-    """S(T) = sum over the orderings of T = modes of R_q ... R_1 psi, by
-    the recursion of the module docstring.
+def _solve_block(bg: BareGround, pf: np.ndarray, block: list,
+                 tol: float) -> np.ndarray:
+    """The (dim, len(block)) array of S(T) for the sorted tuples T of
+    `block`, all of one size with their sub-multisets in `bg.chains`, by
+    one `solve_shifted` with a column per T.  Column j solves with
+    H_{P - K_j} - E + |K_j|, K_j and |K_j| the total momentum and frequency
+    of T_j; H_{P - K_j} - H_P is the diagonal (|P - K_j|^2 - |P|^2) / 2 +
+    P_f . K_j, read off the photon momentum diagonals pf = P_f, so the
+    column's shift is z_j = E - |K_j| minus that diagonal."""
+    modes = np.array(block)
+    k_total = bg.grid.k[modes].sum(axis=1)
+    freq = bg.grid.r[modes].sum(axis=1)
+    P = bg.params.P_vec
+    z = pf @ -k_total.T
+    z += bg.energy - freq - 0.5 * (np.sum((P - k_total) ** 2, axis=1) - P @ P)
+    rhs = np.empty((bg.basis.dim, len(block)))
+    for j, T in enumerate(block):
+        parts = [_stored_sum(bg, T[:p] + T[p + 1:], tol) for p in range(len(T))]
+        rhs[:, j] = sum(parts[1:], parts[0])
+    return solve_shifted(bg.split, z, rhs, tol)
 
-    Every S is looked up in, or stored into, `bg.chains` under the key
-    (sorted T, tol), so a sum costs one solve per sub-multiset not solved
-    before."""
-    key = (tuple(sorted(modes)), tol)
-    if key not in bg.chains:
-        T = key[0]
-        if not T:
-            return bg.psi
-        parts = [ordering_sum(bg, T[:p] + T[p + 1:], tol) for p in range(len(T))]
-        rhs = sum(parts[1:], parts[0])
-        bg.chains[key] = _shifted_solve(bg, bg.grid.k[list(T)].sum(axis=0),
-                                        float(bg.grid.r[list(T)].sum()), rhs, tol)
-    return bg.chains[key]
+
+def _stored_sum(bg: BareGround, T: tuple, tol: float) -> np.ndarray:
+    return bg.chains[(T, tol)] if T else bg.psi
+
+
+def ordering_sums(bg: BareGround, tuples, tol: float) -> list:
+    """[S(T) for T in tuples]: the sums over the orderings of each mode
+    tuple T of R_q ... R_1 psi, by the recursion of the module docstring.
+
+    The multisets these sums need and `bg.chains` lacks are solved level by
+    level, smallest first: each level sorted, in blocks of at most
+    BLOCK_WIDTH columns, one `solve_shifted` per block.  Every S is stored
+    in `bg.chains` under the key (sorted T, tol), so a sum costs one column
+    per sub-multiset not solved before."""
+    keys = [tuple(sorted(T)) for T in tuples]
+    levels: dict = {}
+    todo = list(keys)
+    while todo:
+        T = todo.pop()
+        if T and (T, tol) not in bg.chains and T not in levels.setdefault(len(T), set()):
+            levels[len(T)].add(T)
+            todo.extend(T[:p] + T[p + 1:] for p in range(len(T)))
+    if levels:
+        pf = pf_diagonals(bg.basis, bg.grid)
+    for q in sorted(levels):
+        level = sorted(levels[q])
+        for start in range(0, len(level), BLOCK_WIDTH):
+            block = level[start:start + BLOCK_WIDTH]
+            sums = _solve_block(bg, pf, block, tol).T.copy()
+            bg.chains.update(((T, tol), S) for T, S in zip(block, sums))
+    return [_stored_sum(bg, T, tol) for T in keys]
 
 
 def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
@@ -180,18 +225,18 @@ def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
     chains; exact on the untruncated discrete model."""
     modes = tuple(modes)
     q = len(modes)
-    vac = ordering_sum(bg, modes, tol)[0]
+    vac = ordering_sums(bg, [modes], tol)[0][0]
     ff = float(np.prod(form_factor(bg.grid.k[list(modes)], bg.params)))
     return (-1.0) ** q * ff * vac / math.sqrt(math.factorial(q))
 
 
 def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
     """One-photon wavefunction via single resolvent solves at every grid
-    node."""
+    node, all in one call of `ordering_sums`."""
+    sums = ordering_sums(bg, [(m,) for m in range(bg.grid.n_modes)], tol)
     out = np.zeros(bg.grid.n_modes)
-    for m in range(bg.grid.n_modes):
-        vac = ordering_sum(bg, (m,), tol)[0]
-        out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * vac
+    for m, S in enumerate(sums):
+        out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * S[0]
     return out
 
 

@@ -102,12 +102,19 @@ def test_solver_guard_sees_every_route():
 def test_pullthrough_solves_go_through_the_bare_solve_shifted():
     # the tracer and the tests count shifted solves by rebinding the module
     # name `solve_shifted`; a solve reached any other way would escape both.
-    # MINRES is called from one place in spectral, where the tracer counts it
+    # scipy's MINRES is called from one place in spectral, the reduced
+    # resolvent's, where the tracer counts it; shifted solves run the block
+    # MINRES, which only `solve_shifted` calls, so that every block goes
+    # through the traced name
     wavefunctions = _solver_reaches(ast.parse((SRC / "wavefunctions.py").read_text()))
     assert wavefunctions and set(wavefunctions) == {"solve_shifted"}
-    spectral_reaches = _solver_reaches(ast.parse((SRC / "spectral.py").read_text()))
-    assert [r for r in spectral_reaches
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    assert [r for r in _solver_reaches(tree)
             if r == "minres" or r.endswith(".minres")] == ["minres"]
+    callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "_block_minres"]
+    assert callers == ["solve_shifted"]
 
 
 @pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])

@@ -490,10 +490,16 @@ def test_solve_shifted_divides_a_diagonal_operator(monkeypatch):
         raise AssertionError("MINRES on a diagonal operator")
 
     monkeypatch.setattr(spectral, "minres", refuse)
+    monkeypatch.setattr(spectral, "_block_minres", refuse)
     assert SchurSplit(H).split == 0
     z = np.linspace(-2.0, -1.5, 40)
     assert np.array_equal(solve_shifted(H, z, rhs), rhs / (d - z))
     assert np.array_equal(solve_shifted(H, 5.0, rhs), rhs / (d - 5.0))
+    # a block of right-hand sides, each with its own shift
+    block = np.column_stack([rhs, 2.0 * rhs, -rhs])
+    shifts = np.column_stack([z, z - 1.0, np.full(40, 5.0)])
+    assert np.array_equal(solve_shifted(H, shifts, block),
+                          block / (d[:, None] - shifts))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -533,6 +539,74 @@ def test_zero_tail_pivot_stays_in_the_reduced_system():
     x = solve_shifted(H, z, rhs)
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact)
+
+
+def block_shift_case(seed=9, width=8):
+    """A planted-tail H, a (dim, width) block of right-hand sides, and one
+    per-state shift column per right-hand side, all below the spectrum."""
+    H, _ = planted_tail_case(seed, 30, 50)
+    dim = H.shape[0]
+    rng = np.random.default_rng(seed)
+    low = np.linalg.eigvalsh(H.toarray())[0]
+    shifts = low - 0.5 - rng.uniform(0.0, 1.0, (dim, width))
+    return H, rng.standard_normal((dim, width)), shifts
+
+
+def test_block_solve_shifted_matches_dense_solves_per_column():
+    H, block, shifts = block_shift_case()
+    Hd = H.toarray()
+    cases = {"scalar": shifts[0, 0], "per-state": shifts[:, 0],
+             "per-column": shifts}
+    for name, z in cases.items():
+        X = solve_shifted(H, z, block)
+        assert X.shape == block.shape, name
+        Z = np.broadcast_to(z[:, None] if np.ndim(z) == 1 else z, block.shape)
+        for j in range(block.shape[1]):
+            exact = np.linalg.solve(Hd - np.diag(Z[:, j]), block[:, j])
+            assert np.linalg.norm(X[:, j] - exact) < 1e-10 * np.linalg.norm(exact), (name, j)
+
+
+def test_zero_tail_pivot_in_one_column_only():
+    # state 70's pivot is 0 in column 1 alone: that row stays an unknown of
+    # every column's reduced system, bordered with its own pivot elsewhere
+    H, block, shifts = block_shift_case(width=3)
+    Hd = H.toarray()
+    shifts[70, 1] = Hd[70, 70]
+    assert H.diagonal()[70] - shifts[70, 1] == 0.0
+    assert np.all(H.diagonal()[70] - shifts[70, [0, 2]] != 0.0)
+    X = solve_shifted(H, shifts, block)
+    assert np.all(np.isfinite(X))
+    for j in range(3):
+        exact = np.linalg.solve(Hd - np.diag(shifts[:, j]), block[:, j])
+        assert np.linalg.norm(X[:, j] - exact) < 1e-10 * np.linalg.norm(exact), j
+
+
+def test_block_columns_do_not_depend_on_their_neighbours():
+    # a column solved alone, in a block of 3 and in a block of 8 gives the
+    # same bits, also when the other columns stop at other steps
+    H, block, shifts = block_shift_case()
+    split = SchurSplit(H)
+    eight = solve_shifted(split, shifts, block)
+    for j in range(8):
+        alone = solve_shifted(split, shifts[:, j], block[:, j])
+        cols = [j, (j + 3) % 8, (j + 5) % 8]
+        three = solve_shifted(split, shifts[:, cols], block[:, cols])
+        assert np.array_equal(alone, eight[:, j]), j
+        assert np.array_equal(three[:, 0], eight[:, j]), j
+
+
+def test_a_block_column_over_budget_raises(monkeypatch):
+    H, block, shifts = block_shift_case(width=3)
+    solve = spectral._block_minres
+
+    def perturbed(*args):
+        Y = solve(*args)
+        Y[:, 1] += 1e-3
+        return Y
+
+    monkeypatch.setattr(spectral, "_block_minres", perturbed)
+    with pytest.raises(ArithmeticError, match="column 1"):
+        solve_shifted(H, shifts, block)
 
 
 def test_solve_shifted_returns_contiguous_float_vectors():

@@ -47,12 +47,14 @@ def test_extraction_matches_resolvent_chain_q2(two_mode):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """List that records every shifted solve the pull-through routines make."""
+    """List that records every shifted solve the pull-through routines make:
+    a call's arguments once per right-hand-side column it solves."""
     calls = []
     original = wf.solve_shifted
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        rhs = np.asarray(args[2])
+        calls.extend([args] * (1 if rhs.ndim == 1 else rhs.shape[1]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(wf, "solve_shifted", counting)
