@@ -30,7 +30,7 @@ from .fiberop import (
 )
 from .fock import FockBasis, apply_displacement
 from .grid import ModelParams, MomentumGrid, point_group_permutations
-from .spectral import ground_state, solve_reduced_resolvent
+from .spectral import SchurSplit, ground_state, solve_reduced_resolvent
 
 __all__ = [
     "DressedScaleState",
@@ -52,8 +52,10 @@ class DressedScaleState:
     displacement maps onto Hw.  Checkpoints do not store it.
 
     `H` is the bare matrix, one CSR matrix since the bare A has no field
-    part; `Hw` is the dressed one, kept factored as a `FiberMatrix` (a CSR
-    matrix only when nothing is dressed: no modes or zero coupling).
+    part, and `split` its `SchurSplit`, built once per cutoff for the bare
+    solve and the dispersion probes; `Hw` is the dressed one, kept factored
+    as a `FiberMatrix` (a CSR matrix only when nothing is dressed: no modes
+    or zero coupling).
 
     The state owns the first-order data every momentum derivative is built
     from, each computed once on first use: the compressed momentum defect
@@ -79,6 +81,7 @@ class DressedScaleState:
     Hw: FiberMatrix | sp.csr_matrix = field(repr=False)  # spectral reads both alike
     tol: float
     diagnostics: dict = field(default_factory=dict)
+    split: SchurSplit | None = field(default=None, repr=False)
 
     @property
     def grad_norm(self) -> float:
@@ -131,8 +134,8 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
     displacement to exist (some alpha_m <= 0), and ArithmeticError if the two
     construction routes for the dressed Hamiltonian disagree.
     """
-    H = assemble(nelson_hamiltonian(params, grid), basis)
-    rec = ground_state(H, tol)
+    split = SchurSplit(assemble(nelson_hamiltonian(params, grid), basis))
+    rec = ground_state(split, tol)
     grad_e = hellmann_feynman_gradient(params, grid, basis, rec.vector)
 
     h = weyl_coefficients(params, grid, grad_e)
@@ -145,7 +148,8 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
                                            - rec_w.vector))
     state = DressedScaleState(params, grid, basis, rec.energy, rec.vector,
                               rec.gap, grad_e, h, rec_w.energy, rec_w.vector,
-                              rec_w.gap, rec_w.excited, H, Hw, tol)
+                              rec_w.gap, rec_w.excited, split.H, Hw, tol,
+                              split=split)
     gdef = state.phi @ state.gamma_phi
     state.diagnostics = {
         "energy_mismatch": abs(rec.energy - rec_w.energy),
@@ -162,14 +166,15 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
 
 
 def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
-                     H: sp.csr_matrix, energy: float,
+                     H: sp.csr_matrix | SchurSplit, energy: float,
                      max_probes: int = 48, tol: float = 1e-10):
     """Largest energy drop per unit photon momentum over grid-mode probes.
 
     Re-solves the bare Hamiltonian H (ground energy `energy`; a CSR matrix,
-    as `assemble` returns every operator whose A has no field part) at
-    P - k_m (only the diagonal moves) and returns (deficit, ratios,
-    probe_indices) with
+    as `assemble` returns every operator whose A has no field part, or its
+    unshifted `SchurSplit`, such as `DressedScaleState.split`) at P - k_m
+    (only the diagonal moves) and returns (deficit, ratios, probe_indices)
+    with
 
         ratio_m = (E(P) - E(P - k_m)) / |k_m|,    deficit = max_m ratio_m.
 
@@ -177,17 +182,24 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     deficit means a steep photon-emission threshold.
 
     Each probe reads one number, so it asks `ground_state` for the lowest
-    eigenvalue alone (gap=False: above the dense cutoff, LOBPCG from the
-    vacuum-weighted start vector).  That solve cannot miss the bottom when
-    coupling > 0: conjugated by (-1)^N the probe Hamiltonian has every
-    off-diagonal entry -g_m sqrt(n) <= 0 and is irreducible, so by
-    Perron-Frobenius its ground state is non-degenerate with a non-zero
-    vacuum component.  Let G be the mode permutations that commute with the
-    probe Hamiltonian: the vacuum-weighted start and the G-invariant
-    diagonal preconditioner keep every iterate in the symmetric sector,
-    which holds the ground state, so no mirror symmetry of the grid can hide
-    it.  At coupling 0 the matrix is diagonal, and `ground_state` reads its
-    lowest entry without an eigensolve.
+    eigenvalue alone (gap=False).  One `SchurSplit` of H serves every probe,
+    the one passed or else one built here: a probe's operator is that split
+    shifted by the probe's diagonal (`SchurSplit.shifted`, O(dim)), so no
+    probe forms a matrix.  Up to the
+    dense cutoff the probe is one dense solve.  Past it, where the split's
+    head fits the cutoff (photon cap 2), the Feshbach-Schur solve finds the
+    lowest eigenvalue in every symmetry sector at once; it starts from no
+    vector.  Otherwise LOBPCG runs from the vacuum-weighted start vector,
+    and that solve cannot miss the bottom when coupling > 0: conjugated by
+    (-1)^N the probe Hamiltonian has every off-diagonal entry
+    -g_m sqrt(n) <= 0 and is irreducible, so by Perron-Frobenius its ground
+    state is non-degenerate with a non-zero vacuum component.  Let G be the
+    mode permutations that commute with the probe Hamiltonian: the
+    vacuum-weighted start and the G-invariant diagonal preconditioner keep
+    every iterate in the symmetric sector, which holds the ground state, so
+    no mirror symmetry of the grid can hide it.  At coupling 0 the matrix
+    is diagonal, and `ground_state` reads its lowest entry without an
+    eigensolve.
 
     A symmetry R of the grid with R P = P (`point_group_permutations`) maps
     H(P - k_m) onto H(P - R k_m) by permuting modes, so the ratio is constant
@@ -199,12 +211,13 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     idx = np.arange(0, n, step)
     P = params.P_vec
     perms = point_group_permutations(grid, P)
+    split = H if isinstance(H, SchurSplit) else SchurSplit(H)
     known = {}  # mode -> ratio, filled one orbit at a time
     ratios = np.empty(len(idx))
     for i, m in enumerate(idx):
         if m not in known:
             shift = momentum_shift_diagonal(basis, grid, P, P - grid.k[m])
-            e_m = ground_state(H + sp.diags(shift), tol, gap=False).energy
+            e_m = ground_state(split.shifted(shift), tol, gap=False).energy
             ratio = (energy - e_m) / grid.r[m]
             known.update((int(perm[m]), ratio) for perm in perms)
         ratios[i] = known[m]

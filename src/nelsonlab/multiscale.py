@@ -65,7 +65,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 12
+NUMERICS_VERSION = 13
 
 
 @dataclass(frozen=True)
@@ -359,7 +359,7 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
     _intermediate_quantities(config, state, prev_state, row)
     bg = BareGround.from_state(state)
     row.f1_bound_c = bound_constant_f1(bg, extract_f1(bg))[0]
-    row.deficit = dispersion_probe(params, grid, basis, H=state.H,
+    row.deficit = dispersion_probe(params, grid, basis, H=state.split,
                                    energy=state.energy,
                                    max_probes=config.max_probes,
                                    tol=config.tol)[0]

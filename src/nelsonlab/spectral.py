@@ -1,32 +1,42 @@
 """Ground states, reduced resolvents, and shifted solves for symmetric
 sparse matrices and factored operators.
 
-An operator is a scipy sparse matrix or a `fiberop.FiberMatrix`, the
-dressed Hamiltonians kept as F + S^T S / 2.  Both kinds are read alike,
-through four members: `shape`, `@`, `diagonal()` and `toarray()` (dense
-eigensolves, only up to DENSE_CUTOFF).  Only `_row_abs_sums` tells the
-kinds apart: it takes the row sums of |H| of a sparse matrix and the row
-bound `row_abs_bound()` of a factored one.
+An operator is a scipy sparse matrix, a `SchurSplit` of one, or a
+`fiberop.FiberMatrix`, the dressed Hamiltonians kept as F + S^T S / 2.
+All kinds are read alike, through four members: `shape`, `@`,
+`diagonal()` and `toarray()` (dense eigensolves, only up to DENSE_CUTOFF).
+Only `_row_abs_sums` tells a sparse matrix from the others: it takes its
+row sums of |H|, and the row bound `row_abs_bound()` of the others.
 
 Eigensolves compute only what the caller reads (see ground_state): the
-lowest eigenpair, and with the gap also the second one.  Unless H is
-diagonal (below), the dimension alone picks the method: a dense solve for
-those one or two eigenpairs up to DENSE_CUTOFF, and above it Lanczos
-(ARPACK) for two eigenpairs and a block-1 LOBPCG for one.  DENSE_CUTOFF =
-300 is the measured crossover of the two k=2 solvers on the sweep's bare
-and dressed operators (Q=2, one BLAS thread): the dense solve, O(dim^3)
-with the materialization, ties Lanczos at dims 231-325 (3-7 ms each) and is
-4-7 times slower at dim 703 (39-44 ms against 6-10 ms).  For one eigenpair
-LOBPCG and the dense solve tie at the scale-1 dim 190 (1.7-1.9 ms against
-2.0-2.2 ms per bare probe matrix), so the one threshold serves both k;
-above it LOBPCG takes about half the time of k=1 Lanczos on the sweep's
-probes at dims 703-2,701 and 2-4 times less at dims 6,000-92,000, with
-20-30 matvecs per solve.  A diagonal operator, such as H at coupling 0 or
-any 1 x 1 one, needs no eigensolve at any dimension: when the row sums of
-|H| (read once, for the residual budget) equal |diag(H)|, the ground vector
-is the basis vector of the lowest diagonal entry, with exact zeros
-elsewhere, and the method is "diagonal".  Every method's pairs then take
-one path: phase fixed, made contiguous, and the true residual checked.
+lowest eigenpair, and with the gap also the second one.  The branches, in
+order:
+1. A diagonal operator, such as H at coupling 0 or any 1 x 1 one, needs no
+   eigensolve at any dimension: when the row sums of |H| (read once, for
+   the residual budget) equal |diag(H)|, the ground vector is the basis
+   vector of the lowest diagonal entry, with exact zeros elsewhere, and the
+   method is "diagonal".
+2. Up to DENSE_CUTOFF, a dense solve for those one or two eigenpairs.
+3. A sparse operator whose diagonal tail (`SchurSplit`) leaves a head of
+   at most DENSE_CUTOFF states, the bare H at photon cap 2, takes the
+   Feshbach-Schur map of that tail ("feshbach", see _feshbach): Newton on
+   each level of a dense head-sized matrix, in every symmetry sector at
+   once.  At dim 13,366 (head 163) two pairs take 22-25 ms, split
+   included, against 1.6-1.7 s for Lanczos, with 3-5 evaluations of the
+   map per level.
+4. Otherwise Lanczos (ARPACK) for two eigenpairs and a block-1 LOBPCG for
+   one.
+DENSE_CUTOFF = 300 is the measured crossover of the two k=2 solvers on the
+sweep's bare and dressed operators (Q=2, one BLAS thread): the dense
+solve, O(dim^3) with the materialization, ties Lanczos at dims 231-325
+(3-7 ms each) and is 4-7 times slower at dim 703 (39-44 ms against
+6-10 ms).  For one eigenpair LOBPCG and the dense solve tie at the
+scale-1 dim 190 (1.7-1.9 ms against 2.0-2.2 ms per bare probe matrix), so
+the one threshold serves both k; above it LOBPCG takes about half the
+time of k=1 Lanczos on the sweep's probes at dims 703-2,701 and 2-4 times
+less at dims 6,000-92,000, with 20-30 matvecs per solve.  Every method's
+pairs then take one path: phase fixed, made contiguous, and the true
+residual checked.
 
 LOBPCG (see _lobpcg) preconditions by |diag(H) - theta|^{-1}, floored at
 1e-3, with theta the current Ritz value, and stops when the true residual
@@ -74,6 +84,7 @@ iteration counts stay nearly flat as sigma shrinks.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -93,6 +104,7 @@ __all__ = [
 
 DENSE_CUTOFF = 300
 LOBPCG_MAXITER = 1000
+FESHBACH_MAXITER = 50
 
 
 @dataclass
@@ -113,7 +125,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _row_abs_sums(H) -> np.ndarray:
-    """Row sums of |H|; for a factored operator, the bound
+    """Row sums of |H|; for a split or a factored operator, the bound
     `row_abs_bound`, which is never below them."""
     if sp.issparse(H):
         return np.asarray(np.abs(H).sum(axis=1)).ravel()
@@ -168,6 +180,64 @@ def _lobpcg(H, x: np.ndarray, diag: np.ndarray, stop: float):
                           "steps; method=lobpcg")
 
 
+def _feshbach(split: "SchurSplit", k: int, stop: float):
+    """The k lowest eigenpairs of a split H with a diagonal tail D, as roots
+    of its Feshbach-Schur map (Bach, Froehlich and Sigal, Adv. Math. 137
+    (1998) 299); raises ArithmeticError when a level has no root below
+    min D or Newton runs out of steps.
+
+    For E below min D, H - E has as many negative eigenvalues as
+    M(E) - E, with M(E) = K - B^T (D - E)^{-1} B on the head (Haynsworth's
+    inertia formula, D - E being positive).  f_j(E) = lambda_j(M(E)) - E
+    has the derivative -1 - ||(D - E)^{-1} B u_j||^2, u_j the unit
+    eigenvector, so it falls strictly, and its one root below min D is H's
+    j-th eigenvalue, with the eigenvector (u_j, -(D - E)^{-1} B u_j).  M(E)
+    never exceeds K, so f_j(lambda_j(K)) <= 0: Newton starts there, which
+    must lie below min D, and keeps a bracket of the root, bisecting when a
+    step leaves it, so every iterate stays below min D.  It stops when
+    |f_j| is at most `stop`, which bounds the eigen-residual too.  With
+    psi = (u_j, -(D - E)^{-1} B u_j), H psi = (lambda_j u_j, E psi_tail),
+    so the Newton update E + f_j / (1 + ||(D - E)^{-1} B u_j||^2) is the
+    Rayleigh quotient of psi: the level returned, with an error of order
+    f_j^2 where E itself may be off by f_j (3e-13 at dim 10,585).  M(E) is
+    formed densely from `split.pairs`, the products of B's entries within
+    each tail row, through one bincount per step."""
+    n, D, B = split.split, split.diag[split.split:], split.B
+    K, at, products, rows = split.pairs
+    K = K.copy()
+    np.fill_diagonal(K, split.diag[:n])
+    floor = float(np.min(D))
+    starts = eigh(K, eigvals_only=True, subset_by_index=[0, k - 1], driver="evr")
+    vals, vecs = np.empty(k), np.empty((split.shape[0], k))
+    for j in range(k):
+        E, lo, hi = float(starts[j]), -np.inf, floor
+        if not E < floor:
+            raise ArithmeticError(f"head level {j} {E:.6e} is not below min D "
+                                  f"{floor:.6e}: no bracket for the root of "
+                                  f"level {j}; method=feshbach")
+        for _ in range(FESHBACH_MAXITER):
+            g = 1.0 / (D - E)
+            M = K - np.bincount(at, products * g[rows], n * n).reshape(n, n)
+            lam, u = eigh(M, subset_by_index=[j, j], driver="evr")
+            u = u[:, 0]
+            t = g * (B @ u)
+            f = float(lam[0]) - E
+            step = E + f / (1.0 + t @ t)
+            if abs(f) <= stop:
+                break
+            if f < 0.0:
+                hi = E
+            else:
+                lo = E
+            E = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            raise ArithmeticError(f"Newton did not reach the root of level {j} "
+                                  f"in {FESHBACH_MAXITER} steps; method=feshbach")
+        vals[j] = step
+        vecs[:n, j], vecs[n:, j] = u, -t
+    return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+
 def ground_state(H, tol: float = 1e-10, gap: bool = True,
                  start: np.ndarray | None = None) -> GroundStateRecord:
     """Lowest eigenpair, with the spectral gap and the second eigenvector
@@ -176,22 +246,31 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     `gap` sets only the number k of eigenpairs, 2 or 1; without the gap,
     `gap` is nan and `excited` None, and a one-state H has gap inf.  A
     diagonal H, 1 x 1 included, returns its k lowest basis vectors (method
-    "diagonal").  Otherwise the dimension sets the method: a dense solve
-    for the k lowest eigenpairs up to DENSE_CUTOFF; above it Lanczos
+    "diagonal").  Otherwise a dense solve for the k lowest eigenpairs up to
+    DENSE_CUTOFF.  Above it, a `SchurSplit`, or a sparse H split here only
+    when the split will serve, whose head n satisfies k <= n <= DENSE_CUTOFF
+    takes the Feshbach-Schur map of its diagonal tail (`_feshbach`, at most
+    FESHBACH_MAXITER Newton steps per level); any other H takes Lanczos
     (ARPACK, at most 48 basis vectors) for k=2 and LOBPCG (at most
-    LOBPCG_MAXITER steps) for k=1.  Both start from `start` when given (the
-    dense solve ignores it), else from a fixed vacuum-weighted vector.
+    LOBPCG_MAXITER steps) for k=1.
+    Both start from `start` when given (the dense and Feshbach-Schur solves
+    ignore it), else from a fixed vacuum-weighted vector.
     It raises ArithmeticError ending in `method=<name>`, and retries
     nothing, when ARPACK fails (any ArpackError), LOBPCG runs out of steps,
-    either misses the bottom of the spectrum, or, whatever the method, the
-    true residual ||H psi - E psi|| exceeds its budget.  Lanczos misses an
-    exactly zero ground energy: ARPACK's convergence test is relative to
-    the Ritz value.  Any other solver error propagates.  Both returned
+    either misses the bottom of the spectrum, a level has no Feshbach-Schur
+    root below the tail or Newton runs out of steps, or, whatever the
+    method, the true residual ||H psi - E psi|| exceeds its budget.
+    Lanczos misses an exactly zero ground energy: ARPACK's convergence test
+    is relative to the Ritz value.  Any other solver error propagates.  Both returned
     vectors are contiguous and normalized, with a positive vacuum component
     (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
     k = min(2 if gap else 1, dim)
+    split = H if isinstance(H, SchurSplit) else None
+    if (split is None and sp.issparse(H) and dim > DENSE_CUTOFF
+            and k <= _tail_start(H)[0] <= DENSE_CUTOFF):
+        split = SchurSplit(H)
     row_sums = _row_abs_sums(H)
     budget = _residual_budget(row_sums, tol)
     diag = H.diagonal()
@@ -206,6 +285,9 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     elif dim <= DENSE_CUTOFF:
         vals, vecs = eigh(H.toarray(), subset_by_index=[0, k - 1], driver="evr")
         method = "dense"
+    elif split is not None and k <= split.split <= DENSE_CUTOFF:
+        method = "feshbach"
+        vals, vecs = _feshbach(split, k, 1e-6 * budget)
     else:
         if start is None:
             v0 = np.full(dim, 1e-3)
@@ -404,9 +486,17 @@ def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
     return _project_out(x, psi)
 
 
+def _tail_start(H):
+    """(n, C, off): the smallest index n with H[n:, n:] diagonal, H as COO,
+    and the mask of C's nonzero off-diagonal entries."""
+    C = H.tocoo()
+    off = (C.row != C.col) & (C.data != 0.0)
+    return int(np.max(np.minimum(C.row, C.col)[off], initial=-1)) + 1, C, off
+
+
 class SchurSplit:
     """A symmetric sparse H split at its diagonal tail, built once per
-    operator for `solve_shifted`.
+    operator for `solve_shifted` and `ground_state`.
 
     `split` is the smallest index n with H[n:, n:] diagonal, read from the
     stored nonzero entries: one past the largest min(i, j) over the nonzero
@@ -417,17 +507,43 @@ class SchurSplit:
     B = H[n:, :n] and B^T = H[:n, n:].  B is stored by columns (CSC): a row
     of the top sector q holds at most q entries, and by columns a product
     with a block of 8 columns takes 83 us against 110 us by rows on
-    `pullthrough_q3`.  `shape` and `diagonal()` are those of H; `nnz`
-    counts the entries one product with the Schur complement streams,
-    nnz(K) + 2 nnz(B)."""
+    `pullthrough_q3`.  `nnz` counts the entries one product with the Schur
+    complement streams, nnz(K) + 2 nnz(B).
+
+    A split is also an operator for `ground_state`, read through `shape`,
+    `@`, `diagonal()`, `toarray()` and `row_abs_bound()` (the exact row sums
+    of |H|).  `shifted(d)` is the split of H + diag(d) in O(dim): it shares
+    H and the factors and keeps the shift beside them, so the probes of one
+    bare H need one split; it is an operator for `ground_state` only, and
+    `solve_shifted` refuses it.  When the head fits the dense cutoff and a
+    tail remains, n <= DENSE_CUTOFF < dim, `pairs` holds what
+    `ground_state`'s Feshbach-Schur solve reads: K as a dense array, and for
+    every pair of entries (a, b) with a >= b in one row t of B, the flat
+    index a n + b, the product B_ta B_tb and t; else it is None."""
+
+    dtype = np.dtype(float)
 
     def __init__(self, H):
         H = sp.csr_matrix(H)
-        C = H.tocoo()
-        off = (C.row != C.col) & (C.data != 0.0)
-        n = int(np.max(np.minimum(C.row, C.col)[off], initial=-1)) + 1
-        self.H, self.split, self.diag = H, n, H.diagonal()
-        self.K, self.B, self.Bt = H[:n, :n], H[n:, :n].tocsc(), H[:n, n:]
+        n, C, off = _tail_start(H)
+        dim = H.shape[0]
+        self.H, self.split, self.diag, self.shift = H, n, H.diagonal(), None
+        R = H[n:, :n]  # B by rows
+        self.K, self.B, self.Bt = H[:n, :n], R.tocsc(), H[:n, n:]
+        self.off_abs = np.bincount(C.row[off], np.abs(C.data[off]), dim)
+        self.pairs = None
+        if 0 < n <= DENSE_CUTOFF < dim:
+            counts = np.diff(R.indptr)
+            row = np.repeat(np.arange(dim - n), counts)
+            # entry e of row t pairs with each entry of t, itself included
+            reps = counts[row]
+            a = np.repeat(np.arange(R.nnz), reps)
+            first = np.repeat(np.cumsum(reps) - reps, reps)
+            b = R.indptr[row[a]] + np.arange(len(a)) - first
+            lower = R.indices[a] >= R.indices[b]
+            a, b = a[lower], b[lower]
+            self.pairs = (self.K.toarray(), R.indices[a] * n + R.indices[b],
+                          R.data[a] * R.data[b], row[a])
 
     @property
     def shape(self) -> tuple:
@@ -440,6 +556,28 @@ class SchurSplit:
     def diagonal(self) -> np.ndarray:
         return self.diag
 
+    def shifted(self, d: np.ndarray) -> "SchurSplit":
+        """The split of H + diag(d), sharing this one's factors."""
+        out = copy.copy(self)
+        out.shift = d if self.shift is None else self.shift + d
+        out.diag = self.diag + d
+        return out
+
+    def __matmul__(self, x):
+        if self.shift is None:
+            return self.H @ x
+        return self.H @ x + (self.shift if np.ndim(x) == 1 else self.shift[:, None]) * x
+
+    matvec = __matmul__
+
+    def row_abs_bound(self) -> np.ndarray:
+        return self.off_abs + np.abs(self.diag)
+
+    def toarray(self) -> np.ndarray:
+        A = self.H.toarray()
+        np.fill_diagonal(A, self.diag)
+        return A
+
 
 def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """X = (H - z)^{-1} rhs for real shifts z off the spectrum, one system
@@ -447,8 +585,8 @@ def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     comes back as (dim,), or (dim, b).  z is a scalar, one value per basis
     state (dim,), so H - diag(z) and a diagonal change of H needs no new
     matrix, or one such column per right-hand side (dim, b).  H is a
-    `SchurSplit`, or a sparse matrix split here; build the split once when
-    one H takes many shifts.
+    `SchurSplit` without a shift, or a sparse matrix split here; build the
+    split once when one H takes many shifts.
 
     The diagonal tail of H - z is eliminated exactly.  With n the split,
     x = (u, x_top), D the tail diagonal and g = (D - z_top)^{-1},
@@ -479,6 +617,8 @@ def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if np.iscomplexobj(z):
         raise TypeError(f"solve_shifted takes a real shift, got {z!r}")
     op = H if isinstance(H, SchurSplit) else SchurSplit(H)
+    if op.shift is not None:
+        raise TypeError("solve_shifted takes an unshifted split")
     n, K, B, Bt, dim = op.split, op.K, op.B, op.Bt, op.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     R = rhs.reshape(dim, -1)

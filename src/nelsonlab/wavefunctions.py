@@ -84,8 +84,8 @@ class BareGround:
     `chains` maps (sorted mode tuple T, tol) to the ordering sum S(T) that
     `ordering_sums` computed for it; it fills as the pull-through routines
     run.  `split` is H split at its top photon sector (`SchurSplit`), built
-    once here for every shifted solve; None when H is None (extraction
-    only).
+    once for the bare solve and every shifted solve (here from H unless
+    given); None when H is None (extraction only).
     """
 
     params: ModelParams
@@ -96,18 +96,18 @@ class BareGround:
     psi: np.ndarray
     chains: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-    split: SchurSplit | None = field(init=False, repr=False, compare=False)
+    split: SchurSplit | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "split",
-                           None if self.H is None else SchurSplit(self.H))
+        if self.split is None and self.H is not None:
+            object.__setattr__(self, "split", SchurSplit(self.H))
 
     @classmethod
     def solve(cls, params: ModelParams, grid: MomentumGrid, basis: FockBasis,
               tol: float = 1e-10) -> "BareGround":
-        H = assemble(nelson_hamiltonian(params, grid), basis)
-        rec = ground_state(H, tol, gap=False)
-        return cls(params, grid, basis, H, rec.energy, rec.vector)
+        split = SchurSplit(assemble(nelson_hamiltonian(params, grid), basis))
+        rec = ground_state(split, tol, gap=False)
+        return cls(params, grid, basis, split.H, rec.energy, rec.vector, split)
 
     @classmethod
     def from_state(cls, state) -> "BareGround":

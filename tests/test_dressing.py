@@ -12,7 +12,12 @@ from nelsonlab.dressing import (
 )
 from nelsonlab.fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian
 from nelsonlab.fock import build_basis
-from nelsonlab.grid import GridSpec, ModelParams, build_grid
+from nelsonlab.grid import (
+    GridSpec,
+    ModelParams,
+    build_grid,
+    point_group_permutations,
+)
 from nelsonlab.spectral import ground_state
 
 from helpers import random_momentum_grid, toy_grid
@@ -142,36 +147,47 @@ def test_dispersion_probe_subsampling(grid5):
 
 def probe_instance(case):
     """Bare probe setting below DENSE_CUTOFF (the sweep's mirror-symmetric
-    scale-1 grid, dim 190) or past it (16 random modes at cap 3, dim 969)."""
+    scale-1 grid, dim 190) or past it: 16 random modes at cap 3 (dim 969,
+    head 153, within the cutoff), or a mirror-symmetric grid of 8 modes at
+    cap 5 (dim 1,287, head 495, past it)."""
     if case == "below_cutoff":
         params = ModelParams(coupling=0.1, sigma=0.5, P=(1.0 / 6.0, 0.0, 0.0))
         grid, cap = build_grid(params, GridSpec(4, 3, 3)), 2
-    else:
+    elif case == "past_cutoff":
         params = ModelParams(coupling=0.4, sigma=0.1, P=(0.05, 0.0, 0.02))
         grid = random_momentum_grid(np.random.default_rng(1234), n_modes=16,
                                     sigma=0.1, kappa=1.0)
         cap = 3
+    else:
+        params = ModelParams(coupling=0.4, sigma=0.5, P=(1.0 / 6.0, 0.0, 0.0))
+        grid, cap = build_grid(params, GridSpec(1, 2, 4)), 5
     basis = build_basis(grid.n_modes, cap)
     return params, grid, basis, assemble(nelson_hamiltonian(params, grid), basis)
 
 
-@pytest.mark.parametrize("case", ["below_cutoff", "past_cutoff"])
+@pytest.mark.parametrize("case", ["below_cutoff", "past_cutoff",
+                                  "past_cutoff_krylov"])
 def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
     params, grid, basis, H = probe_instance(case)
     assert (H.shape[0] <= spectral.DENSE_CUTOFF) == (case == "below_cutoff")
     Hd = H.toarray()
     energy = np.linalg.eigvalsh(Hd)[0]
-    max_probes = 6 if case == "below_cutoff" else 3
+    max_probes = {"below_cutoff": 6, "past_cutoff": 3}.get(case, 8)
     step = int(np.ceil(grid.n_modes / max_probes))
     exact = np.array([
         (energy - np.linalg.eigvalsh(Hd + np.diag(momentum_shift_diagonal(
             basis, grid, params.P_vec, params.P_vec - grid.k[m])))[0]) / grid.r[m]
         for m in range(0, grid.n_modes, step)])
 
-    # up to DENSE_CUTOFF a probe is one dense solve for one eigenvalue,
-    # past it one LOBPCG: no ARPACK call, and no dense eigensolve beyond
-    # its 3 x 3 Rayleigh-Ritz problems
-    solves, methods = [], []
+    # up to DENSE_CUTOFF a probe is one dense solve for one eigenvalue; past
+    # it, with a head of 153 states, the Feshbach-Schur map: no ARPACK call,
+    # no LOBPCG, and no dense eigensolve beyond the head; with a head of 495
+    # states, one LOBPCG from the vacuum-weighted start on the shifted
+    # split, which on the mirror-symmetric grid must still reach the ground
+    # state: no ARPACK call, and no dense eigensolve beyond its 3 x 3
+    # Rayleigh-Ritz problems.  Every probe reads the one split of H that
+    # dispersion_probe builds
+    solves, methods, splits = [], [], []
     real_eigsh, real_eigh, real_np_eigh = spectral.eigsh, spectral.eigh, np.linalg.eigh
     real_ground_state = dressing.ground_state
 
@@ -185,31 +201,69 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
         return real_eigsh(A, **kwargs)
 
     def recording_eigh(A, **kwargs):
-        solves.append(("eigh", tuple(kwargs["subset_by_index"])))
+        solves.append(("eigh", A.shape[0], tuple(kwargs["subset_by_index"])))
         return real_eigh(A, **kwargs)
 
-    def at_most_3x3(real):
-        def eigh(A, *args, **kwargs):
-            if np.shape(A)[0] > 3:
-                raise AssertionError("dense eigensolve in a probe")
-            return real(A, *args, **kwargs)
-        return eigh
+    class RecordingSplit(spectral.SchurSplit):
+        def __init__(self, H):
+            splits.append(H)
+            super().__init__(H)
+
+    def refuse(*args):
+        raise AssertionError("LOBPCG in a probe")
+
+    def at_most_3x3(A, *args, **kwargs):
+        if np.shape(A)[0] > 3:
+            raise AssertionError("dense eigensolve in a LOBPCG probe")
+        return real_np_eigh(A, *args, **kwargs)
 
     monkeypatch.setattr(dressing, "ground_state", recording_ground_state)
+    monkeypatch.setattr(dressing, "SchurSplit", RecordingSplit)
     monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spectral, "eigh", recording_eigh)
     if case == "below_cutoff":
-        monkeypatch.setattr(spectral, "eigh", recording_eigh)
-        expected, method = {("eigh", (0, 0))}, "dense"
+        monkeypatch.setattr(spectral, "_lobpcg", refuse)
+        expected, method = {("eigh", basis.dim, (0, 0))}, "dense"
+    elif case == "past_cutoff":
+        monkeypatch.setattr(spectral, "_lobpcg", refuse)
+        head = int(basis.offsets[basis.n_max])
+        expected, method = {("eigh", head, (0, 0))}, "feshbach"
     else:
-        monkeypatch.setattr(spectral, "eigh", at_most_3x3(real_eigh))
-        monkeypatch.setattr(np.linalg, "eigh", at_most_3x3(real_np_eigh))
+        assert basis.offsets[basis.n_max] > spectral.DENSE_CUTOFF
+        assert len(point_group_permutations(grid, params.P_vec)) == 4
+        monkeypatch.setattr(np.linalg, "eigh", at_most_3x3)
         expected, method = set(), "lobpcg"
     deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
                                             max_probes=max_probes)
     assert len(idx) == len(exact) and set(solves) == expected
     assert methods and set(methods) == {method}
+    assert len(splits) == 1 and splits[0] is H
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)
+
+
+def test_one_split_serves_the_bare_solve_and_the_probes(monkeypatch):
+    # dressed_ground_state splits the bare H once and solves on that split;
+    # handed the split, dispersion_probe builds none of its own
+    params, grid, basis, H = probe_instance("past_cutoff")
+    splits = []
+    real_init = spectral.SchurSplit.__init__
+
+    def recording_init(self, H):
+        splits.append(H.shape[0])
+        real_init(self, H)
+
+    monkeypatch.setattr(spectral.SchurSplit, "__init__", recording_init)
+    st = dressed_ground_state(params, grid, basis)
+    assert splits == [basis.dim] and st.split.H is st.H
+    assert st.diagnostics["method"] == "feshbach"
+    from_split = dispersion_probe(params, grid, basis, st.split, st.energy,
+                                  max_probes=3)
+    assert splits == [basis.dim]
+    from_h = dispersion_probe(params, grid, basis, H, st.energy, max_probes=3)
+    assert splits == [basis.dim] * 2
+    assert from_split[0] == from_h[0]
+    assert np.array_equal(from_split[1], from_h[1])
 
 
 def test_dispersion_probe_on_an_empty_grid(monkeypatch):

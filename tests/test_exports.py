@@ -204,7 +204,7 @@ def test_every_eigensolve_method_is_documented():
     # lists every value it can take
     methods = _assigned_methods(ast.parse((SRC / "spectral.py").read_text()))
     formats = (SRC.parents[1] / "docs" / "formats.md").read_text()
-    assert methods == {"diagonal", "dense", "lanczos", "lobpcg"}
+    assert methods == {"diagonal", "dense", "feshbach", "lanczos", "lobpcg"}
     assert sorted(m for m in methods if f"`{m}`" not in formats) == []
 
 

@@ -99,7 +99,7 @@ def test_factored_diagonal_matches_materialized(dressed_small):
 def test_factored_nnz_counts_stored_factor_entries(dressed_small):
     H, _ = dressed_small
     assert type(H.nnz) is int
-    assert H.nnz == H.F.nnz + H.S.nnz + H.St.nnz
+    assert H.nnz == H.F.nnz + H.S.nnz + H.half_St.nnz
 
 
 def test_factored_row_bound_covers_the_row_sums(dressed_small):

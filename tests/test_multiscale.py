@@ -10,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from nelsonlab import dressing, fiberop, multiscale
+from nelsonlab import dressing, fiberop, multiscale, spectral
 from nelsonlab.fiberop import weyl_coefficients
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
 from nelsonlab.multiscale import SweepConfig, fit_exponent, run_sweep
@@ -261,6 +261,20 @@ def test_next_scale_starts_without_the_previous_state(monkeypatch):
     monkeypatch.setattr(multiscale, "dressed_ground_state", recording_solve)
     monkeypatch.setattr(multiscale, "_compute_scale", checking_compute)
     assert len(run_sweep(small_config(n_scales=3)).rows) == 3
+
+
+def test_each_scale_splits_its_bare_h_once(monkeypatch):
+    # the bare solve and the dispersion probes of a scale share one split
+    splits = []
+    real_init = spectral.SchurSplit.__init__
+
+    def recording_init(self, H):
+        splits.append(H.shape[0])
+        real_init(self, H)
+
+    monkeypatch.setattr(spectral.SchurSplit, "__init__", recording_init)
+    res = run_sweep(small_config(n_scales=3))
+    assert splits == [row.dim for row in res.rows] == [1, 15, 45]
 
 
 def test_partial_resume_matches_fresh_sweep(tmp_path):

@@ -42,19 +42,33 @@ def toeplitz_ground(n, a, b):
     return vals[0], vals[1], vec
 
 
-@pytest.fixture(scope="module")
-def nelson_instance():
-    """Sparse-path Nelson Hamiltonian (dim 969 > DENSE_CUTOFF) plus a dense
+def random_bare_instance(n_modes, photon_cap):
+    """Bare Nelson Hamiltonian on random modes plus a dense
     eigendecomposition of the same matrix as oracle."""
     rng = np.random.default_rng(1234)
-    grid = random_momentum_grid(rng, n_modes=16, sigma=0.1, kappa=1.0)
-    basis = build_basis(16, 3)
+    grid = random_momentum_grid(rng, n_modes=n_modes, sigma=0.1, kappa=1.0)
+    basis = build_basis(n_modes, photon_cap)
     params = ModelParams(coupling=0.4, sigma=0.1, P=(0.05, 0.0, 0.02))
-    op = nelson_hamiltonian(params, grid)
-    H = assemble(op, basis)
+    H = assemble(nelson_hamiltonian(params, grid), basis)
     Hd = H.toarray()
     vals, vecs = np.linalg.eigh(Hd)
     return H, Hd, vals, vecs
+
+
+@pytest.fixture(scope="module")
+def nelson_instance():
+    """Bare H past DENSE_CUTOFF (16 random modes at photon cap 3, dim 969)
+    whose diagonal top sector leaves a head of 153 states: the
+    Feshbach-Schur path."""
+    return random_bare_instance(16, 3)
+
+
+@pytest.fixture(scope="module")
+def krylov_instance():
+    """Bare H past DENSE_CUTOFF whose head does not fit the cutoff (11
+    random modes at photon cap 4, dim 1,365, head 364): the Lanczos and
+    LOBPCG path."""
+    return random_bare_instance(11, 4)
 
 
 def test_ground_state_dense_toeplitz_closed_form():
@@ -111,19 +125,23 @@ def test_ground_state_phase_anchors():
         assert anchor > 0
 
 
-def test_ground_state_sparse_matches_dense(nelson_instance):
-    H, Hd, vals, vecs = nelson_instance
-    assert H.shape[0] == 969 > spectral.DENSE_CUTOFF
+def test_ground_state_sparse_matches_dense(krylov_instance):
+    H, Hd, vals, vecs = krylov_instance
+    assert H.shape[0] == 1365 and SchurSplit(H).split > spectral.DENSE_CUTOFF
     rec = ground_state(H)
     assert rec.method == "lanczos"
     assert abs(rec.energy - vals[0]) < 5e-9
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-6
     assert abs(abs(vecs[:, 0] @ rec.vector) - 1.0) < 1e-9
+    # a split whose head does not fit the cutoff takes the same path
+    split = ground_state(SchurSplit(H))
+    assert split.method == "lanczos"
+    assert abs(split.energy - rec.energy) < 1e-12
 
 
-def test_ground_state_sparse_deterministic(nelson_instance):
+def test_ground_state_sparse_deterministic(krylov_instance):
     # Lanczos (k=2) and LOBPCG (k=1) alike
-    H = nelson_instance[0]
+    H = krylov_instance[0]
     for gap in (True, False):
         r1 = ground_state(H, gap=gap)
         r2 = ground_state(H, gap=gap)
@@ -185,10 +203,10 @@ def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["sparse", "factored"])
-def test_one_eigenpair_past_cutoff_is_lobpcg(kind, nelson_instance):
-    # k=1 past DENSE_CUTOFF is LOBPCG on both operand kinds, and its pair
-    # agrees with a dense eigh
-    H = (nelson_instance[0] if kind == "sparse"
+def test_one_eigenpair_past_cutoff_is_lobpcg(kind, krylov_instance):
+    # k=1 past DENSE_CUTOFF, on an operator without a small head, is LOBPCG
+    # on both operand kinds, and its pair agrees with a dense eigh
+    H = (krylov_instance[0] if kind == "sparse"
          else factored_tridiagonal(spectral.DENSE_CUTOFF + 100))
     assert H.shape[0] > spectral.DENSE_CUTOFF
     vals, vecs = np.linalg.eigh(H.toarray())
@@ -199,12 +217,12 @@ def test_one_eigenpair_past_cutoff_is_lobpcg(kind, nelson_instance):
     assert np.isnan(rec.gap) and rec.excited is None
 
 
-def test_one_eigenpair_vector_is_as_close_as_arpack(nelson_instance):
+def test_one_eigenpair_vector_is_as_close_as_arpack(krylov_instance):
     # the ground vector feeds the pull-through chains, so LOBPCG's stop must
     # leave it no farther from a tol=1e-14 Lanczos reference than the k=1
     # ARPACK solve at tol=1e-10 (16 basis vectors) that it replaced; a stop
     # at tol ||H||_inf would leave it about 1e-9 away
-    H = nelson_instance[0]
+    H = krylov_instance[0]
     v0 = np.full(H.shape[0], 1e-3)
     v0[0] = 1.0
 
@@ -220,10 +238,10 @@ def test_one_eigenpair_vector_is_as_close_as_arpack(nelson_instance):
 
 
 def test_lobpcg_drops_p_when_the_gram_is_not_positive_definite(monkeypatch,
-                                                               nelson_instance):
+                                                               krylov_instance):
     # Cholesky refuses the 3 x 3 Gram of [x, w, p] when p lies in the span of
     # x and w; the step then runs on [x, w] alone, and the solve converges
-    H, _, vals, vecs = nelson_instance
+    H, _, vals, vecs = krylov_instance
     real_cholesky, grams = np.linalg.cholesky, []
 
     def refuse_3x3(G):
@@ -239,18 +257,18 @@ def test_lobpcg_drops_p_when_the_gram_is_not_positive_definite(monkeypatch,
     assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
 
 
-def test_exhausted_lobpcg_raises(monkeypatch, nelson_instance):
-    H = nelson_instance[0]
+def test_exhausted_lobpcg_raises(monkeypatch, krylov_instance):
+    H = krylov_instance[0]
     monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 2)
     with pytest.raises(ArithmeticError, match="in 2 steps; method=lobpcg$"):
         ground_state(H, gap=False)
 
 
-def test_lobpcg_above_the_bottom_raises(monkeypatch, nelson_instance):
+def test_lobpcg_above_the_bottom_raises(monkeypatch, krylov_instance):
     # every diagonal entry is a Rayleigh quotient, so a LOBPCG pair above
     # min diag(H), as from a start without a ground-state component, missed
     # the bottom; here LOBPCG converges to the top eigenpair
-    H, _, vals, vecs = nelson_instance
+    H, _, vals, vecs = krylov_instance
     assert vals[-1] > np.min(H.diagonal()) + 1.0
     monkeypatch.setattr(spectral, "_lobpcg", lambda *args: (vals[-1], vecs[:, -1]))
     with pytest.raises(ArithmeticError, match="missed the bottom.*method=lobpcg$"):
@@ -332,20 +350,139 @@ def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
         assert np.isnan(rec.gap) and rec.excited is None
 
 
-@pytest.mark.parametrize("method", ["diagonal", "dense", "lanczos", "lobpcg"])
-def test_vectors_are_contiguous_for_every_method(method, nelson_instance):
+@pytest.mark.parametrize("method", ["diagonal", "dense", "feshbach", "lanczos",
+                                    "lobpcg"])
+def test_vectors_are_contiguous_for_every_method(method, nelson_instance,
+                                                 krylov_instance):
     # downstream sums read the vectors; a strided column view of a solver's
     # array changes their rounding, so every method returns contiguous copies
-    H = nelson_instance[0]
+    H = krylov_instance[0]
     if method == "diagonal":
         H = zero_energy_hamiltonian(2)
     elif method == "dense":
         H = toeplitz_tridiag(40, 2.0, 0.7)
+    elif method == "feshbach":
+        H = nelson_instance[0]
     gap = method != "lobpcg"
     rec = ground_state(H, gap=gap)
     assert rec.method == method
     for v in [rec.vector] + ([rec.excited] if gap else []):
         assert v.ndim == 1 and v.dtype == np.float64 and v.flags.c_contiguous
+
+
+@pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
+def test_feshbach_pairs_match_dense(gap, nelson_instance):
+    # a bare H past DENSE_CUTOFF whose head fits it takes the Feshbach-Schur
+    # map for one eigenpair or two, and repeats its bits
+    H, _, vals, vecs = nelson_instance
+    assert spectral.DENSE_CUTOFF >= SchurSplit(H).split == 153
+    rec = ground_state(H, gap=gap)
+    assert rec.method == "feshbach"
+    assert abs(rec.energy - vals[0]) < 1e-12
+    assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
+    assert rec.residual < 1e-12
+    if gap:
+        assert abs(rec.gap - (vals[1] - vals[0])) < 1e-12
+        assert abs(abs(rec.excited @ vecs[:, 1]) - 1.0) < 1e-10
+    else:
+        assert np.isnan(rec.gap) and rec.excited is None
+    again = ground_state(SchurSplit(H), gap=gap)
+    assert again.method == "feshbach"
+    assert abs(again.energy - rec.energy) <= 1e-15
+    assert np.linalg.norm(again.vector - rec.vector) <= 1e-13
+
+
+def refuse_krylov(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("another method ran")
+
+    monkeypatch.setattr(spectral, "eigsh", refuse)
+    monkeypatch.setattr(spectral, "_lobpcg", refuse)
+
+
+def test_feshbach_level_above_the_tail_raises(monkeypatch):
+    # the tail state (0.5) lies below the head's second level (1.01) and is
+    # pushed up to 0.568 by its coupling, so H's second eigenvalue has no
+    # root below min D: k=2 raises, and no other method takes over; the
+    # ground level still has its root
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 2)
+    refuse_krylov(monkeypatch)
+    Hd = np.array([[1.0, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 0.5]])
+    H = sp.csr_matrix(Hd)
+    assert SchurSplit(H).split == 2
+    with pytest.raises(ArithmeticError, match="not below min D.*method=feshbach$"):
+        ground_state(H)
+    rec = ground_state(H, gap=False)
+    assert rec.method == "feshbach"
+    assert abs(rec.energy - np.linalg.eigvalsh(Hd)[0]) < 1e-14
+
+
+def test_stalled_feshbach_newton_raises(monkeypatch, nelson_instance):
+    refuse_krylov(monkeypatch)
+    monkeypatch.setattr(spectral, "FESHBACH_MAXITER", 1)
+    with pytest.raises(ArithmeticError, match="in 1 steps; method=feshbach$"):
+        ground_state(nelson_instance[0])
+
+
+def test_feshbach_newton_takes_few_steps(monkeypatch, nelson_instance):
+    # from lambda_j(K) Newton needs a handful of steps per level
+    monkeypatch.setattr(spectral, "FESHBACH_MAXITER", 6)
+    assert ground_state(nelson_instance[0]).method == "feshbach"
+
+
+@pytest.mark.parametrize("instance, methods", [
+    ("nelson_instance", ("feshbach", "feshbach")),
+    ("krylov_instance", ("lanczos", "lobpcg")),
+])
+def test_shifted_split_is_the_shifted_operator(instance, methods, request):
+    # a probe is H + diag(d): the shifted split shares H's factors and reads
+    # as that operator everywhere, on the Feshbach-Schur path and on the
+    # Lanczos and LOBPCG one alike
+    H, Hd = request.getfixturevalue(instance)[:2]
+    dim = H.shape[0]
+    d = np.linspace(-0.3, 0.2, dim)
+    split = SchurSplit(H)
+    op = split.shifted(d)
+    shifted = (H + sp.diags(d)).tocsr()
+    x = np.random.default_rng(4).standard_normal(dim)
+    assert op.K is split.K and op.pairs is split.pairs
+    assert np.array_equal(op.diagonal(), shifted.diagonal())
+    assert np.array_equal(op.toarray(), shifted.toarray())
+    assert np.allclose(op @ x, shifted @ x, rtol=0.0, atol=1e-14)
+    assert np.allclose(op @ np.column_stack([x, 2 * x]),
+                       shifted @ np.column_stack([x, 2 * x]), rtol=0.0, atol=3e-14)
+    assert np.allclose(op.row_abs_bound(), np.abs(shifted).sum(axis=1).A1,
+                       rtol=1e-15, atol=0.0)
+    vals, vecs = np.linalg.eigh(Hd + np.diag(d))
+    rec = ground_state(op)
+    assert rec.method == methods[0]
+    assert abs(rec.energy - vals[0]) < 1e-12
+    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-12
+    one = ground_state(op, gap=False)
+    assert one.method == methods[1]
+    assert abs(one.energy - vals[0]) < 1e-12
+    assert abs(abs(one.vector @ vecs[:, 0]) - 1.0) < 1e-12
+    # shifted solves run on unshifted splits only
+    with pytest.raises(TypeError, match="unshifted split"):
+        solve_shifted(op, vals[0] - 0.5, x)
+
+
+def test_ground_state_splits_a_sparse_h_only_for_the_feshbach_path(
+        monkeypatch, nelson_instance, krylov_instance):
+    # a sparse H past DENSE_CUTOFF is split inside ground_state only when
+    # the split's head fits the cutoff; otherwise no split is built
+    splits = []
+    real_init = SchurSplit.__init__
+
+    def recording_init(self, H):
+        splits.append(H.shape[0])
+        real_init(self, H)
+
+    monkeypatch.setattr(SchurSplit, "__init__", recording_init)
+    assert ground_state(nelson_instance[0]).method == "feshbach"
+    assert ground_state(krylov_instance[0], gap=False).method == "lobpcg"
+    assert ground_state(krylov_instance[0]).method == "lanczos"
+    assert splits == [969]
 
 
 def random_case(seed, n):
@@ -749,26 +886,35 @@ def bare_scale_3():
 
 
 def test_bare_energy_and_gap_match_dense_oracle_at_scale_2():
-    # dim 703 is past DENSE_CUTOFF; there Lanczos finds the true gap
+    # dim 703 is past DENSE_CUTOFF, and the top photon sector leaves a head
+    # of 37 states: the Feshbach-Schur map gives the pair
     rec, vals = bare_acceptance_scale(2, 703)
-    assert rec.method == "lanczos"
+    assert rec.method == "feshbach"
     assert abs(rec.energy - vals[0]) < 1e-9
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
 
 
 def test_bare_energy_matches_dense_oracle_at_scale_3(bare_scale_3):
     rec, vals = bare_scale_3
-    assert rec.method == "lanczos"
+    assert rec.method == "feshbach"
     assert abs(rec.energy - vals[0]) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: Lanczos from a mirror-symmetric start never sees the "
-    "y-odd first excited state; the ledger gap reads 0.15551309, the true "
-    "gap is 0.15537090"))
 def test_bare_gap_matches_dense_oracle_at_scale_3(bare_scale_3):
+    # the first excited state is odd under the y mirror, which Lanczos from
+    # a mirror-symmetric start never saw (ledger gap 0.15551309); the map
+    # reads every symmetry sector
     rec, vals = bare_scale_3
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
+    assert abs(rec.gap - 0.15537090) < 5e-9
+
+
+def test_bare_energy_and_gap_match_dense_oracle_at_scale_4():
+    rec, vals = bare_acceptance_scale(4, 2701)
+    assert rec.method == "feshbach"
+    assert abs(rec.energy - vals[0]) < 1e-9
+    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
+    assert abs(rec.gap - 0.07703589) < 5e-9
 
 
 def test_contour_sup_norm_diagonal_closed_form():
