@@ -36,8 +36,14 @@ __all__ = [
     "DressedScaleState",
     "dressed_ground_state",
     "hellmann_feynman_gradient",
+    "soft_photon_block",
     "dispersion_probe",
 ]
+
+# one-photon energies within SOFT_TIE of the minimum, relative, tie: on the
+# sweep's grids two modes do at every scale, and the next is 3.3 % higher
+SOFT_TIE = 1e-9
+SEED_WEIGHT = 1e-3   # norm of the seeded component of each start row
 
 
 @dataclass
@@ -48,8 +54,10 @@ class DressedScaleState:
     dressed one; under truncation the two energies are independent
     variational values whose mismatch is itself a convergence diagnostic.
     `phi1` is the dressed first excited state (None on one state); with
-    `phi` it spans the start of Lanczos solves of operators that one Weyl
-    displacement maps onto Hw.  Checkpoints do not store it.
+    `phi`, each transported by one Weyl displacement, it is the two-row
+    LOBPCG start block of an operator that displacement maps onto Hw (the
+    intermediate Hamiltonian of `multiscale`).  Checkpoints do not store
+    it.
 
     `H` is the bare matrix, one CSR matrix since the bare A has no field
     part, and `split` its `SchurSplit`, built once per cutoff for the bare
@@ -126,23 +134,61 @@ def hellmann_feynman_gradient(params: ModelParams, grid: MomentumGrid,
     return params.P_vec - pf.T @ dens
 
 
+def soft_photon_block(basis: FockBasis, grid: MomentumGrid, grad_e,
+                      psi: np.ndarray) -> np.ndarray:
+    """Start rows for the two lowest eigenpairs of a fiber Hamiltonian
+    whose ground state is close to psi: psi and b*_m psi for the softest
+    modes m, those whose one-photon energy |k_m| (1 - k_hat_m . grad_e)
+    ties the minimum to within SOFT_TIE relative.
+
+    The gap above an infrared-cutoff ground state is one soft photon, so
+    the two lowest eigenvectors lie close to that span.  The span touches
+    only the symmetry sectors of its rows, so each unit row gets a fixed
+    seeded component of norm SEED_WEIGHT, which reaches every sector."""
+    one_photon = grid.r * alpha_factors(grid, grad_e)
+    soft = np.flatnonzero(one_photon <= one_photon.min() * (1.0 + SOFT_TIE))
+    src, mode, tgt, amp = basis.annihilation_arrays()
+    rows = np.zeros((1 + len(soft), basis.dim))
+    rows[0] = psi
+    for row, m in zip(rows[1:], soft):
+        # b*_m is the transpose of b_m, which takes src to tgt
+        on = mode == m
+        row[src[on]] = amp[on] * psi[tgt[on]]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    seeded = np.random.default_rng(0).standard_normal(rows.shape)
+    return rows + SEED_WEIGHT * seeded / np.linalg.norm(seeded, axis=1)[:, None]
+
+
 def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
                          tol: float = 1e-10) -> DressedScaleState:
     """Run the full bare-solve / dress / re-solve pipeline at one cutoff.
+
+    Where a pair is solved by LOBPCG (`spectral.ground_state`), its start
+    block is `soft_photon_block`, built only then: for the dressed Hw
+    around W psi, the bare ground state moved into the dressed frame, which
+    the dressing defect reads anyway; for a bare H without the
+    Feshbach-Schur path (photon cap 3) around the bare ground vector of a
+    one-eigenpair solve, with its Hellmann-Feynman gradient.
 
     Raises ValueError if the measured gradient is too large for the
     displacement to exist (some alpha_m <= 0), and ArithmeticError if the two
     construction routes for the dressed Hamiltonian disagree.
     """
     split = SchurSplit(assemble(nelson_hamiltonian(params, grid), basis))
-    rec = ground_state(split, tol)
+
+    def bare_start():
+        psi0 = ground_state(split, tol, gap=False).vector
+        grad0 = hellmann_feynman_gradient(params, grid, basis, psi0)
+        return soft_photon_block(basis, grid, grad0, psi0)
+
+    rec = ground_state(split, tol, start=bare_start)
     grad_e = hellmann_feynman_gradient(params, grid, basis, rec.vector)
 
     h = weyl_coefficients(params, grid, grad_e)
     Hw = assemble(transformed_hamiltonian(params, grid, grad_e), basis)
-    rec_w = ground_state(Hw, tol)
-
     w_psi = apply_displacement(basis, h, rec.vector)
+    rec_w = ground_state(Hw, tol, start=lambda: soft_photon_block(basis, grid,
+                                                                  grad_e, w_psi))
     overlap = float(w_psi @ rec_w.vector)
     dressing_defect = float(np.linalg.norm(np.copysign(1.0, overlap) * w_psi
                                            - rec_w.vector))

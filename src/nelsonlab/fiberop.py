@@ -256,12 +256,9 @@ class FiberMatrix:
     since scaling by 1/2 commutes with rounding.  The Gram product is never
     formed: `H @ x` is F x + (S^T / 2)(S x), which streams far fewer
     entries than the product matrix.  `nnz` counts the stored entries of
-    F, S and S^T, nnz(F) + 2 nnz(S).  `dtype` and `matvec` let scipy's
-    `aslinearoperator` wrap it for Lanczos.  Only `toarray`, for the dense
+    F, S and S^T, nnz(F) + 2 nnz(S).  Only `toarray`, for the dense
     eigensolves up to `spectral.DENSE_CUTOFF`, multiplies H out.
     """
-
-    dtype = np.dtype(float)
 
     def __init__(self, F: sp.csr_matrix, S: sp.csr_matrix):
         self.F = F
@@ -278,8 +275,6 @@ class FiberMatrix:
 
     def __matmul__(self, x):
         return self.F @ x + self.half_St @ (self.S @ x)
-
-    matvec = __matmul__
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal.copy()

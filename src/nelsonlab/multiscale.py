@@ -65,7 +65,7 @@ __all__ = [
 # SweepConfig.content_hash, so bumping it makes old checkpoints recompute
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
-NUMERICS_VERSION = 13
+NUMERICS_VERSION = 14
 
 
 @dataclass(frozen=True)
@@ -302,13 +302,12 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
     row.phi_cauchy = _aligned_distance(state.phi, chi)
 
     # H_int = W_{h_int - h} Hw W_{h_int - h}*: one displacement carries Hw's
-    # two lowest eigenvectors close to H_int's, and Lanczos starts there.
+    # two lowest eigenvectors close to H_int's, and LOBPCG starts from that
+    # pair (phi1 is None only on one state, where no start is read).
     h_int = weyl_coefficients(params, grid, grad_prev)
-    start = None
-    if state.phi1 is not None:
-        start = apply_displacement(basis, h_int - state.h, state.phi + state.phi1)
     H_int = assemble(transformed_hamiltonian(params, grid, grad_prev), basis)
-    rec_int = ground_state(H_int, config.tol, start=start)
+    rec_int = ground_state(H_int, config.tol, start=lambda: apply_displacement(
+        basis, h_int - state.h, np.column_stack([state.phi, state.phi1])).T)
     row.proj_overlap = abs(float(rec_int.vector @ chi))
     # distance between the previous dressed state and its (unnormalized)
     # ground projection under the intermediate Hamiltonian

@@ -22,36 +22,41 @@ order:
    Feshbach-Schur map of that tail ("feshbach", see _feshbach): Newton on
    each level of a dense head-sized matrix, in every symmetry sector at
    once.  At dim 13,366 (head 163) two pairs take 22-25 ms, split
-   included, against 1.6-1.7 s for Lanczos, with 3-5 evaluations of the
+   included, against 1.6-1.7 s for ARPACK, with 3-5 evaluations of the
    map per level.
-4. Otherwise Lanczos (ARPACK) for two eigenpairs and a block-1 LOBPCG for
-   one.
-DENSE_CUTOFF = 300 is the measured crossover of the two k=2 solvers on the
-sweep's bare and dressed operators (Q=2, one BLAS thread): the dense
-solve, O(dim^3) with the materialization, ties Lanczos at dims 231-325
-(3-7 ms each) and is 4-7 times slower at dim 703 (39-44 ms against
-6-10 ms).  For one eigenpair LOBPCG and the dense solve tie at the
-scale-1 dim 190 (1.7-1.9 ms against 2.0-2.2 ms per bare probe matrix), so
-the one threshold serves both k; above it LOBPCG takes about half the
-time of k=1 Lanczos on the sweep's probes at dims 703-2,701 and 2-4 times
-less at dims 6,000-92,000, with 20-30 matvecs per solve.  Every method's
-pairs then take one path: phase fixed, made contiguous, and the true
-residual checked.
+4. Otherwise block LOBPCG ("lobpcg", see _lobpcg), the one iterative
+   eigensolver: for one eigenpair from the vacuum-weighted vector alone,
+   for two from a start block of rows that the caller passes as `start`.
+DENSE_CUTOFF = 300 is the measured crossover of the dense solve and LOBPCG
+on the sweep's operators (Q=2, one BLAS thread).  For the dressed and
+intermediate pairs the dense solve, O(dim^3) with the materialization,
+takes 1.7-2.6 ms at the scale-1 dim 190 against 3.4-6.0 ms for the block,
+and 33-44 ms at dim 703 against 3.5-10 ms.  For one eigenpair LOBPCG and the dense solve tie at dim
+190 (1.7-1.9 ms against 2.0-2.2 ms per bare probe matrix), so the one
+threshold serves both k.  Every method's pairs then take one path: phase
+fixed, made contiguous, and the true residual checked.
 
-LOBPCG (see _lobpcg) preconditions by |diag(H) - theta|^{-1}, floored at
-1e-3, with theta the current Ritz value, and stops when the true residual
-||H x - theta x|| is at most 1e-6 times the residual budget, i.e.
-1e-3 tol max(1, ||H||_inf).  The stop is that tight because the ground
-vector itself is read (the pull-through chains of `wavefunctions` start
-from it): at dim 9,139 a stop at tol ||H||_inf leaves it 7e-10 from a
-tol=1e-14 Lanczos vector, this one 5e-13, and k=1 Lanczos at tol 1.1e-12.
+LOBPCG preconditions each row by |diag(H) - theta|^{-1}, floored at 1e-3,
+with theta that row's Ritz value, and stops when the true residuals
+||H x - theta x|| of the wanted rows are at most 1e-6 times the residual
+budget, i.e. 1e-3 tol max(1, ||H||_inf).  The stop is that tight because
+the ground vector itself is read (the pull-through chains of
+`wavefunctions` start from it): at dim 9,139 a stop at tol ||H||_inf
+leaves it 7e-10 from a tol=1e-14 ARPACK vector, this one 5e-13.
 
-Lanczos and LOBPCG start from a deterministic vector and draw no random
-numbers, so repeated runs reproduce bit-identical results: by default a
-fixed vacuum-weighted one, or the caller's `start`, a guess of the lowest
-eigenvectors such as the transported eigenpair of a unitarily equivalent
-operator.  With the gap, the record also carries the second eigenvector
-(`excited`), so that a caller can warm-start the next solve from both.
+The start is deterministic, so repeated runs reproduce bit-identical
+results.  The caller knows the physics of its operator and passes the
+start block, or a function that returns it, called only when LOBPCG runs:
+the soft-photon block of `dressing.soft_photon_block` for the dressed and
+the photon-cap-3 bare pairs, and the transported dressed pair for the
+intermediate operator of `multiscale`.  On the dressed Hw of the sweep
+that block takes 54-66 matvecs at dims 703-2,701 and 216-228 at dim
+13,366, where ARPACK from the vacuum-weighted vector took 95-231 and
+1,949.  Without a block, two eigenpairs start from the vacuum-weighted
+vector and one fixed seeded row.  With the gap, the record also carries
+the second eigenvector (`excited`), so that a caller can start the next
+solve from both.
+
 Every linear solve is a MINRES solve on a matvec at any dimension and
 checks its true residual: scipy's `minres` for the reduced resolvent, and
 for shifted solves `_block_minres`, the same recurrences run on a block of
@@ -86,12 +91,14 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
+# eigsh is bound, though unused, because the benchmark's tracer rebinds it
+from scipy.sparse.linalg import LinearOperator, eigsh, minres  # noqa: F401
 
 __all__ = [
     "GroundStateRecord",
@@ -138,44 +145,100 @@ def _residual_budget(row_abs_sums: np.ndarray, tol: float) -> float:
     return 1e3 * tol * max(1.0, float(np.max(row_abs_sums)))
 
 
-def _lobpcg(H, x: np.ndarray, diag: np.ndarray, stop: float):
-    """Lowest eigenpair (theta, x) of H by LOBPCG with block size 1 (Knyazev,
-    SIAM J. Sci. Comput. 23 (2001) 517), from the unit vector x; raises
-    ArithmeticError when LOBPCG_MAXITER steps leave the residual over `stop`.
+def _rows_times(H, V: np.ndarray) -> np.ndarray:
+    """The rows of (H V^T)^T for a (r, dim) block V, one matvec per row: at
+    dim 13,366 three matvecs with the dressed H take 2.2 ms, one product
+    with the (dim, 3) block 2.6 ms."""
+    return np.array([H @ v for v in V])
 
-    Each step is a Rayleigh-Ritz on the unit vectors [x, w, p], through the
-    Cholesky factor of their Gram matrix: w is the residual r = Hx - theta x
-    preconditioned by max(|diag(H) - theta|, 1e-3)^{-1}, p the previous
-    step.  When that Gram is not positive definite, p is dropped.  H x and
-    H p are carried along as combinations, one matvec (H w) per step, so a
-    residual that meets `stop` is recomputed from a fresh H x, and only that
-    true residual ends the iteration."""
-    Hx, fresh = H @ x, True
-    p = Hp = None
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.norm(v) for v in V])
+
+
+def _ritz(SH: np.ndarray, b: int) -> np.ndarray | None:
+    """Coefficients (m, b) of the b lowest Ritz vectors of H on the span of
+    the m rows S of SH = [S; H S] (rows of H S^T below them), through the
+    Cholesky factor of the Gram matrix S S^T; None when that Gram is not
+    positive definite.  Both small matrices, S S^T and S (H S)^T, come from
+    one product with SH: at dim 9,139 and m = 3 it takes 19 us, the two
+    products apart 85 us."""
+    m = len(SH) // 2
+    G = SH[:m] @ SH.T
+    try:
+        L = np.linalg.cholesky(G[:, :m])
+    except np.linalg.LinAlgError:
+        return None
+    Li = np.linalg.inv(L)
+    return Li.T @ np.linalg.eigh(Li @ G[:, m:] @ Li.T)[1][:, :b]
+
+
+def _lobpcg(H, X: np.ndarray, diag: np.ndarray, stop: float, k: int):
+    """The k lowest eigenpairs (theta, X) of H, X as rows, by block LOBPCG
+    (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) over the b >= k rows of
+    the start block X; raises ArithmeticError when LOBPCG_MAXITER steps
+    leave a wanted residual over `stop`, or when the start block, or X and
+    W, are not of full rank.
+
+    A block of more rows first takes the Ritz vectors of its own span.  Each
+    step is a Rayleigh-Ritz on [X, W, P] through the Cholesky factor of
+    their Gram matrix, keeping the b lowest Ritz vectors: row i of W is the
+    residual r_i = H x_i - theta_i x_i preconditioned by
+    max(|diag(H) - theta_i|, 1e-3)^{-1}, and P the previous step's update.
+    Soft locking: W and P keep only the rows whose residual is still above
+    `stop`, while every row of X stays in the Rayleigh-Ritz; P also drops
+    the rows of Ritz vectors that did not move, as when the block splits
+    into symmetry sectors exactly.  When the Gram is not positive definite,
+    P is dropped.  H X and H P are carried along as combinations, so each
+    step makes one matvec per row of W; when the k wanted residuals meet
+    `stop`, they are recomputed from a fresh H X, and only those true
+    residuals end the iteration.  With one row this is block size 1, one
+    matvec per step, from the vacuum-weighted start of `ground_state`."""
+    b = len(X)
+    HX, fresh = _rows_times(H, X), True
+    if b > 1:
+        C = _ritz(np.vstack([X, HX]), b)
+        if C is None:
+            raise ArithmeticError("the start block is not of full rank; "
+                                  "method=lobpcg")
+        X, HX = C.T @ X, C.T @ HX
+    P = HP = None
     for _ in range(LOBPCG_MAXITER):
-        theta = float(x @ Hx)
-        r = Hx - theta * x
-        if np.linalg.norm(r) <= stop:
+        theta = np.array([x @ hx for x, hx in zip(X, HX)])
+        R = HX - theta[:, None] * X
+        norms = _row_norms(R)
+        if np.all(norms[:k] <= stop):
             if fresh:
-                return theta, x
-            Hx, fresh = H @ x, True
+                return theta[:k], X[:k]
+            HX[:k], fresh = _rows_times(H, X[:k]), True
             continue
-        w = r / np.maximum(np.abs(diag - theta), 1e-3)
-        w /= np.linalg.norm(w)
-        S, HS = np.array([x, w]), np.array([Hx, H @ w])
-        if p is not None:
-            S, HS = np.vstack([S, p]), np.vstack([HS, Hp])
-        try:
-            L = np.linalg.cholesky(S @ S.T)
-        except np.linalg.LinAlgError:
-            S, HS = S[:2], HS[:2]
-            L = np.linalg.cholesky(S @ S.T)
-        Li = np.linalg.inv(L)
-        c = Li.T @ np.linalg.eigh(Li @ (S @ HS.T) @ Li.T)[1][:, 0]
-        p, Hp = c[1:] @ S[1:], c[1:] @ HS[1:]
-        x, Hx = c[0] * x + p, c[0] * Hx + Hp
-        scale, size = np.linalg.norm(x), np.linalg.norm(p)
-        x, Hx, p, Hp, fresh = x / scale, Hx / scale, p / size, Hp / size, False
+        active = norms > stop
+        if not active.all():
+            R, theta = R[active], theta[active]
+        W = R / np.maximum(np.abs(diag - theta[:, None]), 1e-3)
+        W /= _row_norms(W)[:, None]
+        S, HS = [X, W], [HX, _rows_times(H, W)]
+        if P is not None:
+            use = active & moved
+            S, HS = S + [P[use]], HS + [HP[use]]
+        SH = np.vstack(S + HS)
+        m = len(SH) // 2
+        C = _ritz(SH, b)
+        if C is None:
+            m = b + len(W)
+            SH = np.vstack(S[:2] + HS[:2])
+            C = _ritz(SH, b)
+        if C is None:
+            raise ArithmeticError("the block [X, W] is not of full rank; "
+                                  "method=lobpcg")
+        S, HS = SH[:m], SH[m:]
+        X, HX = C.T @ S, C.T @ HS
+        P, HP = C[b:].T @ S[b:], C[b:].T @ HS[b:]
+        # a Ritz vector that did not move has no direction to carry
+        scale, size = _row_norms(X)[:, None], _row_norms(P)[:, None]
+        moved = size[:, 0] > 0.0
+        size[~moved] = 1.0
+        X, HX, P, HP, fresh = X / scale, HX / scale, P / size, HP / size, False
     raise ArithmeticError(f"LOBPCG did not converge in {LOBPCG_MAXITER} "
                           "steps; method=lobpcg")
 
@@ -238,8 +301,25 @@ def _feshbach(split: "SchurSplit", k: int, stop: float):
     return vals, vecs / np.linalg.norm(vecs, axis=0)
 
 
+def _start_block(dim: int, k: int, start) -> np.ndarray:
+    """The LOBPCG start block as unit rows: the caller's `start`, or the
+    vacuum-weighted vector, with k - 1 fixed seeded rows below it."""
+    if start is None:
+        X = np.full((k, dim), 1e-3)
+        X[0, 0] = 1.0
+        if k > 1:
+            X[1:] = np.random.default_rng(0).standard_normal((k - 1, dim))
+    else:
+        X = np.array(start, dtype=float, order="C", ndmin=2)
+    if X.shape[0] < k or X.shape[1] != dim:
+        raise ValueError(f"start block of shape {X.shape} for {k} eigenpairs "
+                         f"of dim {dim}")
+    return X / _row_norms(X)[:, None]
+
+
 def ground_state(H, tol: float = 1e-10, gap: bool = True,
-                 start: np.ndarray | None = None) -> GroundStateRecord:
+                 start: np.ndarray | Callable[[], np.ndarray] | None = None
+                 ) -> GroundStateRecord:
     """Lowest eigenpair, with the spectral gap and the second eigenvector
     unless gap=False.
 
@@ -250,19 +330,22 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     DENSE_CUTOFF.  Above it, a `SchurSplit`, or a sparse H split here only
     when the split will serve, whose head n satisfies k <= n <= DENSE_CUTOFF
     takes the Feshbach-Schur map of its diagonal tail (`_feshbach`, at most
-    FESHBACH_MAXITER Newton steps per level); any other H takes Lanczos
-    (ARPACK, at most 48 basis vectors) for k=2 and LOBPCG (at most
-    LOBPCG_MAXITER steps) for k=1.
-    Both start from `start` when given (the dense and Feshbach-Schur solves
-    ignore it), else from a fixed vacuum-weighted vector.
-    It raises ArithmeticError ending in `method=<name>`, and retries
-    nothing, when ARPACK fails (any ArpackError), LOBPCG runs out of steps,
-    either misses the bottom of the spectrum, a level has no Feshbach-Schur
-    root below the tail or Newton runs out of steps, or, whatever the
-    method, the true residual ||H psi - E psi|| exceeds its budget.
-    Lanczos misses an exactly zero ground energy: ARPACK's convergence test
-    is relative to the Ritz value.  Any other solver error propagates.  Both returned
-    vectors are contiguous and normalized, with a positive vacuum component
+    FESHBACH_MAXITER Newton steps per level); any other H takes block
+    LOBPCG (`_lobpcg`, at most LOBPCG_MAXITER steps) for the k lowest
+    eigenpairs.  LOBPCG starts from `start`, rows of shape (b, dim) with
+    b >= k, or a function without arguments that returns them, called only
+    on this path (the dense and Feshbach-Schur solves ignore `start`).
+    Without it, the block is a fixed vacuum-weighted vector, with one fixed
+    seeded row below it for k=2.  A 1-D start is one row.
+    It raises ValueError for a start block of fewer than k rows or of the
+    wrong width, and ArithmeticError ending in `method=<name>`, retrying
+    nothing, when LOBPCG runs out of steps, its start block or its block
+    [X, W] is not of full rank, or it misses the bottom of the spectrum,
+    when a level has no Feshbach-Schur root below the tail or Newton runs
+    out of steps, or, whatever the method, when the true residual
+    ||H psi - E psi|| exceeds its budget.  Any other solver error
+    propagates.  Both returned vectors are contiguous and normalized, with
+    a positive vacuum component
     (positive largest component if the vacuum one vanishes).
     """
     dim = H.shape[0]
@@ -289,23 +372,10 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
         method = "feshbach"
         vals, vecs = _feshbach(split, k, 1e-6 * budget)
     else:
-        if start is None:
-            v0 = np.full(dim, 1e-3)
-            v0[0] = 1.0
-        else:
-            v0 = np.asarray(start, dtype=float)
-        v0 = v0 / np.linalg.norm(v0)
-        if gap:
-            method = "lanczos"
-            try:
-                vals, vecs = eigsh(H, k=2, which="SA", v0=v0, tol=tol,
-                                   maxiter=10_000, ncv=min(dim - 1, 48))
-            except ArpackError as exc:
-                raise ArithmeticError(f"{exc}; method={method}") from exc
-        else:
-            method = "lobpcg"
-            theta, x = _lobpcg(H, v0, diag, 1e-6 * budget)
-            vals, vecs = np.array([theta]), x[:, None]
+        method = "lobpcg"
+        X = _start_block(dim, k, start() if callable(start) else start)
+        vals, X = _lobpcg(H, X, diag, 1e-6 * budget, k)
+        vecs = X.T
         # Every diagonal entry is a Rayleigh quotient, so a lowest value above
         # the smallest one means the iteration missed the bottom.
         if np.min(vals) > np.min(diag) + budget:
@@ -521,8 +591,6 @@ class SchurSplit:
     every pair of entries (a, b) with a >= b in one row t of B, the flat
     index a n + b, the product B_ta B_tb and t; else it is None."""
 
-    dtype = np.dtype(float)
-
     def __init__(self, H):
         H = sp.csr_matrix(H)
         n, C, off = _tail_start(H)
@@ -567,8 +635,6 @@ class SchurSplit:
         if self.shift is None:
             return self.H @ x
         return self.H @ x + (self.shift if np.ndim(x) == 1 else self.shift[:, None]) * x
-
-    matvec = __matmul__
 
     def row_abs_bound(self) -> np.ndarray:
         return self.off_abs + np.abs(self.diag)

@@ -117,23 +117,19 @@ def test_ground_state_free_field(tmp_path, small_ini):
 
 def test_solver_failure_exits_without_a_traceback(tmp_path, small_ini, capsys,
                                                   monkeypatch):
-    # past DENSE_CUTOFF a Lanczos failure is an ArithmeticError naming the
-    # method, which the command reports as its failure
-    from scipy.sparse.linalg import ArpackNoConvergence
-
+    # past DENSE_CUTOFF a LOBPCG that runs out of steps is an
+    # ArithmeticError naming the method, which the command reports as its
+    # failure
     from nelsonlab import spectral
 
-    def stalled(A, **kwargs):
-        raise ArpackNoConvergence("no convergence", [], [])
-
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 2)
-    monkeypatch.setattr(spectral, "eigsh", stalled)
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
     rc = main(["ground-state", "--config", str(small_ini),
                "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("ground-state failed: ")
-    assert err.rstrip().endswith("method=lanczos")
+    assert err.rstrip().endswith("in 1 steps; method=lobpcg")
     assert "Traceback" not in err
 
 
@@ -624,8 +620,8 @@ def test_resume_names_a_checkpoint_json_that_does_not_parse(tmp_path, small_ini,
 
 def test_fresh_sweeps_write_the_same_bytes(tmp_path):
     # two runs in fresh processes and fresh directories, at the default
-    # configuration, whose dressed scale 3 (dim 1,540) takes the Lanczos
-    # path; the ledger's wall_time column is the one documented exception
+    # configuration, whose dressed scale 3 (dim 1,540) takes the LOBPCG
+    # path from a seeded block; the ledger's wall_time column is the one documented exception
     src = str(Path(nelsonlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     outs = [tmp_path / "first", tmp_path / "second"]

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse.linalg import aslinearoperator
 
 import nelsonlab
 from nelsonlab import spectral
@@ -120,8 +119,7 @@ def test_pullthrough_solves_go_through_the_bare_solve_shifted():
 @pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])
 def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     # the tracer records assemble(...).nnz and the nnz and shape of every
-    # operator a solve receives; the solves read diagonal(), and Lanczos
-    # wraps the operator by aslinearoperator
+    # operator a solve receives, and the solves read diagonal()
     params = ModelParams(coupling=0.1, sigma=0.25, P=(1 / 6, 0.0, 0.0))
     grid = build_grid(params, GridSpec(2, 2, 2))
     basis = build_basis(grid.n_modes, 2)
@@ -131,11 +129,6 @@ def test_assembled_operators_carry_what_the_tracer_reads(dressed):
     assert isinstance(H.nnz, int) and H.nnz > basis.dim
     assert H.shape == (basis.dim, basis.dim)
     assert H.diagonal().shape == (basis.dim,)
-    assert H.dtype == np.float64
-    x = np.linspace(-1.0, 1.0, basis.dim)
-    wrapped = aslinearoperator(H)
-    assert wrapped.dtype == np.float64
-    assert np.array_equal(wrapped.matvec(x), H @ x)
     if not dressed:
         # the pull-through solves receive the bare H split at its top sector
         split = spectral.SchurSplit(H)
@@ -204,7 +197,7 @@ def test_every_eigensolve_method_is_documented():
     # lists every value it can take
     methods = _assigned_methods(ast.parse((SRC / "spectral.py").read_text()))
     formats = (SRC.parents[1] / "docs" / "formats.md").read_text()
-    assert methods == {"diagonal", "dense", "feshbach", "lanczos", "lobpcg"}
+    assert methods == {"diagonal", "dense", "feshbach", "lobpcg"}
     assert sorted(m for m in methods if f"`{m}`" not in formats) == []
 
 

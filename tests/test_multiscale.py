@@ -9,9 +9,11 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from nelsonlab import dressing, fiberop, multiscale, spectral
-from nelsonlab.fiberop import weyl_coefficients
+from nelsonlab.fiberop import assemble, transformed_hamiltonian, weyl_coefficients
+from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
 from nelsonlab.multiscale import SweepConfig, fit_exponent, run_sweep
 
@@ -275,6 +277,63 @@ def test_each_scale_splits_its_bare_h_once(monkeypatch):
     monkeypatch.setattr(spectral.SchurSplit, "__init__", recording_init)
     res = run_sweep(small_config(n_scales=3))
     assert splits == [row.dim for row in res.rows] == [1, 15, 45]
+
+
+def acceptance_config(n_scales):
+    return SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
+                       spec=GridSpec(4, 3, 3), epsilon=0.5, n_scales=n_scales)
+
+
+@pytest.fixture(scope="module")
+def acceptance_sweep():
+    """The acceptance sweep's rows 0-4 (dims up to 2,701) and its config."""
+    config = acceptance_config(5)
+    return config, run_sweep(config).rows
+
+
+@pytest.mark.parametrize("n, dim", [(3, 1540), (4, 2701)])
+def test_dressed_and_intermediate_gaps_match_dense_oracles(acceptance_sweep,
+                                                           n, dim):
+    # past DENSE_CUTOFF the dressed pair (gap_w) and the intermediate pair
+    # (contour_gap, its gap less sigma/3) come from block LOBPCG; a dense
+    # eigh of the same operators, rebuilt from the ledger's gradients,
+    # gives both gaps
+    config, rows = acceptance_sweep
+    grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
+    for m in range(1, n + 1):
+        grid = refine_annulus(grid, config.sigma_at(m))
+    basis = build_basis(grid.n_modes, config.photon_cap)
+    assert basis.dim == dim > spectral.DENSE_CUTOFF
+    params = config.params.with_sigma(config.sigma_at(n))
+    row = rows[n]
+    for grad, gap in ((row.grad_e, row.gap_w),
+                      (rows[n - 1].grad_e, row.contour_gap + params.sigma / 3.0)):
+        H = assemble(transformed_hamiltonian(params, grid, grad), basis)
+        vals = eigh(H.toarray(), eigvals_only=True, subset_by_index=[0, 1])
+        assert abs(gap - (vals[1] - vals[0])) < 1e-10
+
+
+def test_start_blocks_are_built_only_for_lobpcg(monkeypatch):
+    # scale 1 (dim 190) is solved densely and builds no start block; at
+    # scale 2 (dim 703) the dressed and the intermediate pair take LOBPCG
+    # and build one block each, and the bare pair (Feshbach-Schur) none
+    built = []
+    soft, displace = dressing.soft_photon_block, multiscale.apply_displacement
+
+    def recording_soft(basis, *args):
+        built.append(("soft", basis.dim))
+        return soft(basis, *args)
+
+    def recording_displace(basis, delta, v):
+        if np.ndim(v) == 2:
+            built.append(("pair", basis.dim))
+        return displace(basis, delta, v)
+
+    monkeypatch.setattr(dressing, "soft_photon_block", recording_soft)
+    monkeypatch.setattr(multiscale, "apply_displacement", recording_displace)
+    rows = run_sweep(acceptance_config(3)).rows
+    assert [row.dim for row in rows] == [1, 190, 703]
+    assert built == [("soft", 703), ("pair", 703)]
 
 
 def test_partial_resume_matches_fresh_sweep(tmp_path):

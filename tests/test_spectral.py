@@ -4,10 +4,12 @@ sup-norm routines against closed forms and dense-factorization oracles."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 
 from nelsonlab import spectral
-from nelsonlab.dressing import dressed_ground_state
+from nelsonlab import dressing
+from nelsonlab.dressing import dressed_ground_state, hellmann_feynman_gradient, \
+    soft_photon_block
 from nelsonlab.fiberop import FiberMatrix, assemble, nelson_hamiltonian, \
     transformed_hamiltonian, weyl_coefficients
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
@@ -66,8 +68,8 @@ def nelson_instance():
 @pytest.fixture(scope="module")
 def krylov_instance():
     """Bare H past DENSE_CUTOFF whose head does not fit the cutoff (11
-    random modes at photon cap 4, dim 1,365, head 364): the Lanczos and
-    LOBPCG path."""
+    random modes at photon cap 4, dim 1,365, head 364): the LOBPCG
+    path."""
     return random_bare_instance(11, 4)
 
 
@@ -90,7 +92,7 @@ def test_ground_state_dim_one(monkeypatch):
         raise AssertionError("eigensolver called on a 1 x 1 operator")
 
     monkeypatch.setattr(spectral, "eigh", refuse)
-    monkeypatch.setattr(spectral, "eigsh", refuse)
+    monkeypatch.setattr(spectral, "_lobpcg", refuse)
     for gap in (True, False):
         rec = ground_state(sp.csr_matrix([[3.5]]), gap=gap)
         assert rec.method == "diagonal"
@@ -128,19 +130,22 @@ def test_ground_state_phase_anchors():
 def test_ground_state_sparse_matches_dense(krylov_instance):
     H, Hd, vals, vecs = krylov_instance
     assert H.shape[0] == 1365 and SchurSplit(H).split > spectral.DENSE_CUTOFF
+    # two eigenpairs from the default block: the vacuum-weighted vector and
+    # one fixed seeded row
     rec = ground_state(H)
-    assert rec.method == "lanczos"
-    assert abs(rec.energy - vals[0]) < 5e-9
-    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-6
-    assert abs(abs(vecs[:, 0] @ rec.vector) - 1.0) < 1e-9
+    assert rec.method == "lobpcg"
+    assert abs(rec.energy - vals[0]) < 1e-12
+    assert abs(rec.gap - (vals[1] - vals[0])) < 1e-12
+    assert abs(abs(vecs[:, 0] @ rec.vector) - 1.0) < 1e-12
+    assert abs(abs(vecs[:, 1] @ rec.excited) - 1.0) < 1e-12
     # a split whose head does not fit the cutoff takes the same path
     split = ground_state(SchurSplit(H))
-    assert split.method == "lanczos"
+    assert split.method == "lobpcg"
     assert abs(split.energy - rec.energy) < 1e-12
 
 
 def test_ground_state_sparse_deterministic(krylov_instance):
-    # Lanczos (k=2) and LOBPCG (k=1) alike
+    # two eigenpairs and one alike: the default block is fixed
     H = krylov_instance[0]
     for gap in (True, False):
         r1 = ground_state(H, gap=gap)
@@ -149,31 +154,45 @@ def test_ground_state_sparse_deterministic(krylov_instance):
         assert np.array_equal(r1.vector, r2.vector)
 
 
-def stall_lanczos(monkeypatch, exc):
-    """Every eigsh call raises exc."""
-    def fake(A, **kwargs):
-        raise exc
-
-    monkeypatch.setattr(spectral, "eigsh", fake)
-
-
-def test_ground_state_fails_loudly_on_arpack_nonconvergence(monkeypatch):
-    # a Lanczos failure raises ArithmeticError naming the method, chained to
-    # ARPACK's error, and no other method retries; any other error of the
+def test_two_eigenpair_solve_fails_loudly_when_lobpcg_runs_out(monkeypatch):
+    # a block LOBPCG that runs out of steps raises ArithmeticError naming
+    # the method, and no other method retries; any other error of the
     # solver propagates unchanged
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
     n = 150
     H = toeplitz_tridiag(n, 0.0, 0.4) + sp.diags(np.linspace(0.5, 3.5, n))
 
-    stall_lanczos(monkeypatch, ValueError("bad input"))
+    def refuse(*args, **kwargs):
+        raise AssertionError("another method ran")
+
+    monkeypatch.setattr(spectral, "eigh", refuse)
+    monkeypatch.setattr(spectral, "_feshbach", refuse)
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 3)
+    for start in (None, np.eye(3, n) + 1e-3):
+        with pytest.raises(ArithmeticError, match="in 3 steps; method=lobpcg$"):
+            ground_state(H, start=start)
+
+    def bad_input(*args):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(spectral, "_lobpcg", bad_input)
     with pytest.raises(ValueError, match="bad input"):
         ground_state(H)
 
-    stalled = ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
-    stall_lanczos(monkeypatch, stalled)
-    with pytest.raises(ArithmeticError, match="method=lanczos$") as info:
-        ground_state(H)
-    assert info.value.__cause__ is stalled
+
+def test_start_block_of_too_few_or_dependent_rows_is_refused():
+    # two eigenpairs need at least two rows, of full rank; and a block whose
+    # residuals are dependent, here the first basis vectors of a
+    # tridiagonal H, whose residuals all lie along the next one, raises
+    n = spectral.DENSE_CUTOFF + 100
+    H = toeplitz_tridiag(n, 0.0, 0.4) + sp.diags(np.linspace(0.5, 3.5, n))
+    row = np.ones(n)
+    with pytest.raises(ValueError, match="start block"):
+        ground_state(H, start=row)
+    with pytest.raises(ArithmeticError, match="start block.*method=lobpcg$"):
+        ground_state(H, start=[row, 2.0 * row])
+    with pytest.raises(ArithmeticError, match="W] is not.*method=lobpcg$"):
+        ground_state(H, start=np.eye(3, n))
 
 
 def factored_tridiagonal(n):
@@ -183,8 +202,8 @@ def factored_tridiagonal(n):
 
 
 def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
-    # above DENSE_CUTOFF neither Lanczos (k=2) nor LOBPCG (k=1) forms the
-    # dense n x n array of a factored operator
+    # above DENSE_CUTOFF LOBPCG, for two eigenpairs or one, never forms
+    # the dense n x n array of a factored operator
     n = spectral.DENSE_CUTOFF + 100
     H = factored_tridiagonal(n)
     vals = np.linalg.eigvalsh(H.toarray())
@@ -194,7 +213,7 @@ def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
 
     monkeypatch.setattr(FiberMatrix, "toarray", refuse)
     rec = ground_state(H)
-    assert rec.method == "lanczos"
+    assert rec.method == "lobpcg"
     assert abs(rec.energy - vals[0]) < 1e-9
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
     rec = ground_state(H, gap=False)
@@ -297,21 +316,20 @@ def coupled_zero_energy_hamiltonian(photon_cap):
 
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
 def test_ground_state_finds_zero_energy_past_cutoff(gap):
-    # ARPACK accepts a Ritz value relative to its size, so k=2 Lanczos skips
-    # an exactly zero energy, and the solve raises rather than return the
-    # values above it; LOBPCG stops on an absolute residual and finds it
+    # LOBPCG stops on an absolute residual, so an exactly zero ground energy
+    # is found for two eigenpairs as for one (ARPACK's test, relative to
+    # the Ritz value, skipped it)
     H = coupled_zero_energy_hamiltonian(3)
     assert H.shape[0] > spectral.DENSE_CUTOFF
-    if gap:
-        with pytest.raises(ArithmeticError,
-                           match="missed the bottom.*method=lanczos$"):
-            ground_state(H, gap=gap)
-        return
     rec = ground_state(H, gap=gap)
     assert abs(rec.energy) <= 1e-12
     assert rec.method == "lobpcg"
     assert abs(rec.vector[0] - 1.0) < 1e-12
-    assert np.isnan(rec.gap)
+    if gap:
+        vals = np.linalg.eigvalsh(H.toarray())
+        assert abs(rec.gap - vals[1]) < 1e-12
+    else:
+        assert np.isnan(rec.gap)
 
 
 def test_one_eigenvalue_finds_zero_energy_below_cutoff():
@@ -326,7 +344,7 @@ def test_one_eigenvalue_finds_zero_energy_below_cutoff():
     assert np.isnan(rec.gap)
 
 
-@pytest.mark.parametrize("photon_cap", [2, 3], ids=["dense_dim", "lanczos_dim"])
+@pytest.mark.parametrize("photon_cap", [2, 3], ids=["dense_dim", "lobpcg_dim"])
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
 def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
     # at coupling 0 the ground vector is the vacuum exactly at every dim,
@@ -335,7 +353,7 @@ def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
         raise AssertionError("eigensolver called on a diagonal operator")
 
     monkeypatch.setattr(spectral, "eigh", refuse)
-    monkeypatch.setattr(spectral, "eigsh", refuse)
+    monkeypatch.setattr(spectral, "_lobpcg", refuse)
     H = zero_energy_hamiltonian(photon_cap)
     rec = ground_state(H, gap=gap)
     assert rec.method == "diagonal"
@@ -350,12 +368,19 @@ def test_diagonal_operator_needs_no_eigensolve(monkeypatch, photon_cap, gap):
         assert np.isnan(rec.gap) and rec.excited is None
 
 
-@pytest.mark.parametrize("method", ["diagonal", "dense", "feshbach", "lanczos",
-                                    "lobpcg"])
-def test_vectors_are_contiguous_for_every_method(method, nelson_instance,
-                                                 krylov_instance):
-    # downstream sums read the vectors; a strided column view of a solver's
-    # array changes their rounding, so every method returns contiguous copies
+@pytest.mark.parametrize("method, gap, given", [
+    pytest.param("diagonal", True, False, id="diagonal"),
+    pytest.param("dense", True, False, id="dense"),
+    pytest.param("feshbach", True, False, id="feshbach"),
+    pytest.param("lobpcg", False, False, id="lobpcg"),
+    pytest.param("lobpcg", True, False, id="lobpcg_pair"),
+    pytest.param("lobpcg", True, True, id="lobpcg_block")])
+def test_vectors_are_contiguous_for_every_method(method, gap, given,
+                                                 nelson_instance, krylov_instance):
+    # downstream sums read the vectors; a strided row or column view of a
+    # solver's array changes their rounding, so every method returns
+    # contiguous unit copies, also the block path from a caller's start
+    # block, here given as a transposed (F-ordered) array
     H = krylov_instance[0]
     if method == "diagonal":
         H = zero_energy_hamiltonian(2)
@@ -363,11 +388,12 @@ def test_vectors_are_contiguous_for_every_method(method, nelson_instance,
         H = toeplitz_tridiag(40, 2.0, 0.7)
     elif method == "feshbach":
         H = nelson_instance[0]
-    gap = method != "lobpcg"
-    rec = ground_state(H, gap=gap)
+    start = np.asfortranarray(np.eye(3, H.shape[0]) + 1e-3) if given else None
+    rec = ground_state(H, gap=gap, start=start)
     assert rec.method == method
     for v in [rec.vector] + ([rec.excited] if gap else []):
         assert v.ndim == 1 and v.dtype == np.float64 and v.flags.c_contiguous
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
@@ -396,7 +422,6 @@ def refuse_krylov(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("another method ran")
 
-    monkeypatch.setattr(spectral, "eigsh", refuse)
     monkeypatch.setattr(spectral, "_lobpcg", refuse)
 
 
@@ -432,12 +457,12 @@ def test_feshbach_newton_takes_few_steps(monkeypatch, nelson_instance):
 
 @pytest.mark.parametrize("instance, methods", [
     ("nelson_instance", ("feshbach", "feshbach")),
-    ("krylov_instance", ("lanczos", "lobpcg")),
+    ("krylov_instance", ("lobpcg", "lobpcg")),
 ])
 def test_shifted_split_is_the_shifted_operator(instance, methods, request):
     # a probe is H + diag(d): the shifted split shares H's factors and reads
     # as that operator everywhere, on the Feshbach-Schur path and on the
-    # Lanczos and LOBPCG one alike
+    # LOBPCG one alike
     H, Hd = request.getfixturevalue(instance)[:2]
     dim = H.shape[0]
     d = np.linspace(-0.3, 0.2, dim)
@@ -481,7 +506,7 @@ def test_ground_state_splits_a_sparse_h_only_for_the_feshbach_path(
     monkeypatch.setattr(SchurSplit, "__init__", recording_init)
     assert ground_state(nelson_instance[0]).method == "feshbach"
     assert ground_state(krylov_instance[0], gap=False).method == "lobpcg"
-    assert ground_state(krylov_instance[0]).method == "lanczos"
+    assert ground_state(krylov_instance[0]).method == "lobpcg"
     assert splits == [969]
 
 
@@ -825,57 +850,60 @@ def test_factored_residual_budget_is_the_exact_one(dressed_scales):
         assert state.diagnostics["residual_w"] <= exact
 
 
-def bare_acceptance_scale(n, dim):
-    """Bare H at scale n of the acceptance sweep, its ground_state record,
-    and its spectrum from a dense eigvalsh."""
+def acceptance_scale(n):
+    """Parameters, grid and basis of scale n of the acceptance sweep."""
     config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
                          spec=GridSpec(4, 3, 3), epsilon=0.5)
     grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
     for m in range(1, n + 1):
         grid = refine_annulus(grid, config.sigma_at(m))
-    basis = build_basis(grid.n_modes, config.photon_cap)
-    H = assemble(nelson_hamiltonian(config.params.with_sigma(config.sigma_at(n)),
-                                    grid), basis)
+    return (config.params.with_sigma(config.sigma_at(n)), grid,
+            build_basis(grid.n_modes, config.photon_cap))
+
+
+def bare_acceptance_scale(n, dim):
+    """Bare H at scale n of the acceptance sweep, its ground_state record,
+    and its spectrum from a dense eigvalsh."""
+    params, grid, basis = acceptance_scale(n)
+    H = assemble(nelson_hamiltonian(params, grid), basis)
     assert H.shape[0] == dim
-    return ground_state(H, config.tol), np.linalg.eigvalsh(H.toarray())
+    return ground_state(H, 1e-10), np.linalg.eigvalsh(H.toarray())
 
 
-def count_lanczos_matvecs(monkeypatch):
-    """List that receives, per eigsh call, a counter of the matvecs it makes
-    through a wrapping operator."""
-    counters = []
-    real_eigsh = spectral.eigsh
+def count_block_matvecs(monkeypatch):
+    """List that receives, per product with a factored operator, the number
+    of vectors it multiplies: 1 for a vector, b for a (dim, b) block."""
+    counts = []
+    real_matmul = FiberMatrix.__matmul__
 
-    def counting(A, **kwargs):
-        calls = [0]
+    def counting(self, x):
+        counts.append(1 if np.ndim(x) == 1 else x.shape[1])
+        return real_matmul(self, x)
 
-        def matvec(x):
-            calls[0] += 1
-            return A @ x
-        counters.append(calls)
-        return real_eigsh(LinearOperator(A.shape, matvec=matvec, dtype=float),
-                          **kwargs)
-
-    monkeypatch.setattr(spectral, "eigsh", counting)
-    return counters
+    monkeypatch.setattr(FiberMatrix, "__matmul__", counting)
+    return counts
 
 
 def test_warm_started_intermediate_solve_matches_cold(dressed_scales, monkeypatch):
     # H_int at scale 3 (previous gradient's dressing) is W Hw W* for the one
-    # displacement W by h_int - h, so Hw's transported eigenpair starts it
+    # displacement W by h_int - h, so Hw's transported pair, as two rows,
+    # starts it, and takes fewer matvecs than the default block
     prev, state = dressed_scales[1], dressed_scales[2]
     params, grid, basis = state.params, state.grid, state.basis
     H_int = assemble(transformed_hamiltonian(params, grid, prev.grad_e), basis)
     h_int = weyl_coefficients(params, grid, prev.grad_e)
-    start = apply_displacement(basis, h_int - state.h, state.phi + state.phi1)
-    counters = count_lanczos_matvecs(monkeypatch)
+    start = apply_displacement(basis, h_int - state.h,
+                               np.column_stack([state.phi, state.phi1])).T
+    counts = count_block_matvecs(monkeypatch)
     cold = ground_state(H_int, state.tol)
+    n_cold = sum(counts)
     warm = ground_state(H_int, state.tol, start=start)
-    assert cold.method == warm.method == "lanczos" and len(counters) == 2
+    n_warm = sum(counts) - n_cold
+    assert cold.method == warm.method == "lobpcg"
     assert abs(warm.energy - cold.energy) <= 1e-12
     assert abs(warm.gap - cold.gap) <= 1e-12
     assert abs(abs(warm.vector @ cold.vector) - 1.0) <= 1e-10
-    assert counters[1][0] < counters[0][0], counters
+    assert n_warm < n_cold, (n_warm, n_cold)
 
 
 @pytest.fixture(scope="module")
@@ -907,6 +935,35 @@ def test_bare_gap_matches_dense_oracle_at_scale_3(bare_scale_3):
     rec, vals = bare_scale_3
     assert abs(rec.gap - (vals[1] - vals[0])) < 1e-9
     assert abs(rec.gap - 0.15537090) < 5e-9
+
+
+def test_block_path_finds_the_mirror_odd_level(monkeypatch, bare_scale_3):
+    # with the Feshbach-Schur path closed, the bare H at scale 3 takes
+    # block LOBPCG from the soft-photon block.  The two softest modes are
+    # images under the y mirror, so b*_1 psi - b*_2 psi reaches the odd
+    # level, and so does the seeded component when the block is made
+    # mirror-even; without that component an even block sees only the
+    # symmetric sector's gap
+    vals = bare_scale_3[1]
+    params, grid, basis = acceptance_scale(3)
+    H = assemble(nelson_hamiltonian(params, grid), basis)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 40)
+    psi = ground_state(H, gap=False).vector
+    grad = hellmann_feynman_gradient(params, grid, basis, psi)
+
+    def blocks():
+        block = soft_photon_block(basis, grid, grad, psi)
+        assert len(block) == 3
+        return block, np.array([block[0], block[1] + block[2]])
+
+    for start in blocks():
+        rec = ground_state(H, start=start)
+        assert rec.method == "lobpcg"
+        assert abs(rec.gap - (vals[1] - vals[0])) < 1e-10
+    monkeypatch.setattr(dressing, "SEED_WEIGHT", 0.0)
+    rec = ground_state(H, start=blocks()[1])
+    assert rec.method == "lobpcg"
+    assert abs(rec.gap - 0.15551309) < 5e-9
 
 
 def test_bare_energy_and_gap_match_dense_oracle_at_scale_4():
