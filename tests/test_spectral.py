@@ -6,8 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from nelsonlab import spectral
-from nelsonlab import dressing
+from nelsonlab import dressing, spectral
 from nelsonlab.dressing import dressed_ground_state, hellmann_feynman_gradient, \
     soft_photon_block
 from nelsonlab.fiberop import FiberMatrix, assemble, nelson_hamiltonian, \
