@@ -50,7 +50,7 @@ start block, or a function that returns it, called only when LOBPCG runs:
 the soft-photon block of `dressing.soft_photon_block` for the dressed and
 the photon-cap-3 bare pairs, and the transported dressed pair for the
 intermediate operator of `multiscale`.  On the dressed Hw of the sweep
-that block takes 54-66 matvecs at dims 703-2,701 and 216-228 at dim
+that block takes 52-64 matvecs at dims 703-2,701 and 222-226 at dim
 13,366, where ARPACK from the vacuum-weighted vector took 95-231 and
 1,949.  Without a block, two eigenpairs start from the vacuum-weighted
 vector and one fixed seeded row.  With the gap, the record also carries
