@@ -345,8 +345,8 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     out of steps, or, whatever the method, when the true residual
     ||H psi - E psi|| exceeds its budget.  Any other solver error
     propagates.  Both returned vectors are contiguous and normalized, with
-    a positive vacuum component
-    (positive largest component if the vacuum one vanishes).
+    a positive vacuum component (positive largest component if the vacuum
+    one vanishes).
     """
     dim = H.shape[0]
     k = min(2 if gap else 1, dim)
