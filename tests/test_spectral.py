@@ -393,6 +393,7 @@ def test_vectors_are_contiguous_for_every_method(method, gap, given,
     for v in [rec.vector] + ([rec.excited] if gap else []):
         assert v.ndim == 1 and v.dtype == np.float64 and v.flags.c_contiguous
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
