@@ -256,10 +256,14 @@ class RunContext:
                                                 sort_keys=True) + "\n")
 
     def finish(self) -> Path:
+        import resource
+
         from . import __version__
+        # ru_maxrss is in kilobytes on Linux
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         (self.out / "timings.json").write_text(
-            json.dumps({"command": self.command, "seconds": self.timings},
-                       indent=2, sort_keys=True) + "\n")
+            json.dumps({"command": self.command, "peak_rss_mb": peak_rss_mb,
+                        "seconds": self.timings}, indent=2, sort_keys=True) + "\n")
         outputs = {}
         old = self.out / "manifest.json"
         if old.exists():

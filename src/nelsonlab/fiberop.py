@@ -15,8 +15,9 @@ It never leaves the basis: only creations on the top photon sector escape the
 cap, and there b_m b*_m' = delta_mm' + b*_m' b_m folds them back (see
 `assemble`).  So the square is a Gram matrix of matrices inside the basis,
 and an operator whose A has a field part is kept as those factors
-(`FiberMatrix`), never multiplied out.  Every field part is built from
-`FockBasis.lowering`.
+(`FiberMatrix`), never multiplied out.  Every matrix is gathered into the
+basis's one sparsity pattern: the field parts and affine components by
+`FockBasis.operator`, the top-sector rows by `FockBasis.top_lowering`.
 """
 
 from __future__ import annotations
@@ -245,48 +246,57 @@ def canonical_distance(op1: FiberOperator, op2: FiberOperator) -> float:
 
 
 class FiberMatrix:
-    """Symmetric H = F + S^T S / 2 kept as its sparse factors.
+    """Symmetric H = F + G + S^T S / 2 kept as its factors.
 
-    F is the diagonal-plus-field part and S the row stack of the matrices
-    whose squares `assemble` would otherwise multiply out, without its
-    empty rows: the L_j Pi_Q blocks fill only the rows of sector Q - 1, so
-    at dim 2,701 S keeps 8,319 of 16,206 rows.  S^T / 2 is stored too, as
-    CSR, because a gathering product is faster than a scattering one; the
-    1/2 is folded into its entries, which changes no bit of a product,
-    since scaling by 1/2 commutes with rounding.  The Gram product is never
-    formed: `H @ x` is F x + (S^T / 2)(S x), which streams far fewer
-    entries than the product matrix.  `nnz` counts the stored entries of
-    F, S and S^T, nnz(F) + 2 nnz(S).  Only `toarray`, for the dense
-    eigensolves up to `spectral.DENSE_CUTOFF`, multiplies H out.
+    F is the diagonal, as a vector: the number, constant and top-sector
+    terms and the squares of the components without field part.  G is the
+    field part sum_m g_m (b_m + b*_m) as CSR, None when g = 0, as for every
+    dressed operator (the closed route sets g = 0).  S is the row stack of
+    the matrices whose squares `assemble` would otherwise multiply out,
+    without its empty rows: the L_j Pi_Q blocks fill only the rows of
+    sector Q - 1, so at dim 2,701 S keeps 8,319 of 16,206 rows.  S^T / 2 is
+    stored too, as CSR, because a gathering product is faster than a
+    scattering one; the 1/2 is folded into its entries, which changes no
+    bit of a product, since scaling by 1/2 commutes with rounding.  The
+    Gram product is never formed: `H @ x` is F x + G x + (S^T / 2)(S x),
+    which streams far fewer entries than the product matrix.  `nnz` counts
+    the nonzero entries of F and the stored ones of G, S and S^T.  Only
+    `toarray`, for the dense eigensolves up to `spectral.DENSE_CUTOFF`,
+    multiplies H out.
     """
 
-    def __init__(self, F: sp.csr_matrix, S: sp.csr_matrix):
+    def __init__(self, F: np.ndarray, S: sp.csr_matrix, G: sp.csr_matrix | None = None):
         self.F = F
-        # the rows that hold entries, sharing S's data and indices
-        filled = np.diff(S.indptr) > 0
-        self.S = sp.csr_matrix((S.data, S.indices, np.append(0, S.indptr[1:][filled])),
-                               shape=(int(np.count_nonzero(filled)), S.shape[1]))
-        self.half_St = self.S.T.tocsr()
+        self.G = G
+        self.S = S
+        self.half_St = S.T.tocsr()
         self.half_St.data *= 0.5
-        self.shape = F.shape
-        self.nnz = int(F.nnz + 2 * self.S.nnz)
-        self._diagonal = F.diagonal() + 0.5 * np.asarray(
-            self.S.multiply(self.S).sum(axis=0)).ravel()
+        self.shape = (len(F), len(F))
+        self.nnz = int(np.count_nonzero(F) + 2 * S.nnz + (0 if G is None else G.nnz))
+        self._diagonal = F + 0.5 * np.bincount(S.indices, weights=S.data * S.data,
+                                               minlength=len(F))
 
     def __matmul__(self, x):
-        return self.F @ x + self.half_St @ (self.S @ x)
+        # F x is added into the product, which scipy returns C-ordered, so the
+        # result's memory layout never follows x's
+        out = self.half_St @ (self.S @ x)
+        out += (self.F if np.ndim(x) == 1 else self.F[:, None]) * x
+        return out if self.G is None else out + self.G @ x
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal.copy()
 
     def row_abs_bound(self) -> np.ndarray:
-        """|F| 1 + |S|^T (|S| 1) / 2, entrywise at least the row sums of |H|."""
+        """|F| + |G| 1 + |S|^T (|S| 1) / 2, entrywise at least the row sums
+        of |H|."""
         absS = abs(self.S)
-        return (np.asarray(abs(self.F).sum(axis=1)).ravel()
-                + 0.5 * (absS.T @ np.asarray(absS.sum(axis=1)).ravel()))
+        bound = np.abs(self.F) + 0.5 * (absS.T @ np.asarray(absS.sum(axis=1)).ravel())
+        return bound if self.G is None else bound + np.asarray(abs(self.G).sum(axis=1)).ravel()
 
     def toarray(self) -> np.ndarray:
-        return (self.F + self.half_St @ self.S).toarray()
+        out = (self.half_St @ self.S).toarray()
+        out[np.diag_indices(len(self.F))] += self.F
+        return out if self.G is None else out + self.G.toarray()
 
 
 def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix:
@@ -299,23 +309,20 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix
 
         P A_j^2 P = (P A_j P)^2 + Pi_Q (|C_j|^2 + L_j^T L_j) Pi_Q
 
-    with L_j = sum_m C[m,j] b_m = `basis.lowering(C[:, j])`, which stays
-    inside the basis, and Pi_Q the projector onto the top sector.  Both
-    squares on the right are Gram matrices of matrices inside the basis, so
-    the compression is exactly F + S^T S / 2 with S the row stack of the
-    P A_j P and L_j Pi_Q over the components with a field part, and F the
-    rest: the number, field and constant terms, the |C_j|^2 on the top
-    sector, and the squares of the components without field part, which are
-    diagonal in occupation.  Those factors come back as a `FiberMatrix`;
-    an operator whose A has no field part is returned as one CSR matrix.
+    with L_j = sum_m C[m,j] b_m, which stays inside the basis, and Pi_Q the
+    projector onto the top sector.  Both squares on the right are Gram
+    matrices of matrices inside the basis, so the compression is exactly
+    F + G + S^T S / 2 with S the row stack of the P A_j P and the nonempty
+    rows of L_j Pi_Q (`FockBasis.top_lowering`) over the components with a
+    field part, G the field term and F the diagonal rest: the number and
+    constant terms, the |C_j|^2 on the top sector, and the squares of the
+    components without field part, which are diagonal in occupation.
+    Those factors come back as a `FiberMatrix`; an operator whose A has no
+    field part is returned as one CSR matrix, F + G.
     """
     if op.n_modes != basis.n_modes:
         raise ValueError("operator and basis mode counts differ")
-    dim = basis.dim
-    diag = np.full(dim, op.e, dtype=float) + basis.number_diagonal(op.d)
-    F = sp.csr_matrix((dim, dim))
-    if np.any(op.g):
-        F = F + basis.field_matrix(op.g)
+    diag = np.full(basis.dim, op.e, dtype=float) + basis.number_diagonal(op.d)
     vop = VectorFiberOperator(op.w, op.K, op.C)
     top = basis.photon_count == basis.n_max
     components, lowerings = [], []
@@ -323,25 +330,28 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix
         c = op.C[:, j]
         if np.any(c):
             components.append(assemble_vector_component(vop, j, basis))
-            lowerings.append(basis.lowering(c) @ sp.diags(top.astype(float)))
+            lowerings.append(basis.top_lowering(c))
             diag[top] += 0.5 * float(c @ c)
         else:
             a = basis.number_diagonal(op.K[:, j]) + op.w[j]
             diag += 0.5 * a * a
-    F = (F + sp.diags(diag)).tocsr()
     if not components:
-        return F
-    return FiberMatrix(F, sp.vstack(components + lowerings, format="csr"))
+        return basis.operator(op.g, diag)
+    blocks = components + lowerings
+    counts = np.concatenate([np.diff(b.indptr) for b in blocks])
+    indptr = np.zeros(np.count_nonzero(counts) + 1, dtype=np.int32)
+    np.cumsum(counts[counts > 0], out=indptr[1:])
+    S = sp.csr_matrix((np.concatenate([b.data for b in blocks]),
+                       np.concatenate([b.indices for b in blocks]), indptr),
+                      shape=(len(indptr) - 1, basis.dim))
+    return FiberMatrix(diag, S, basis.operator(op.g) if np.any(op.g) else None)
 
 
 def assemble_vector_component(vop: VectorFiberOperator, j: int, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of one affine component on the truncated basis (exact
     compression; creations above the cap have no matrix element here)."""
     diag = np.full(basis.dim, vop.w[j], dtype=float) + basis.number_diagonal(vop.K[:, j])
-    A = sp.diags(diag).tocsr()
-    if np.any(vop.C[:, j]):
-        A = A + basis.field_matrix(vop.C[:, j])
-    return A
+    return basis.operator(vop.C[:, j], diag)
 
 
 def pf_diagonals(basis: FockBasis, grid: MomentumGrid) -> np.ndarray:

@@ -13,9 +13,16 @@ lexicographic rank, which `_sector_rank` computes in closed form (the
 combinatorial number system; Weisse and Fehske, Lect. Notes Phys. 739
 (2008)); it finds every annihilation target and every embedded parent state.
 
-`FockBasis.lowering(c)` is the single builder of L = sum_m c_m b_m, which
-never leaves the basis.  The field L + L^T, the displacement generator
-L - L^T and the top-sector term in `fiberop.assemble` are all built from it.
+Every matrix built on a basis shares one sparsity pattern, that of
+D + sum_m (b_m + b*_m) with D diagonal, which `FockBasis.operator_pattern`
+builds once per basis.  `FockBasis.operator` fills it with the values of
+diag + sum_m c_m (b_m +- b*_m) in one gather: the field L + L^T of
+L = sum_m c_m b_m, which never leaves the basis, the displacement
+generator L - L^T, and the affine components in `fiberop`.
+`FockBasis.top_lowering` gathers the rows of L that reach the top photon
+sector, the extra term of `fiberop.assemble`.  The matrices come out as
+scipy's sparse sums built them, bit for bit: zero entries dropped and
+each row in ascending column order.
 """
 
 from __future__ import annotations
@@ -99,6 +106,7 @@ class FockBasis:
         self.photon_count = np.repeat(np.arange(self.n_max + 1, dtype=np.int64), sizes)
         self._build_occupancy_arrays()
         self._ann_arrays = None
+        self._pattern = None
 
     @property
     def dim(self) -> int:
@@ -132,10 +140,10 @@ class FockBasis:
     def annihilation_arrays(self):
         """COO-style arrays for all b_m actions inside the basis:
         (source state, mode, target state, amplitude sqrt(n_m)), ordered by
-        source state, then by mode."""
+        source state, then by mode; the states and modes as int32."""
         if self._ann_arrays is None:
             occ = self.occupation
-            src = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(occ.indptr))
+            src = np.repeat(np.arange(self.dim, dtype=np.int32), np.diff(occ.indptr))
             tgt = [np.zeros(0, dtype=np.int64)]
             for q in range(1, self.n_max + 1):
                 a = self.sectors[q]
@@ -146,19 +154,92 @@ class FockBasis:
                 for j in range(q - 1):
                     lowered[:, j] = np.where(j < col, a[row, j], a[row, j + 1])
                 tgt.append(self.offsets[q - 1] + _sector_rank(lowered, self.n_modes))
-            self._ann_arrays = (src, occ.indices, np.concatenate(tgt), np.sqrt(occ.data))
+            self._ann_arrays = (src, occ.indices, np.concatenate(tgt).astype(np.int32),
+                                np.sqrt(occ.data))
         return self._ann_arrays
 
-    def lowering(self, coeff) -> sp.csr_matrix:
-        """sum_m coeff[m] * b_m on the truncated basis, which it never leaves."""
-        src, mode, tgt, amp = self.annihilation_arrays()
-        vals = np.asarray(coeff, dtype=float)[mode] * amp
-        return sp.csr_matrix((vals, (tgt, src)), shape=(self.dim, self.dim))
+    def operator_pattern(self):
+        """CSR structure of D + sum_m (b_m + b*_m) on the basis, built once:
+        (indptr, indices, source), int32 and read-only, since the matrices
+        `operator` returns share indptr and indices.
 
-    def field_matrix(self, coeff) -> sp.csr_matrix:
-        """sum_m coeff[m] * (b_m + b*_m) on the truncated basis."""
-        lower = self.lowering(coeff)
-        return lower + lower.T
+        Row i holds the targets of the b_m lowering state i, ascending; then
+        i itself; then, below the cap, the M states b*_m raises i to, in
+        mode order, which is ascending too: a lower mode sorts first.
+        source[p] names the value of stored entry p in the array `operator`
+        gathers from: k for b_m's k-th `annihilation_arrays` entry (row
+        tgt[k], column src[k]), n_ann + k for its transpose, and
+        2 n_ann + i for the diagonal entry of row i.
+        """
+        if self._pattern is None:
+            src, mode, tgt, _ = self.annihilation_arrays()
+            n_ann = len(src)
+            occ_ptr = self.occupation.indptr
+            n_low = np.diff(occ_ptr)
+            n_up = np.where(self.photon_count < self.n_max, self.n_modes, 0)
+            indptr = np.zeros(self.dim + 1, dtype=np.int32)
+            np.cumsum(n_low + 1 + n_up, out=indptr[1:])
+            on_diag = indptr[:-1] + n_low
+            # row src[k] lists its occupied modes in descending order, which
+            # is ascending target order: dropping a higher mode sorts first
+            k = np.arange(n_ann, dtype=np.int32)
+            low = on_diag[src] - 1 - (k - occ_ptr[src])
+            up = on_diag[tgt] + 1 + mode
+            diag = np.arange(self.dim, dtype=np.int32)
+            indices = np.empty(indptr[-1], dtype=np.int32)
+            source = np.empty(indptr[-1], dtype=np.int32)
+            for at, col, value in ((up, src, k), (low, tgt, n_ann + k),
+                                   (on_diag, diag, 2 * n_ann + diag)):
+                indices[at] = col
+                source[at] = value
+            for a in (indptr, indices, source):
+                a.flags.writeable = False
+            self._pattern = (indptr, indices, source)
+        return self._pattern
+
+    def operator(self, coeff, diag=0.0, sign=1.0) -> sp.csr_matrix:
+        """diag + sum_m coeff[m] * (b_m + sign * b*_m) on the truncated basis,
+        gathered into `operator_pattern` with its zero entries dropped."""
+        indptr, indices, source = self.operator_pattern()
+        _, mode, _, amp = self.annihilation_arrays()
+        # filled in place: temporaries raised the peak RSS at photon cap 3
+        n_ann = len(mode)
+        values = np.empty(2 * n_ann + self.dim)
+        lower = values[:n_ann]
+        np.take(np.asarray(coeff, dtype=float), mode, out=lower)
+        lower *= amp
+        np.multiply(lower, sign, out=values[n_ann:2 * n_ann])
+        values[2 * n_ann:] = diag
+        return _csr_without_zeros(values[source], indices, indptr, self.dim)
+
+    def top_lowering(self, coeff) -> sp.csr_matrix:
+        """L Pi_Q on the rows where it can hold entries, with
+        L = sum_m coeff[m] b_m and Pi_Q the projector onto the top sector:
+        the (n_{Q-1}, dim) rows of sector Q - 1, each lowering from its M
+        top-sector raisings, gathered from `operator_pattern`."""
+        if self.n_max == 0:
+            return sp.csr_matrix((0, self.dim))
+        indptr, indices, source = self.operator_pattern()
+        _, mode, _, amp = self.annihilation_arrays()
+        rows = np.arange(self.offsets[-3], self.offsets[-2])
+        # the M raisings close each of these rows
+        at = (indptr[rows + 1] - self.n_modes)[:, None] + np.arange(self.n_modes)
+        lower = np.asarray(coeff, dtype=float)[mode] * amp
+        top_indptr = self.n_modes * np.arange(len(rows) + 1, dtype=np.int32)
+        return _csr_without_zeros(lower[source[at].ravel()], indices[at].ravel(),
+                                  top_indptr, self.dim)
+
+
+def _csr_without_zeros(data, indices, indptr, n_cols) -> sp.csr_matrix:
+    """CSR matrix of the given arrays without its zero entries, as scipy's
+    sparse sums and products drop them; indptr and indices are shared when
+    nothing is dropped."""
+    keep = data != 0
+    if not keep.all():
+        kept = np.zeros(len(data) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        data, indices, indptr = data[keep], indices[keep], kept[indptr]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
 
 
 # one checkpoint row: index, re, im
@@ -268,8 +349,7 @@ def displacement_generator(basis: FockBasis, delta) -> sp.csr_matrix:
     delta = np.asarray(delta, dtype=float)
     if len(delta) != basis.n_modes:
         raise ValueError("delta length does not match mode count")
-    lower = basis.lowering(delta)
-    return (lower - lower.T).tocsr()
+    return basis.operator(delta, sign=-1.0)
 
 
 def apply_displacement(basis: FockBasis, delta, v: np.ndarray) -> np.ndarray:

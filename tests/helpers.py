@@ -29,14 +29,21 @@ def state_index(n_modes: int, n_max: int) -> dict:
     return {s: i for i, s in enumerate(basis_states(n_modes, n_max))}
 
 
+def reference_lowering(basis: FockBasis, coeff) -> sp.csr_matrix:
+    """sum_m coeff[m] b_m from annihilation_arrays, built as scipy builds a
+    COO matrix: the reference for the gathers of `FockBasis.operator` and
+    `FockBasis.top_lowering`.  Modes with coeff[m] = 0 stay as explicit
+    zeros, as they did in the CSR matrices the package built this way."""
+    src, mode, tgt, amp = basis.annihilation_arrays()
+    return sp.csr_matrix((np.asarray(coeff, dtype=float)[mode] * amp, (tgt, src)),
+                         shape=(basis.dim, basis.dim))
+
+
 def lowering_matrix(basis: FockBasis, m: int) -> sp.csr_matrix:
     """Sparse matrix of b_m on the truncated basis, from the package's
     annihilation_arrays (exact: lowering never leaves the space).  Its
     transpose is the truncated raising operator."""
-    src, mode, tgt, amp = basis.annihilation_arrays()
-    sel = mode == m
-    return sp.csr_matrix((amp[sel], (tgt[sel], src[sel])),
-                         shape=(basis.dim, basis.dim))
+    return reference_lowering(basis, np.eye(basis.n_modes)[m])
 
 
 def single_mode_ladder(dim):
@@ -148,3 +155,13 @@ def dense_vector_component(vop, j, n_modes, per_mode_dim):
         A = A + vop.K[m, j] * (ladders[m].T @ ladders[m]) \
               + vop.C[m, j] * (ladders[m] + ladders[m].T)
     return A
+
+
+def assert_same_csr(got, want):
+    """Equal shape, and indptr, indices and data with the same dtypes and
+    bits."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name

@@ -512,6 +512,16 @@ def test_sweep_ledger_layout(sweep_dir):
     assert n_col == [0, 1, 2, 3, 4]
 
 
+def test_timings_record_the_peak_rss(sweep_dir):
+    import resource
+    _, out = sweep_dir
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"command", "peak_rss_mb", "seconds"}
+    # a peak of this process, in MiB: no later reading is below it
+    now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 1.0 < timings["peak_rss_mb"] <= now
+
+
 def test_sweep_fits_and_plots(sweep_dir):
     _, out = sweep_dir
     fits = json.loads((out / "sweep_fits.json").read_text())

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
-from helpers import (dense_compressed, dense_fiber_operator, compression_map,
-                     product_ladders, random_momentum_grid, toy_grid)
+from helpers import (assert_same_csr, dense_compressed, dense_fiber_operator,
+                     compression_map, product_ladders, random_momentum_grid,
+                     reference_lowering, toy_grid)
 from nelsonlab.dressing import dressed_ground_state
 from nelsonlab.fiberop import (FiberMatrix, FiberOperator, VectorFiberOperator,
                                alpha_factors, assemble, assemble_vector_component,
@@ -99,7 +101,8 @@ def test_factored_diagonal_matches_materialized(dressed_small):
 def test_factored_nnz_counts_stored_factor_entries(dressed_small):
     H, _ = dressed_small
     assert type(H.nnz) is int
-    assert H.nnz == H.F.nnz + H.S.nnz + H.half_St.nnz
+    assert H.G is None  # dressed: the closed route has no field term
+    assert H.nnz == np.count_nonzero(H.F) + H.S.nnz + H.half_St.nnz
 
 
 def test_factored_row_bound_covers_the_row_sums(dressed_small):
@@ -108,9 +111,9 @@ def test_factored_row_bound_covers_the_row_sums(dressed_small):
     assert np.all(H.row_abs_bound() >= rows * (1.0 - 1e-15))
 
 
-def test_factors_store_far_fewer_entries_than_the_product():
-    # scale 3 of the acceptance sweep (dim 1,540): the multiplied-out
-    # dressed matrix holds 167,860 nonzeros
+@pytest.fixture(scope="module")
+def scale3_hw():
+    """The dressed Hw at scale 3 of the acceptance sweep (dim 1,540)."""
     config = SweepConfig(params=ModelParams(coupling=0.1, P=(1 / 6, 0.0, 0.0)),
                          spec=GridSpec(4, 3, 3), epsilon=0.5)
     grid = build_grid(config.params.with_sigma(config.sigma_at(0)), config.spec)
@@ -118,9 +121,131 @@ def test_factors_store_far_fewer_entries_than_the_product():
         grid = refine_annulus(grid, config.sigma_at(n))
     basis = build_basis(grid.n_modes, config.photon_cap)
     assert basis.dim == 1540
-    Hw = dressed_ground_state(config.params.with_sigma(config.sigma_at(3)),
-                              grid, basis, config.tol).Hw
+    params = config.params.with_sigma(config.sigma_at(3))
+    state = dressed_ground_state(params, grid, basis, config.tol)
+    return state.Hw, transformed_hamiltonian(params, grid, state.grad_e), basis
+
+
+def test_factors_store_far_fewer_entries_than_the_product(scale3_hw):
+    # the multiplied-out dressed matrix holds 167,860 nonzeros
+    Hw = scale3_hw[0]
     assert np.count_nonzero(Hw.toarray()) >= 2 * Hw.nnz
+
+
+def reference_component(vop, j, basis):
+    """One affine component as scipy's sparse sums build it."""
+    A = sp.diags(vop.w[j] + basis.number_diagonal(vop.K[:, j])).tocsr()
+    if np.any(vop.C[:, j]):
+        L = reference_lowering(basis, vop.C[:, j])
+        A = A + (L + L.T)
+    return A
+
+
+def reference_factors(op, basis):
+    """(F, S) of `assemble` as scipy's sparse sums, products and vstack
+    build them: F the CSR sum of the diagonal and field parts, S the row
+    stack of the components and of L_j @ diags(top), without empty rows
+    (None when A has no field part).  S's rows are sorted, as `abs(S)`
+    sorted them in place at the first `ground_state` call when S was built
+    this way, before any product with it."""
+    dim = basis.dim
+    diag = np.full(dim, op.e) + basis.number_diagonal(op.d)
+    F = sp.csr_matrix((dim, dim))
+    if np.any(op.g):
+        L = reference_lowering(basis, op.g)
+        F = F + (L + L.T)
+    vop = VectorFiberOperator(op.w, op.K, op.C)
+    top = basis.photon_count == basis.n_max
+    rows, lowerings = [], []
+    for j in range(3):
+        c = op.C[:, j]
+        if np.any(c):
+            rows.append(reference_component(vop, j, basis))
+            lowerings.append(reference_lowering(basis, c) @ sp.diags(top.astype(float)))
+            diag[top] += 0.5 * float(c @ c)
+        else:
+            a = basis.number_diagonal(op.K[:, j]) + op.w[j]
+            diag += 0.5 * a * a
+    F = (F + sp.diags(diag)).tocsr()
+    if not rows:
+        return F, None
+    S = sp.vstack(rows + lowerings, format="csr")
+    filled = np.diff(S.indptr) > 0
+    S = sp.csr_matrix((S.data, S.indices, np.append(0, S.indptr[1:][filled])),
+                      shape=(int(filled.sum()), dim))
+    S.sort_indices()
+    return F, S
+
+
+def reference_cases():
+    """(operator, basis) over photon caps 0..3, no modes, and coefficient
+    vectors with exact zeros: a mode without field part, a component
+    without one, a zero g entry and a zero vacuum diagonal."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for M, Q in [(0, 2), (3, 0), (2, 1), (3, 2), (4, 3)]:
+        for with_g in (True, False):
+            op = random_fiber_operator(rng, M)
+            w, C = op.w.copy(), op.C.copy()
+            g = op.g.copy() if with_g else np.zeros(M)
+            if M:
+                C[0] = 0.0
+                C[:, 1] = 0.0
+                g[-1] = 0.0
+            w[2] = 0.0  # A_2 vanishes on the vacuum
+            cases.append(pytest.param(FiberOperator(w, op.K, C, op.d, g, op.e),
+                                      build_basis(M, Q),
+                                      id=f"M{M}-Q{Q}-{'g' if with_g else 'no_g'}"))
+    grid = random_momentum_grid(rng, 4)
+    params = ModelParams(coupling=0.2, sigma=grid.sigma, P=(0.05, -0.1, 0.0))
+    routes = transformed_hamiltonian_routes(params, grid, [0.03, -0.06, 0.02])
+    for name, route in zip(("displaced", "closed"), routes):
+        cases.append(pytest.param(route, build_basis(4, 3), id=f"dressed_{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("op, basis", reference_cases())
+def test_assemble_matches_the_scipy_reference_bit_for_bit(op, basis):
+    F_ref, S_ref = reference_factors(op, basis)
+    H = assemble(op, basis)
+    if S_ref is None:
+        assert_same_csr(H, F_ref)
+        return
+    assert isinstance(H, FiberMatrix)
+    assert (H.G is None) == (not np.any(op.g))
+    F = sp.diags(H.F).tocsr()
+    assert_same_csr(F if H.G is None else F + H.G, F_ref)
+    assert_same_csr(H.S, S_ref)
+    half_St = S_ref.T.tocsr()
+    half_St.data *= 0.5
+    assert_same_csr(H.half_St, half_St)
+    diagonal = F_ref.diagonal() + 0.5 * np.asarray(S_ref.multiply(S_ref).sum(axis=0)).ravel()
+    assert H.diagonal().tobytes() == diagonal.tobytes()
+    assert H.toarray().tobytes() == (F_ref + half_St @ S_ref).toarray().tobytes()
+    # the row bound reads S without sorting it in place, so no product moves
+    x = np.random.default_rng(2).standard_normal(basis.dim)
+    before = (H @ x).tobytes()
+    H.row_abs_bound()
+    assert (H @ x).tobytes() == before
+    vop = VectorFiberOperator(op.w, op.K, op.C)
+    for j in range(3):
+        assert_same_csr(assemble_vector_component(vop, j, basis),
+                        reference_component(vop, j, basis))
+
+
+def test_dressed_matvec_matches_the_reference_factors_bit_for_bit(scale3_hw):
+    # F x + (S^T / 2)(S x) with F the diagonal CSR matrix and S the sorted
+    # row stack scipy's sparse sums, products and vstack build
+    Hw, op, basis = scale3_hw
+    F_ref, S_ref = reference_factors(op, basis)
+    half_St = S_ref.T.tocsr()
+    half_St.data *= 0.5
+    X = np.random.default_rng(5).standard_normal((basis.dim, 3))
+    for x in (X[:, 0].copy(), X, np.asfortranarray(X)):
+        want = F_ref @ x + half_St @ (S_ref @ x)
+        got = Hw @ x
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_assemble_builds_no_auxiliary_basis(monkeypatch):

@@ -7,7 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import basis_states, lowering_matrix, state_index
+import scipy.sparse as sp
+
+from helpers import (assert_same_csr, basis_states, lowering_matrix,
+                     reference_lowering, state_index)
 from nelsonlab.fock import (StateVector, apply_displacement, build_basis,
                             displacement_generator, embed)
 
@@ -178,8 +181,10 @@ def test_lowering_is_the_sum_of_single_mode_lowerings():
     b = build_basis(3, 3)
     c = np.array([0.7, 0.0, -1.3])
     expected = sum(c[m] * lowering_matrix(b, m).toarray() for m in range(3))
-    # each matrix element has a single mode's contribution: exact equality
-    assert np.array_equal(b.lowering(c).toarray(), expected)
+    # each matrix element has a single mode's contribution: exact equality;
+    # L is the upper triangle of the generator L - L^T
+    G = displacement_generator(b, c).toarray()
+    assert np.array_equal(np.triu(G), expected)
 
 
 @pytest.mark.parametrize("M, Q", [(0, 2), (3, 0), (1, 4), (4, 3), (6, 2), (2, 70)])
@@ -217,6 +222,46 @@ def test_annihilation_cache_is_a_declared_field():
     arrays = b.annihilation_arrays()
     assert set(vars(b)) == before
     assert b.annihilation_arrays() is arrays
+
+
+@pytest.mark.parametrize("M, Q", [(0, 2), (3, 0), (2, 1), (3, 2), (4, 3), (1, 3)])
+def test_gathers_match_scipy_sums_bit_for_bit(M, Q):
+    # reference: L = sum_m c_m b_m as a COO matrix, then scipy's sums,
+    # transposes and products; c and the diagonal hold exact zeros
+    b = build_basis(M, Q)
+    rng = np.random.default_rng(M + 10 * Q)
+    c = rng.normal(size=M)
+    c[:M // 2] = 0.0
+    diag = rng.normal(size=b.dim)
+    diag[::3] = 0.0
+    L = reference_lowering(b, c)
+    assert_same_csr(b.operator(c, diag), sp.diags(diag).tocsr() + (L + L.T))
+    assert_same_csr(b.operator(c), L + L.T)
+    assert_same_csr(displacement_generator(b, c), (L - L.T).tocsr())
+    if Q:
+        top = sp.diags((b.photon_count == Q).astype(float))
+        T = (L @ top)[b.offsets[Q - 1]:b.offsets[Q]]
+        T.sort_indices()
+        assert_same_csr(b.top_lowering(c), T)
+
+
+def test_operator_pattern_is_a_read_only_declared_cache():
+    b = build_basis(3, 2)
+    before = set(vars(b))
+    pattern = b.operator_pattern()
+    assert set(vars(b)) == before
+    assert b.operator_pattern() is pattern
+    for a in pattern:
+        assert a.dtype == np.int32
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # a matrix without zero entries shares the pattern, which scipy
+    # cannot then change in place
+    A = b.operator(np.ones(3), np.ones(b.dim))
+    assert np.shares_memory(A.indptr, pattern[0])
+    assert np.shares_memory(A.indices, pattern[1])
+    with pytest.raises(ValueError):
+        A.indices[0] = 1
 
 
 def test_displacement_generator_antisymmetric():

@@ -196,8 +196,7 @@ def test_start_block_of_too_few_or_dependent_rows_is_refused():
 
 def factored_tridiagonal(n):
     """FiberMatrix with a graded diagonal F and a tridiagonal factor S."""
-    return FiberMatrix(sp.diags(np.linspace(0.5, 3.5, n), format="csr"),
-                       toeplitz_tridiag(n, 1.0, 0.4))
+    return FiberMatrix(np.linspace(0.5, 3.5, n), toeplitz_tridiag(n, 1.0, 0.4))
 
 
 def test_factored_operator_is_never_materialized_past_cutoff(monkeypatch):
