@@ -59,11 +59,11 @@ class DressedScaleState:
     intermediate Hamiltonian of `multiscale`).  Checkpoints do not store
     it.
 
-    `H` is the bare matrix, one CSR matrix since the bare A has no field
-    part, and `split` its `SchurSplit`, built once per cutoff for the bare
-    solve and the dispersion probes; `Hw` is the dressed one, kept factored
-    as a `FiberMatrix` (a CSR matrix only when nothing is dressed: no modes
-    or zero coupling).
+    `split` is the bare matrix, held only as its `SchurSplit` (the CSR
+    matrix is `split.H`, since the bare A has no field part), built once
+    per cutoff for the bare solve and the dispersion probes; `Hw` is the
+    dressed one, kept factored as a `FiberMatrix` (a CSR matrix only when
+    nothing is dressed: no modes or zero coupling).
 
     The state owns the first-order data every momentum derivative is built
     from, each computed once on first use: the compressed momentum defect
@@ -85,11 +85,10 @@ class DressedScaleState:
     phi: np.ndarray
     gap_w: float
     phi1: np.ndarray | None = field(repr=False)
-    H: sp.csr_matrix = field(repr=False)              # bare: no field in A
+    split: SchurSplit = field(repr=False)
     Hw: FiberMatrix | sp.csr_matrix = field(repr=False)  # spectral reads both alike
     tol: float
     diagnostics: dict = field(default_factory=dict)
-    split: SchurSplit | None = field(default=None, repr=False)
 
     @property
     def grad_norm(self) -> float:
@@ -198,8 +197,7 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
                                            - rec_w.vector))
     state = DressedScaleState(params, grid, basis, rec.energy, rec.vector,
                               rec.gap, grad_e, h, rec_w.energy, rec_w.vector,
-                              rec_w.gap, rec_w.excited, split.H, Hw, tol,
-                              split=split)
+                              rec_w.gap, rec_w.excited, split, Hw, tol)
     gdef = state.phi @ state.gamma_phi
     state.diagnostics = {
         "energy_mismatch": abs(rec.energy - rec_w.energy),
@@ -216,15 +214,13 @@ def dressed_ground_state(params: ModelParams, grid: MomentumGrid, basis: FockBas
 
 
 def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
-                     H: sp.csr_matrix | SchurSplit, energy: float,
+                     split: SchurSplit, energy: float,
                      max_probes: int = 48, tol: float = 1e-10):
     """Largest energy drop per unit photon momentum over grid-mode probes.
 
-    Re-solves the bare Hamiltonian H (ground energy `energy`; a CSR matrix,
-    as `assemble` returns every operator whose A has no field part, or its
-    unshifted `SchurSplit`, such as `DressedScaleState.split`) at P - k_m
-    (only the diagonal moves) and returns (deficit, ratios, probe_indices)
-    with
+    Re-solves the bare Hamiltonian H (ground energy `energy`), given as its
+    unshifted `split`, such as `DressedScaleState.split`, at P - k_m (only
+    the diagonal moves) and returns (deficit, ratios, probe_indices) with
 
         ratio_m = (E(P) - E(P - k_m)) / |k_m|,    deficit = max_m ratio_m.
 
@@ -232,10 +228,9 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     deficit means a steep photon-emission threshold.
 
     Each probe reads one number, so it asks `ground_state` for the lowest
-    eigenvalue alone (gap=False).  One `SchurSplit` of H serves every probe,
-    the one passed or else one built here: a probe's operator is that split
-    shifted by the probe's diagonal (`SchurSplit.shifted`, O(dim)), so no
-    probe forms a matrix.  Up to the
+    eigenvalue alone (gap=False).  The one split serves every probe: a
+    probe's operator is that split shifted by the probe's diagonal
+    (`SchurSplit.shifted`, O(dim)), so no probe forms a matrix.  Up to the
     dense cutoff the probe is one dense solve.  Past it, where the split's
     head fits the cutoff (photon cap 2), the Feshbach-Schur solve finds the
     lowest eigenvalue in every symmetry sector at once; it starts from no
@@ -261,7 +256,6 @@ def dispersion_probe(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     idx = np.arange(0, n, step)
     P = params.P_vec
     perms = point_group_permutations(grid, P)
-    split = H if isinstance(H, SchurSplit) else SchurSplit(H)
     known = {}  # mode -> ratio, filled one orbit at a time
     ratios = np.empty(len(idx))
     for i, m in enumerate(idx):

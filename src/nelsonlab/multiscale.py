@@ -358,7 +358,7 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
     _intermediate_quantities(config, state, prev_state, row)
     bg = BareGround.from_state(state)
     row.f1_bound_c = bound_constant_f1(bg, extract_f1(bg))[0]
-    row.deficit = dispersion_probe(params, grid, basis, H=state.split,
+    row.deficit = dispersion_probe(params, grid, basis, split=state.split,
                                    energy=state.energy,
                                    max_probes=config.max_probes,
                                    tol=config.tol)[0]

@@ -17,16 +17,15 @@ order:
    vector of the lowest diagonal entry, with exact zeros elsewhere, and the
    method is "diagonal".
 2. Up to DENSE_CUTOFF, a dense solve for those one or two eigenpairs.
-3. A sparse operator whose diagonal tail (`SchurSplit`) leaves a head of
-   at most DENSE_CUTOFF states, the bare H at photon cap 2, takes the
-   Feshbach-Schur map of that tail ("feshbach", see _feshbach): Newton on
-   each level of a dense head-sized matrix, in every symmetry sector at
-   once.  At dim 13,366 (head 163) two pairs take 22-25 ms, split
-   included, against 1.6-1.7 s for ARPACK, with 3-5 evaluations of the
-   map per level.
+3. A `SchurSplit` whose head fits DENSE_CUTOFF, the bare H at photon cap
+   2, takes the Feshbach-Schur map of its diagonal tail ("feshbach", see
+   _feshbach): Newton on each level of a dense head-sized matrix, in every
+   symmetry sector at once.  At dim 13,366 (head 163) two pairs take
+   22-25 ms, split included, against 1.6-1.7 s for ARPACK, with 3-5
+   evaluations of the map per level.
 4. Otherwise block LOBPCG ("lobpcg", see _lobpcg), the one iterative
    eigensolver: for one eigenpair from the vacuum-weighted vector alone,
-   for two from a start block of rows that the caller passes as `start`.
+   for two from a start block of rows that the caller's `start` returns.
 DENSE_CUTOFF = 300 is the measured crossover of the dense solve and LOBPCG
 on the sweep's operators (Q=2, one BLAS thread).  For the dressed and
 intermediate pairs the dense solve, O(dim^3) with the materialization,
@@ -45,8 +44,8 @@ the ground vector itself is read (the pull-through chains of
 leaves it 7e-10 from a tol=1e-14 ARPACK vector, this one 5e-13.
 
 The start is deterministic, so repeated runs reproduce bit-identical
-results.  The caller knows the physics of its operator and passes the
-start block, or a function that returns it, called only when LOBPCG runs:
+results.  The caller knows the physics of its operator and passes a
+function that returns the start block, called only when LOBPCG runs:
 the soft-photon block of `dressing.soft_photon_block` for the dressed and
 the photon-cap-3 bare pairs, and the transported dressed pair for the
 intermediate operator of `multiscale`.  On the dressed Hw of the sweep
@@ -302,7 +301,7 @@ def _feshbach(split: "SchurSplit", k: int, stop: float):
 
 
 def _start_block(dim: int, k: int, start) -> np.ndarray:
-    """The LOBPCG start block as unit rows: the caller's `start`, or the
+    """The LOBPCG start block as unit rows: those `start()` returns, or the
     vacuum-weighted vector, with k - 1 fixed seeded rows below it."""
     if start is None:
         X = np.full((k, dim), 1e-3)
@@ -310,15 +309,15 @@ def _start_block(dim: int, k: int, start) -> np.ndarray:
         if k > 1:
             X[1:] = np.random.default_rng(0).standard_normal((k - 1, dim))
     else:
-        X = np.array(start, dtype=float, order="C", ndmin=2)
-    if X.shape[0] < k or X.shape[1] != dim:
+        X = np.array(start(), dtype=float, order="C")
+    if X.ndim != 2 or X.shape[0] < k or X.shape[1] != dim:
         raise ValueError(f"start block of shape {X.shape} for {k} eigenpairs "
                          f"of dim {dim}")
     return X / _row_norms(X)[:, None]
 
 
 def ground_state(H, tol: float = 1e-10, gap: bool = True,
-                 start: np.ndarray | Callable[[], np.ndarray] | None = None
+                 start: Callable[[], np.ndarray] | None = None
                  ) -> GroundStateRecord:
     """Lowest eigenpair, with the spectral gap and the second eigenvector
     unless gap=False.
@@ -327,33 +326,29 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     `gap` is nan and `excited` None, and a one-state H has gap inf.  A
     diagonal H, 1 x 1 included, returns its k lowest basis vectors (method
     "diagonal").  Otherwise a dense solve for the k lowest eigenpairs up to
-    DENSE_CUTOFF.  Above it, a `SchurSplit`, or a sparse H split here only
-    when the split will serve, whose head n satisfies k <= n <= DENSE_CUTOFF
-    takes the Feshbach-Schur map of its diagonal tail (`_feshbach`, at most
-    FESHBACH_MAXITER Newton steps per level); any other H takes block
-    LOBPCG (`_lobpcg`, at most LOBPCG_MAXITER steps) for the k lowest
-    eigenpairs.  LOBPCG starts from `start`, rows of shape (b, dim) with
-    b >= k, or a function without arguments that returns them, called only
-    on this path (the dense and Feshbach-Schur solves ignore `start`).
-    Without it, the block is a fixed vacuum-weighted vector, with one fixed
-    seeded row below it for k=2.  A 1-D start is one row.
-    It raises ValueError for a start block of fewer than k rows or of the
-    wrong width, and ArithmeticError ending in `method=<name>`, retrying
-    nothing, when LOBPCG runs out of steps, its start block or its block
-    [X, W] is not of full rank, or it misses the bottom of the spectrum,
-    when a level has no Feshbach-Schur root below the tail or Newton runs
-    out of steps, or, whatever the method, when the true residual
-    ||H psi - E psi|| exceeds its budget.  Any other solver error
+    DENSE_CUTOFF.  Above it, a `SchurSplit` whose head n satisfies
+    k <= n <= DENSE_CUTOFF takes the Feshbach-Schur map of its diagonal
+    tail (`_feshbach`, at most FESHBACH_MAXITER Newton steps per level);
+    any other H, a sparse matrix included, takes block LOBPCG (`_lobpcg`,
+    at most LOBPCG_MAXITER steps) for the k lowest eigenpairs.  LOBPCG
+    starts from the rows, of shape (b, dim) with b >= k, that `start`, a
+    function without arguments, returns; it is called only on this path
+    (the dense and Feshbach-Schur solves ignore it).  Without it, the block
+    is a fixed vacuum-weighted vector, with one fixed seeded row below it
+    for k=2.
+    It raises ValueError for a start block that is not 2-D, has fewer than
+    k rows or the wrong width, and ArithmeticError ending in
+    `method=<name>`, retrying nothing, when LOBPCG runs out of steps, its
+    start block or its block [X, W] is not of full rank, or it misses the
+    bottom of the spectrum, when a level has no Feshbach-Schur root below
+    the tail or Newton runs out of steps, or, whatever the method, when the
+    true residual ||H psi - E psi|| exceeds its budget.  Any other solver error
     propagates.  Both returned vectors are contiguous and normalized, with
     a positive vacuum component (positive largest component if the vacuum
     one vanishes).
     """
     dim = H.shape[0]
     k = min(2 if gap else 1, dim)
-    split = H if isinstance(H, SchurSplit) else None
-    if (split is None and sp.issparse(H) and dim > DENSE_CUTOFF
-            and k <= _tail_start(H)[0] <= DENSE_CUTOFF):
-        split = SchurSplit(H)
     row_sums = _row_abs_sums(H)
     budget = _residual_budget(row_sums, tol)
     diag = H.diagonal()
@@ -368,12 +363,12 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     elif dim <= DENSE_CUTOFF:
         vals, vecs = eigh(H.toarray(), subset_by_index=[0, k - 1], driver="evr")
         method = "dense"
-    elif split is not None and k <= split.split <= DENSE_CUTOFF:
+    elif isinstance(H, SchurSplit) and k <= H.split <= DENSE_CUTOFF:
         method = "feshbach"
-        vals, vecs = _feshbach(split, k, 1e-6 * budget)
+        vals, vecs = _feshbach(H, k, 1e-6 * budget)
     else:
         method = "lobpcg"
-        X = _start_block(dim, k, start() if callable(start) else start)
+        X = _start_block(dim, k, start)
         vals, X = _lobpcg(H, X, diag, 1e-6 * budget, k)
         vecs = X.T
         # Every diagonal entry is a Rayleigh quotient, so a lowest value above
@@ -408,16 +403,6 @@ def _jacobi(shifted_diagonal: np.ndarray) -> np.ndarray:
     d = np.abs(shifted_diagonal)
     d[d == 0.0] = 1.0
     return 1.0 / d
-
-
-def _minres_solve(matvec, precond, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """x with matvec(x) ~ rhs by MINRES preconditioned by `precond`, which
-    applies M^{-1} and must be symmetric positive definite on the space the
-    iterates live in; the caller checks the residual (`_check_residual`)."""
-    dim = len(rhs)
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    M = LinearOperator((dim, dim), matvec=precond, dtype=float)
-    return minres(op, rhs, M=M, rtol=max(1e-13, tol / 100.0), maxiter=40 * dim)[0]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -551,22 +536,19 @@ def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
     def precond(v):
         return _project_out(inv * _project_out(v, psi), psi)
 
-    x = _minres_solve(apply, precond, rhs_p, tol)
+    dim = len(rhs_p)
+    x = minres(LinearOperator((dim, dim), matvec=apply, dtype=float), rhs_p,
+               M=LinearOperator((dim, dim), matvec=precond, dtype=float),
+               rtol=max(1e-13, tol / 100.0), maxiter=40 * dim)[0]
     _check_residual(apply(x) - rhs_p, rhs_p, tol, "reduced-resolvent")
     return _project_out(x, psi)
 
 
-def _tail_start(H):
-    """(n, C, off): the smallest index n with H[n:, n:] diagonal, H as COO,
-    and the mask of C's nonzero off-diagonal entries."""
-    C = H.tocoo()
-    off = (C.row != C.col) & (C.data != 0.0)
-    return int(np.max(np.minimum(C.row, C.col)[off], initial=-1)) + 1, C, off
-
-
 class SchurSplit:
     """A symmetric sparse H split at its diagonal tail, built once per
-    operator for `solve_shifted` and `ground_state`.
+    operator for `solve_shifted` and `ground_state`: the one handle on the
+    bare H, split where it is assembled (`dressing.dressed_ground_state`,
+    `wavefunctions.BareGround.solve`).
 
     `split` is the smallest index n with H[n:, n:] diagonal, read from the
     stored nonzero entries: one past the largest min(i, j) over the nonzero
@@ -593,7 +575,9 @@ class SchurSplit:
 
     def __init__(self, H):
         H = sp.csr_matrix(H)
-        n, C, off = _tail_start(H)
+        C = H.tocoo()
+        off = (C.row != C.col) & (C.data != 0.0)
+        n = int(np.max(np.minimum(C.row, C.col)[off], initial=-1)) + 1
         dim = H.shape[0]
         self.H, self.split, self.diag, self.shift = H, n, H.diagonal(), None
         R = H[n:, :n]  # B by rows
@@ -645,14 +629,15 @@ class SchurSplit:
         return A
 
 
-def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def solve_shifted(split: SchurSplit, z, rhs: np.ndarray,
+                  tol: float = 1e-10) -> np.ndarray:
     """X = (H - z)^{-1} rhs for real shifts z off the spectrum, one system
     per column of rhs.  rhs is (dim,), a block of width 1 whose solution
     comes back as (dim,), or (dim, b).  z is a scalar, one value per basis
     state (dim,), so H - diag(z) and a diagonal change of H needs no new
-    matrix, or one such column per right-hand side (dim, b).  H is a
-    `SchurSplit` without a shift, or a sparse matrix split here; build the
-    split once when one H takes many shifts.
+    matrix, or one such column per right-hand side (dim, b).  H comes as
+    its `split`, a `SchurSplit` without a shift, built once for all the
+    shifts of one H; anything else raises TypeError.
 
     The diagonal tail of H - z is eliminated exactly.  With n the split,
     x = (u, x_top), D the tail diagonal and g = (D - z_top)^{-1},
@@ -682,20 +667,19 @@ def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     it."""
     if np.iscomplexobj(z):
         raise TypeError(f"solve_shifted takes a real shift, got {z!r}")
-    op = H if isinstance(H, SchurSplit) else SchurSplit(H)
-    if op.shift is not None:
+    if not isinstance(split, SchurSplit) or split.shift is not None:
         raise TypeError("solve_shifted takes an unshifted split")
-    n, K, B, Bt, dim = op.split, op.K, op.B, op.Bt, op.shape[0]
+    n, K, B, Bt, dim = split.split, split.K, split.B, split.Bt, split.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     R = rhs.reshape(dim, -1)
     z = np.asarray(z, dtype=float)
     Z = np.broadcast_to(z[:, None] if z.ndim == 1 else z, R.shape)
-    pivot = op.diag[n:, None] - Z[n:]
+    pivot = split.diag[n:, None] - Z[n:]
     zero = np.unique(np.flatnonzero(pivot == 0.0) // R.shape[1])
     kept = pivot[zero]  # bordered rows: their pivots stay on the diagonal
     pivot[zero] = np.inf  # g = 1 / pivot = 0 there
     z_low, R_top = Z[:n], R[n:]
-    inv = _jacobi(np.concatenate([op.diag[:n, None] - z_low, kept]))
+    inv = _jacobi(np.concatenate([split.diag[:n, None] - z_low, kept]))
 
     def apply(Y):
         # in place on the one top-sector temporary B U: each further array
@@ -723,7 +707,7 @@ def solve_shifted(H, z, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     del X_top
     # H X - Z X - rhs, formed in place a slab of rows at a time, so that no
     # further (dim, b) array is made
-    resid = op.H @ X
+    resid = split.H @ X
     resid -= R
     for rows in range(0, dim, 1024):
         slab = slice(rows, rows + 1024)

@@ -30,9 +30,9 @@ f^3 sum reads the f^2 sums below it.
 
 A momentum shift moves only the diagonal of H, and H is diagonal on its
 top photon sector, so the R(T) of one level are `solve_shifted` calls on
-the split `BareGround.split`, built once per ground state, each with up
-to BLOCK_WIDTH right-hand sides: the top sector is eliminated exactly and
-one block MINRES iterates over the lower sectors alone.
+`BareGround.split`, the one handle on H, split once where H is assembled,
+each with up to BLOCK_WIDTH right-hand sides: the top sector is eliminated
+exactly and one block MINRES iterates over the lower sectors alone.
 
 The same shifted solves evaluate f^1 off the grid nodes and decompose its
 second P-derivative into the terms whose pole singularities cancel
@@ -47,7 +47,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dressing import hellmann_feynman_gradient
 from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian, \
@@ -83,37 +82,38 @@ class BareGround:
 
     `chains` maps (sorted mode tuple T, tol) to the ordering sum S(T) that
     `ordering_sums` computed for it; it fills as the pull-through routines
-    run.  `split` is H split at its top photon sector (`SchurSplit`), built
-    once for the bare solve and every shifted solve (here from H unless
-    given); None when H is None (extraction only).
+    run.  `split` is the bare H, held only as its split at the top photon
+    sector (`SchurSplit`), which serves the bare solve, every shifted solve
+    and every reduced solve.  `H` names the same split for the benchmark's
+    exactness check (`perfbench/checks.py`), which rebuilds a bundle from
+    `bg.H`; it is no second form of H.
     """
 
     params: ModelParams
     grid: MomentumGrid
     basis: FockBasis
-    H: sp.csr_matrix
+    split: SchurSplit = field(repr=False, compare=False)
     energy: float
     psi: np.ndarray
     chains: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-    split: SchurSplit | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.split is None and self.H is not None:
-            object.__setattr__(self, "split", SchurSplit(self.H))
+    @property
+    def H(self) -> SchurSplit:
+        return self.split
 
     @classmethod
     def solve(cls, params: ModelParams, grid: MomentumGrid, basis: FockBasis,
               tol: float = 1e-10) -> "BareGround":
         split = SchurSplit(assemble(nelson_hamiltonian(params, grid), basis))
         rec = ground_state(split, tol, gap=False)
-        return cls(params, grid, basis, split.H, rec.energy, rec.vector, split)
+        return cls(params, grid, basis, split, rec.energy, rec.vector)
 
     @classmethod
     def from_state(cls, state) -> "BareGround":
-        """Adopt the bare half of a dressed pipeline state for extraction:
-        H is None, so no split is built and no shifted solve is possible."""
-        return cls(state.params, state.grid, state.basis, None,
+        """Adopt the bare half of a dressed pipeline state, its split
+        included: nothing is built."""
+        return cls(state.params, state.grid, state.basis, state.split,
                    state.energy, state.psi)
 
 
@@ -252,7 +252,7 @@ def _bare_directional_data(bg: BareGround, e: np.ndarray, tol: float):
     pf_e = pf_diagonals(bg.basis, bg.grid) @ e
     m_diag = float(bg.params.P_vec @ e) - pf_e - float(grad @ e)
     rhs = m_diag * bg.psi
-    dpsi = -solve_reduced_resolvent(bg.H, bg.energy, bg.psi, rhs, tol)
+    dpsi = -solve_reduced_resolvent(bg.split, bg.energy, bg.psi, rhs, tol)
     hess = 1.0 + 2.0 * float(rhs @ dpsi)
     return grad, m_diag, dpsi, hess
 
@@ -307,7 +307,7 @@ def cancellation_demo(params: ModelParams, grid: MomentumGrid, basis: FockBasis,
     chain = float(y @ (m_diag * R(m_diag * x1)))
     undesirable = -(1.0 - hess_P) * float(y @ x1)
     cross = -2.0 * float(y @ (m_diag * R(dpsi)))
-    d2psi = -2.0 * solve_reduced_resolvent(bg.H, bg.energy, bg.psi,
+    d2psi = -2.0 * solve_reduced_resolvent(bg.split, bg.energy, bg.psi,
                                            m0_diag * dpsi, tol) \
         - float(dpsi @ dpsi) * bg.psi
     curvature = float(y @ d2psi)

@@ -18,7 +18,7 @@ from nelsonlab.grid import (
     build_grid,
     point_group_permutations,
 )
-from nelsonlab.spectral import ground_state
+from nelsonlab.spectral import SchurSplit, ground_state
 
 from helpers import random_momentum_grid, toy_grid
 
@@ -113,7 +113,8 @@ def test_dispersion_probe_lambda_zero_closed_form(grid5):
     params = ModelParams(coupling=0.0, sigma=0.15, P=(0.08, 0.0, 0.03))
     basis = build_basis(5, 2)
     H = assemble(nelson_hamiltonian(params, grid5), basis)
-    deficit, ratios, idx = dispersion_probe(params, grid5, basis, H=H,
+    deficit, ratios, idx = dispersion_probe(params, grid5, basis,
+                                            split=SchurSplit(H),
                                             energy=ground_state(H).energy)
     P = params.P_vec
     exact = np.array([(P @ grid5.k[m] - 0.5 * grid5.r[m] ** 2) / grid5.r[m]
@@ -127,7 +128,7 @@ def test_dispersion_probe_small_coupling_deficit(grid5):
     basis = build_basis(5, 3)
     st = dressed_ground_state(params, grid5, basis)
     deficit, ratios, _ = dispersion_probe(params, grid5, basis,
-                                          H=st.H, energy=st.energy)
+                                          split=st.split, energy=st.energy)
     assert deficit < 0.25
     assert len(ratios) == 5
     assert abs(st.grad_norm - 1.0 / 6.0) < 0.05
@@ -137,7 +138,8 @@ def test_dispersion_probe_subsampling(grid5):
     params = ModelParams(coupling=0.0, sigma=0.15, P=(0.0, 0.0, 0.0))
     basis = build_basis(5, 2)
     H = assemble(nelson_hamiltonian(params, grid5), basis)
-    deficit, ratios, idx = dispersion_probe(params, grid5, basis, H=H,
+    deficit, ratios, idx = dispersion_probe(params, grid5, basis,
+                                            split=SchurSplit(H),
                                             energy=ground_state(H).energy,
                                             max_probes=2)
     assert len(idx) <= 3 and len(ratios) == len(idx)
@@ -186,12 +188,14 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
     # split, which on the mirror-symmetric grid must still reach the ground
     # state: no ARPACK call, and no dense eigensolve beyond its 3 x 3
     # Rayleigh-Ritz problems.  Every probe reads the one split of H that
-    # dispersion_probe builds
+    # dispersion_probe is handed, and builds none
+    split = SchurSplit(H)
     solves, methods, splits = [], [], []
     real_eigsh, real_eigh, real_np_eigh = spectral.eigsh, spectral.eigh, np.linalg.eigh
     real_ground_state = dressing.ground_state
 
     def recording_ground_state(*args, **kwargs):
+        assert args[0].H is split.H and args[0].K is split.K
         rec = real_ground_state(*args, **kwargs)
         methods.append(rec.method)
         return rec
@@ -233,18 +237,19 @@ def test_dispersion_probe_solves_one_eigenvalue(case, monkeypatch):
         assert len(point_group_permutations(grid, params.P_vec)) == 4
         monkeypatch.setattr(np.linalg, "eigh", at_most_3x3)
         expected, method = set(), "lobpcg"
-    deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
+    deficit, ratios, idx = dispersion_probe(params, grid, basis, split, energy,
                                             max_probes=max_probes)
     assert len(idx) == len(exact) and set(solves) == expected
     assert methods and set(methods) == {method}
-    assert len(splits) == 1 and splits[0] is H
+    assert splits == []
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)
 
 
 def test_one_split_serves_the_bare_solve_and_the_probes(monkeypatch):
     # dressed_ground_state splits the bare H once and solves on that split;
-    # handed the split, dispersion_probe builds none of its own
+    # handed the split, dispersion_probe builds none of its own, and finds
+    # what it finds on a split of a freshly assembled H
     params, grid, basis, H = probe_instance("past_cutoff")
     splits = []
     real_init = spectral.SchurSplit.__init__
@@ -255,12 +260,13 @@ def test_one_split_serves_the_bare_solve_and_the_probes(monkeypatch):
 
     monkeypatch.setattr(spectral.SchurSplit, "__init__", recording_init)
     st = dressed_ground_state(params, grid, basis)
-    assert splits == [basis.dim] and st.split.H is st.H
+    assert splits == [basis.dim]
     assert st.diagnostics["method"] == "feshbach"
     from_split = dispersion_probe(params, grid, basis, st.split, st.energy,
                                   max_probes=3)
     assert splits == [basis.dim]
-    from_h = dispersion_probe(params, grid, basis, H, st.energy, max_probes=3)
+    from_h = dispersion_probe(params, grid, basis, spectral.SchurSplit(H),
+                              st.energy, max_probes=3)
     assert splits == [basis.dim] * 2
     assert from_split[0] == from_h[0]
     assert np.array_equal(from_split[1], from_h[1])
@@ -278,7 +284,8 @@ def test_dispersion_probe_on_an_empty_grid(monkeypatch):
     basis = build_basis(grid.n_modes, 2)
     assert grid.n_modes == 0 and basis.dim == 1
     H = assemble(nelson_hamiltonian(params, grid), basis)
-    deficit, ratios, idx = dispersion_probe(params, grid, basis, H, 0.0)
+    deficit, ratios, idx = dispersion_probe(params, grid, basis, SchurSplit(H),
+                                            0.0)
     assert deficit == -np.inf
     assert ratios.shape == (0,) and idx.shape == (0,)
 
@@ -303,8 +310,8 @@ def test_dispersion_probe_solves_one_mode_per_orbit(monkeypatch):
         return real_ground_state(*args, **kwargs)
 
     monkeypatch.setattr(dressing, "ground_state", counting_ground_state)
-    deficit, ratios, idx = dispersion_probe(params, grid, basis, H, energy,
-                                            max_probes=grid.n_modes)
+    deficit, ratios, idx = dispersion_probe(params, grid, basis, SchurSplit(H),
+                                            energy, max_probes=grid.n_modes)
     assert np.array_equal(idx, np.arange(grid.n_modes))
     assert np.max(np.abs(ratios - exact) / np.abs(exact)) < 1e-11
     assert deficit == np.max(ratios)

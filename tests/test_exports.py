@@ -157,10 +157,13 @@ def test_benchmark_imports_resolve():
 
 def test_benchmark_calls_keep_their_signatures():
     # the benchmark's exactness check passes tol= to both pull-through
-    # routines and builds a BareGround from six positional fields
+    # routines and builds a BareGround from six positional fields, the
+    # fourth read as `bg.H`
     for fn in (froehlich_f1, froehlich_fq):
         assert "tol" in inspect.signature(fn).parameters
     inspect.signature(BareGround).bind(*range(6))
+    assert list(inspect.signature(BareGround).parameters)[3] == "split"
+    assert BareGround(*range(6)).H == 3
 
 
 SRC = Path(nelsonlab.__file__).resolve().parent
@@ -254,3 +257,95 @@ def test_modules_keep_their_choices_to_themselves(path):
         assert reads == []
     if path.name != "fock.py":
         assert _occupation_row_reads(tree) == []
+
+
+def _scoped_calls(tree, name):
+    """The qualified name of the function around each call of `name`,
+    written as given (`SchurSplit(H)`) or as an attribute
+    (`spectral.SchurSplit(H)`); "<module>" for a call outside any."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", "")) == name:
+                found.append(".".join(scope) or "<module>")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_split_guard_sees_every_scope():
+    snippet = ("s = SchurSplit(H)\n"
+               "def f(H):\n"
+               "    return spectral.SchurSplit(H)\n"
+               "class A:\n"
+               "    def g(self):\n"
+               "        return [SchurSplit(H) for H in self.hs]\n"
+               "t = Split(H)\n")
+    assert _scoped_calls(ast.parse(snippet), "SchurSplit") == ["<module>", "f", "A.g"]
+
+
+def test_the_bare_h_is_split_only_where_it_is_assembled():
+    # one handle on the bare H: it is split once in each place that
+    # assembles one, and every other routine takes that split
+    calls = sorted(f"{path.stem}.{scope}" for path in SRC.glob("*.py")
+                   for scope in _scoped_calls(ast.parse(path.read_text()),
+                                              "SchurSplit"))
+    assert calls == ["dressing.dressed_ground_state",
+                     "wavefunctions.BareGround.solve"]
+
+
+def _setattr_outside_coercions(tree):
+    """Lines of `object.__setattr__(self, name, value)` calls that are not a
+    coercion of a field in place: outside a `__post_init__`, or with a
+    value that does not read the field it reassigns, as `self.<name>` for
+    a constant name or `getattr(self, name)` for a variable one."""
+    def reads(value, name):
+        field = ast.unparse(name)  # "'w'" for a constant, "name" for a variable
+        return any(
+            (isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self"
+             and repr(node.attr) == field)
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+                and [ast.unparse(a) for a in node.args] == ["self", field])
+            for node in ast.walk(value))
+
+    coercions = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == "__post_init__":
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and len(node.args) == 3 \
+                        and ast.unparse(node.args[0]) == "self" \
+                        and reads(node.args[2], node.args[1]):
+                    coercions.add(node)
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"
+            and node not in coercions]
+
+
+def test_setattr_guard_sees_every_cache():
+    snippet = ("class A:\n"
+               "    def __post_init__(self):\n"
+               "        object.__setattr__(self, 'w', np.asarray(self.w))\n"
+               "        for name in ('K', 'C'):\n"
+               "            object.__setattr__(self, name, f(getattr(self, name)))\n"
+               "        object.__setattr__(self, 'split', SchurSplit(self.H))\n"
+               "        object.__setattr__(self, 'w', self.K)\n"
+               "        object.__setattr__(self, 'K', f(getattr(self, 'K')))\n"
+               "    def solve(self):\n"
+               "        object.__setattr__(self, 'w', np.asarray(self.w))\n")
+    assert _setattr_outside_coercions(ast.parse(snippet)) == [
+        "line 6", "line 7", "line 10"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_frozen_dataclasses_set_fields_only_to_coerce_them(path):
+    # ROADMAP aim 2: no setattr-on-dataclass caches; the one use left is
+    # the coercion of a field to its own array form in `__post_init__`
+    assert _setattr_outside_coercions(ast.parse(path.read_text())) == []

@@ -167,7 +167,7 @@ def test_two_eigenpair_solve_fails_loudly_when_lobpcg_runs_out(monkeypatch):
     monkeypatch.setattr(spectral, "eigh", refuse)
     monkeypatch.setattr(spectral, "_feshbach", refuse)
     monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 3)
-    for start in (None, np.eye(3, n) + 1e-3):
+    for start in (None, lambda: np.eye(3, n) + 1e-3):
         with pytest.raises(ArithmeticError, match="in 3 steps; method=lobpcg$"):
             ground_state(H, start=start)
 
@@ -180,18 +180,20 @@ def test_two_eigenpair_solve_fails_loudly_when_lobpcg_runs_out(monkeypatch):
 
 
 def test_start_block_of_too_few_or_dependent_rows_is_refused():
-    # two eigenpairs need at least two rows, of full rank; and a block whose
-    # residuals are dependent, here the first basis vectors of a
-    # tridiagonal H, whose residuals all lie along the next one, raises
+    # two eigenpairs need a 2-D block of at least two rows, of full rank;
+    # and a block whose residuals are dependent, here the first basis
+    # vectors of a tridiagonal H, whose residuals all lie along the next
+    # one, raises
     n = spectral.DENSE_CUTOFF + 100
     H = toeplitz_tridiag(n, 0.0, 0.4) + sp.diags(np.linspace(0.5, 3.5, n))
     row = np.ones(n)
-    with pytest.raises(ValueError, match="start block"):
-        ground_state(H, start=row)
+    for rows in (row, row[None], np.ones((2, n + 1))):
+        with pytest.raises(ValueError, match="start block"):
+            ground_state(H, start=lambda: rows)
     with pytest.raises(ArithmeticError, match="start block.*method=lobpcg$"):
-        ground_state(H, start=[row, 2.0 * row])
+        ground_state(H, start=lambda: [row, 2.0 * row])
     with pytest.raises(ArithmeticError, match="W] is not.*method=lobpcg$"):
-        ground_state(H, start=np.eye(3, n))
+        ground_state(H, start=lambda: np.eye(3, n))
 
 
 def factored_tridiagonal(n):
@@ -385,9 +387,9 @@ def test_vectors_are_contiguous_for_every_method(method, gap, given,
     elif method == "dense":
         H = toeplitz_tridiag(40, 2.0, 0.7)
     elif method == "feshbach":
-        H = nelson_instance[0]
-    start = np.asfortranarray(np.eye(3, H.shape[0]) + 1e-3) if given else None
-    rec = ground_state(H, gap=gap, start=start)
+        H = SchurSplit(nelson_instance[0])
+    block = np.asfortranarray(np.eye(3, H.shape[0]) + 1e-3)
+    rec = ground_state(H, gap=gap, start=(lambda: block) if given else None)
     assert rec.method == method
     for v in [rec.vector] + ([rec.excited] if gap else []):
         assert v.ndim == 1 and v.dtype == np.float64 and v.flags.c_contiguous
@@ -397,11 +399,12 @@ def test_vectors_are_contiguous_for_every_method(method, gap, given,
 
 @pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
 def test_feshbach_pairs_match_dense(gap, nelson_instance):
-    # a bare H past DENSE_CUTOFF whose head fits it takes the Feshbach-Schur
-    # map for one eigenpair or two, and repeats its bits
+    # the split of a bare H past DENSE_CUTOFF whose head fits it takes the
+    # Feshbach-Schur map for one eigenpair or two, and repeats its bits
     H, _, vals, vecs = nelson_instance
-    assert spectral.DENSE_CUTOFF >= SchurSplit(H).split == 153
-    rec = ground_state(H, gap=gap)
+    split = SchurSplit(H)
+    assert spectral.DENSE_CUTOFF >= split.split == 153
+    rec = ground_state(split, gap=gap)
     assert rec.method == "feshbach"
     assert abs(rec.energy - vals[0]) < 1e-12
     assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
@@ -413,8 +416,8 @@ def test_feshbach_pairs_match_dense(gap, nelson_instance):
         assert np.isnan(rec.gap) and rec.excited is None
     again = ground_state(SchurSplit(H), gap=gap)
     assert again.method == "feshbach"
-    assert abs(again.energy - rec.energy) <= 1e-15
-    assert np.linalg.norm(again.vector - rec.vector) <= 1e-13
+    assert again.energy == rec.energy
+    assert np.array_equal(again.vector, rec.vector)
 
 
 def refuse_krylov(monkeypatch):
@@ -432,8 +435,8 @@ def test_feshbach_level_above_the_tail_raises(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 2)
     refuse_krylov(monkeypatch)
     Hd = np.array([[1.0, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 0.5]])
-    H = sp.csr_matrix(Hd)
-    assert SchurSplit(H).split == 2
+    H = SchurSplit(sp.csr_matrix(Hd))
+    assert H.split == 2
     with pytest.raises(ArithmeticError, match="not below min D.*method=feshbach$"):
         ground_state(H)
     rec = ground_state(H, gap=False)
@@ -445,13 +448,13 @@ def test_stalled_feshbach_newton_raises(monkeypatch, nelson_instance):
     refuse_krylov(monkeypatch)
     monkeypatch.setattr(spectral, "FESHBACH_MAXITER", 1)
     with pytest.raises(ArithmeticError, match="in 1 steps; method=feshbach$"):
-        ground_state(nelson_instance[0])
+        ground_state(SchurSplit(nelson_instance[0]))
 
 
 def test_feshbach_newton_takes_few_steps(monkeypatch, nelson_instance):
     # from lambda_j(K) Newton needs a handful of steps per level
     monkeypatch.setattr(spectral, "FESHBACH_MAXITER", 6)
-    assert ground_state(nelson_instance[0]).method == "feshbach"
+    assert ground_state(SchurSplit(nelson_instance[0])).method == "feshbach"
 
 
 @pytest.mark.parametrize("instance, methods", [
@@ -491,22 +494,24 @@ def test_shifted_split_is_the_shifted_operator(instance, methods, request):
         solve_shifted(op, vals[0] - 0.5, x)
 
 
-def test_ground_state_splits_a_sparse_h_only_for_the_feshbach_path(
-        monkeypatch, nelson_instance, krylov_instance):
-    # a sparse H past DENSE_CUTOFF is split inside ground_state only when
-    # the split's head fits the cutoff; otherwise no split is built
-    splits = []
-    real_init = SchurSplit.__init__
+@pytest.mark.parametrize("gap", [True, False], ids=["gap", "no_gap"])
+def test_ground_state_never_splits_a_sparse_h(monkeypatch, gap, nelson_instance):
+    # ground_state builds no SchurSplit: a raw CSR bare H past DENSE_CUTOFF,
+    # whose split would take the Feshbach-Schur path, takes LOBPCG like any
+    # other sparse operator, and from the default block, whose seeded row
+    # reaches every symmetry sector, it finds the dense pair
+    H, Hd, vals, vecs = nelson_instance
 
-    def recording_init(self, H):
-        splits.append(H.shape[0])
-        real_init(self, H)
+    def refuse(self, H):
+        raise AssertionError("ground_state split its operator")
 
-    monkeypatch.setattr(SchurSplit, "__init__", recording_init)
-    assert ground_state(nelson_instance[0]).method == "feshbach"
-    assert ground_state(krylov_instance[0], gap=False).method == "lobpcg"
-    assert ground_state(krylov_instance[0]).method == "lobpcg"
-    assert splits == [969]
+    monkeypatch.setattr(SchurSplit, "__init__", refuse)
+    rec = ground_state(H, gap=gap)
+    assert rec.method == "lobpcg"
+    assert abs(rec.energy - vals[0]) < 1e-12
+    assert np.linalg.norm(rec.vector - vecs[:, 0] * np.sign(vecs[0, 0])) < 1e-10
+    if gap:
+        assert abs(rec.gap - (vals[1] - vals[0])) < 1e-12
 
 
 def random_case(seed, n):
@@ -560,17 +565,28 @@ def test_solve_shifted_scalar_and_diagonal(H, rhs, offset):
     Hd = H.toarray()
     vals = np.linalg.eigvalsh(Hd)
     z = vals[0] - offset
-    x = solve_shifted(H, z, rhs)
+    split = SchurSplit(H)
+    x = solve_shifted(split, z, rhs)
     assert np.linalg.norm(x - np.linalg.solve(Hd - z * np.eye(n), rhs)) < 1e-10
     # one shift per state: H - diag(z) stays positive definite
     z_diag = vals[0] - offset - np.linspace(0.0, 1.0, n)
-    x = solve_shifted(H, z_diag, rhs)
+    x = solve_shifted(split, z_diag, rhs)
     assert np.linalg.norm(x - np.linalg.solve(Hd - np.diag(z_diag), rhs)) < 1e-10
     # shifts are real: a complex one is refused, never silently truncated
     with pytest.raises(TypeError):
-        solve_shifted(H, 0.5 * (vals[0] + vals[-1]) + 0.4j, rhs)
+        solve_shifted(split, 0.5 * (vals[0] + vals[-1]) + 0.4j, rhs)
     with pytest.raises(TypeError):
-        solve_shifted(H, z_diag + 0.1j, rhs)
+        solve_shifted(split, z_diag + 0.1j, rhs)
+
+
+def test_solve_shifted_takes_only_a_split():
+    # the bare H reaches solve_shifted only as its split: a CSR matrix is
+    # refused, not split here
+    H, rhs = planted_tail_case(7, 30, 50)
+    z = np.linalg.eigvalsh(H.toarray())[0] - 0.5
+    for op in (H, H.toarray()):
+        with pytest.raises(TypeError, match="unshifted split"):
+            solve_shifted(op, z, rhs)
 
 
 def test_small_solves_factor_no_matrix(monkeypatch):
@@ -591,7 +607,7 @@ def test_small_solves_factor_no_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     x = solve_reduced_resolvent(H, vals[0], vecs[:, 0], rhs)
     assert np.linalg.norm(x - reduced) < 1e-9 * np.linalg.norm(reduced)
-    assert np.linalg.norm(solve_shifted(H, z, rhs) - shifted) < 1e-10
+    assert np.linalg.norm(solve_shifted(SchurSplit(H), z, rhs) - shifted) < 1e-10
     sup = contour_sup_norm(H, vals[0], vecs[:, 0], radius, rhs)
     assert abs(sup - contour) < 1e-8 * contour
 
@@ -605,12 +621,13 @@ def test_solve_shifted_indefinite_and_zero_diagonal():
     vals = np.linalg.eigvalsh(Hd)
     i = n // 4 + int(np.argmax(np.diff(vals)[n // 4: 3 * n // 4]))
     z = 0.5 * (vals[i] + vals[i + 1])
-    x = solve_shifted(H, z, rhs)
+    split = SchurSplit(H)
+    x = solve_shifted(split, z, rhs)
     assert np.linalg.norm(x - np.linalg.solve(Hd - z * np.eye(n), rhs)) < 1e-10
     z_diag = np.full(n, z)
     z_diag[n // 3] = Hd[n // 3, n // 3]
     assert H.diagonal()[n // 3] - z_diag[n // 3] == 0.0
-    x = solve_shifted(H, z_diag, rhs)
+    x = solve_shifted(split, z_diag, rhs)
     assert np.linalg.norm(x - np.linalg.solve(Hd - np.diag(z_diag), rhs)) < 1e-10
 
 
@@ -629,7 +646,8 @@ def planted_tail_case(seed, n_low, n_top):
 def test_solve_shifted_eliminates_a_planted_diagonal_tail():
     H, rhs = planted_tail_case(7, 30, 50)
     Hd, dim = H.toarray(), H.shape[0]
-    assert SchurSplit(H).split == 30
+    split = SchurSplit(H)
+    assert split.split == 30
     vals = np.linalg.eigvalsh(Hd)
     i = int(np.argmax(np.diff(vals)[20:60])) + 20
     shifts = {"scalar": vals[0] - 0.5,
@@ -637,7 +655,7 @@ def test_solve_shifted_eliminates_a_planted_diagonal_tail():
               "indefinite": 0.5 * (vals[i] + vals[i + 1])}
     for name, z in shifts.items():
         exact = np.linalg.solve(Hd - np.diag(np.broadcast_to(z, (dim,))), rhs)
-        x = solve_shifted(H, z, rhs)
+        x = solve_shifted(split, z, rhs)
         assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact), name
 
 
@@ -652,14 +670,15 @@ def test_solve_shifted_divides_a_diagonal_operator(monkeypatch):
 
     monkeypatch.setattr(spectral, "minres", refuse)
     monkeypatch.setattr(spectral, "_block_minres", refuse)
-    assert SchurSplit(H).split == 0
+    split = SchurSplit(H)
+    assert split.split == 0
     z = np.linspace(-2.0, -1.5, 40)
-    assert np.array_equal(solve_shifted(H, z, rhs), rhs / (d - z))
-    assert np.array_equal(solve_shifted(H, 5.0, rhs), rhs / (d - 5.0))
+    assert np.array_equal(solve_shifted(split, z, rhs), rhs / (d - z))
+    assert np.array_equal(solve_shifted(split, 5.0, rhs), rhs / (d - 5.0))
     # a block of right-hand sides, each with its own shift
     block = np.column_stack([rhs, 2.0 * rhs, -rhs])
     shifts = np.column_stack([z, z - 1.0, np.full(40, 5.0)])
-    assert np.array_equal(solve_shifted(H, shifts, block),
+    assert np.array_equal(solve_shifted(split, shifts, block),
                           block / (d[:, None] - shifts))
 
 
@@ -681,11 +700,11 @@ def test_off_diagonal_tail_entry_shrinks_the_tail():
     H, rhs = planted_tail_case(11, 30, 50)
     Hd = H.toarray()
     Hd[45, 60] = Hd[60, 45] = 0.7
-    H = sp.csr_matrix(Hd)
-    assert SchurSplit(H).split == 46
+    split = SchurSplit(sp.csr_matrix(Hd))
+    assert split.split == 46
     z = np.linalg.eigvalsh(Hd)[0] - 0.5
     exact = np.linalg.solve(Hd - z * np.eye(80), rhs)
-    assert np.linalg.norm(solve_shifted(H, z, rhs) - exact) < 1e-10 * np.linalg.norm(exact)
+    assert np.linalg.norm(solve_shifted(split, z, rhs) - exact) < 1e-10 * np.linalg.norm(exact)
 
 
 def test_zero_tail_pivot_stays_in_the_reduced_system():
@@ -697,7 +716,7 @@ def test_zero_tail_pivot_stays_in_the_reduced_system():
     z[70] = Hd[70, 70]
     assert H.diagonal()[70] - z[70] == 0.0
     exact = np.linalg.solve(Hd - np.diag(z), rhs)
-    x = solve_shifted(H, z, rhs)
+    x = solve_shifted(SchurSplit(H), z, rhs)
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact)
 
@@ -718,8 +737,9 @@ def test_block_solve_shifted_matches_dense_solves_per_column():
     Hd = H.toarray()
     cases = {"scalar": shifts[0, 0], "per-state": shifts[:, 0],
              "per-column": shifts}
+    split = SchurSplit(H)
     for name, z in cases.items():
-        X = solve_shifted(H, z, block)
+        X = solve_shifted(split, z, block)
         assert X.shape == block.shape, name
         Z = np.broadcast_to(z[:, None] if np.ndim(z) == 1 else z, block.shape)
         for j in range(block.shape[1]):
@@ -735,7 +755,7 @@ def test_zero_tail_pivot_in_one_column_only():
     shifts[70, 1] = Hd[70, 70]
     assert H.diagonal()[70] - shifts[70, 1] == 0.0
     assert np.all(H.diagonal()[70] - shifts[70, [0, 2]] != 0.0)
-    X = solve_shifted(H, shifts, block)
+    X = solve_shifted(SchurSplit(H), shifts, block)
     assert np.all(np.isfinite(X))
     for j in range(3):
         exact = np.linalg.solve(Hd - np.diag(shifts[:, j]), block[:, j])
@@ -767,13 +787,12 @@ def test_a_block_column_over_budget_raises(monkeypatch):
 
     monkeypatch.setattr(spectral, "_block_minres", perturbed)
     with pytest.raises(ArithmeticError, match="column 1"):
-        solve_shifted(H, shifts, block)
+        solve_shifted(SchurSplit(H), shifts, block)
 
 
 def test_solve_shifted_returns_contiguous_float_vectors():
     H, rhs = planted_tail_case(5, 30, 50)
-    split = SchurSplit(H)
-    for op in (H, split, sp.diags(H.diagonal()).tocsr()):
+    for op in (SchurSplit(H), SchurSplit(sp.diags(H.diagonal()).tocsr())):
         for z in (-20.0, np.full(80, -20.0)):
             x = solve_shifted(op, z, list(rhs))
             assert x.ndim == 1 and x.dtype == np.float64
@@ -861,12 +880,12 @@ def acceptance_scale(n):
 
 
 def bare_acceptance_scale(n, dim):
-    """Bare H at scale n of the acceptance sweep, its ground_state record,
-    and its spectrum from a dense eigvalsh."""
+    """Bare H at scale n of the acceptance sweep, the ground_state record
+    of its split, and its spectrum from a dense eigvalsh."""
     params, grid, basis = acceptance_scale(n)
     H = assemble(nelson_hamiltonian(params, grid), basis)
     assert H.shape[0] == dim
-    return ground_state(H, 1e-10), np.linalg.eigvalsh(H.toarray())
+    return ground_state(SchurSplit(H), 1e-10), np.linalg.eigvalsh(H.toarray())
 
 
 def count_block_matvecs(monkeypatch):
@@ -896,7 +915,7 @@ def test_warm_started_intermediate_solve_matches_cold(dressed_scales, monkeypatc
     counts = count_block_matvecs(monkeypatch)
     cold = ground_state(H_int, state.tol)
     n_cold = sum(counts)
-    warm = ground_state(H_int, state.tol, start=start)
+    warm = ground_state(H_int, state.tol, start=lambda: start)
     n_warm = sum(counts) - n_cold
     assert cold.method == warm.method == "lobpcg"
     assert abs(warm.energy - cold.energy) <= 1e-12
@@ -955,12 +974,12 @@ def test_block_path_finds_the_mirror_odd_level(monkeypatch, bare_scale_3):
         assert len(block) == 3
         return block, np.array([block[0], block[1] + block[2]])
 
-    for start in blocks():
-        rec = ground_state(H, start=start)
+    for block in blocks():
+        rec = ground_state(H, start=lambda: block)
         assert rec.method == "lobpcg"
         assert abs(rec.gap - (vals[1] - vals[0])) < 1e-10
     monkeypatch.setattr(dressing, "SEED_WEIGHT", 0.0)
-    rec = ground_state(H, start=blocks()[1])
+    rec = ground_state(H, start=lambda: blocks()[1])
     assert rec.method == "lobpcg"
     assert abs(rec.gap - 0.15551309) < 5e-9
 

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from nelsonlab import wavefunctions as wf
+from nelsonlab.dressing import dressed_ground_state
 from nelsonlab.fiberop import momentum_shift_diagonal
 from nelsonlab.fock import apply_displacement, build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, form_factor
-from nelsonlab.spectral import DENSE_CUTOFF, solve_shifted
+from nelsonlab.spectral import DENSE_CUTOFF, SchurSplit, solve_shifted
 
 from helpers import basis_states, random_momentum_grid, toy_grid
 
@@ -63,7 +64,7 @@ def solves(monkeypatch):
 
 def _fresh(bg):
     """The same ground state with an empty chain cache."""
-    return wf.BareGround(bg.params, bg.grid, bg.basis, bg.H, bg.energy, bg.psi)
+    return wf.BareGround(bg.params, bg.grid, bg.basis, bg.split, bg.energy, bg.psi)
 
 
 def test_chains_share_prefixes_across_q(three_mode, solves):
@@ -112,6 +113,28 @@ def test_shifted_solves_receive_the_split_built_once(three_mode, solves):
     assert len(solves) == 3 and all(args[0] is bg.split for args in solves)
 
 
+def test_from_state_hands_over_the_scale_split(monkeypatch, solves):
+    # a dressed state's bare half keeps the split the scale built; adopting
+    # it builds nothing, and its pull-through solves run on that split
+    grid = random_momentum_grid(np.random.default_rng(5), n_modes=3,
+                                sigma=0.2, kappa=1.0)
+    params = ModelParams(coupling=0.3, sigma=0.2, P=(0.08, 0.02, 0.0))
+    basis = build_basis(3, 6)
+    state = dressed_ground_state(params, grid, basis)
+    reference = wf.froehlich_f1(wf.BareGround.solve(params, grid, basis))
+    del solves[:]
+
+    def refuse(self, H):
+        raise AssertionError("a second split of the bare H")
+
+    monkeypatch.setattr(SchurSplit, "__init__", refuse)
+    bg = wf.BareGround.from_state(state)
+    assert bg.split is state.split and bg.psi is state.psi
+    f1 = wf.froehlich_f1(bg)
+    assert solves and all(args[0] is state.split for args in solves)
+    assert np.abs(f1 - reference).max() < 1e-12
+
+
 def explicit_ordering_fq(bg, modes, tol=1e-10):
     """f^q as the sum over all q! orderings of the chains R_q ... R_1 psi,
     one shifted solve per link, with nothing shared."""
@@ -123,7 +146,7 @@ def explicit_ordering_fq(bg, modes, tol=1e-10):
             k_sum = k_sum + bg.grid.k[m]
             freq += bg.grid.r[m]
             shift = momentum_shift_diagonal(bg.basis, bg.grid, P, P - k_sum)
-            v = solve_shifted(bg.H, bg.energy - freq - shift, v, tol)
+            v = solve_shifted(bg.split, bg.energy - freq - shift, v, tol)
         vac += v[0]
     ff = float(np.prod(form_factor(bg.grid.k[list(modes)], bg.params)))
     return (-1.0) ** len(modes) * ff * vac / math.sqrt(math.factorial(len(modes)))
