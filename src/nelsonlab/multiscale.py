@@ -47,8 +47,8 @@ from .derivatives import (
 from .dressing import DressedScaleState, dispersion_probe, dressed_ground_state
 from .fiberop import assemble, assemble_vector_component, gamma_operator, \
     transformed_hamiltonian, weyl_coefficients
-from .fock import FockBasis, StateVector, apply_displacement, basis_dimension, \
-    build_basis, embed
+from .fock import FockBasis, apply_displacement, basis_dimension, build_basis, \
+    embed
 from .grid import GridSpec, ModelParams, MomentumGrid, build_grid, refine_annulus
 from .spectral import contour_sup_norm, ground_state
 from .wavefunctions import BareGround, bound_constant_f1, extract_f1
@@ -66,6 +66,10 @@ __all__ = [
 # instead of resuming; bump it whenever a change moves computed values, even
 # in the last digits.
 NUMERICS_VERSION = 14
+
+# dtype of the checkpoint vectors: little-endian, so their bytes do not
+# depend on the host.
+_VECTOR_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -369,13 +373,18 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
 
 def _checkpoint_paths(directory, n):
     base = os.path.join(str(directory), f"scale_{n:02d}")
-    return base + ".json", base + "_psi.csv", base + "_phi.csv"
+    return base + ".json", base + "_psi.npy", base + "_phi.npy"
 
 
 def _save_checkpoint(directory, config, n, row, state):
+    """Write psi and phi as raw little-endian float64 .npy arrays, which keep
+    every bit as repr text did, then the JSON: it is written last, so a
+    scale without one was not finished and is recomputed."""
     meta, psi_path, phi_path = _checkpoint_paths(directory, n)
-    StateVector(state.psi, state.basis).to_csv(psi_path)
-    StateVector(state.phi, state.basis).to_csv(phi_path)
+    for path, vec in ((psi_path, state.psi), (phi_path, state.phi)):
+        # a complex vector fails the safe cast instead of losing its im part
+        np.save(path, vec.astype(_VECTOR_DTYPE, casting="safe", copy=False),
+                allow_pickle=False)
     payload = {"config_hash": config.content_hash(), "row": asdict(row)}
     with open(meta, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -388,6 +397,23 @@ def _naming(path):
         yield
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from exc
+
+
+def _read_vector(path, basis: FockBasis) -> np.ndarray:
+    """One checkpoint vector: a .npy float64 array of shape (basis.dim,) and
+    nothing after it.  Anything else (a short or foreign file, a pickle, a
+    complex or misshapen array) raises ValueError naming path."""
+    with _naming(path), open(path, "rb") as fh:
+        vec = np.lib.format.read_array(fh, allow_pickle=False)
+        if vec.dtype != _VECTOR_DTYPE:
+            raise ValueError(f"dtype {vec.dtype}, expected float64; "
+                             "state vectors are real")
+        if vec.shape != (basis.dim,):
+            raise ValueError(f"shape {vec.shape} does not match basis dim "
+                             f"{basis.dim}")
+        if fh.read(1):
+            raise ValueError("trailing bytes after the array")
+    return vec
 
 
 def _load_checkpoint(directory, config, n, grid, basis):
@@ -407,10 +433,7 @@ def _load_checkpoint(directory, config, n, grid, basis):
         row = ScaleRow(**payload["row"])
     if row.grid_hash != grid.content_hash() or row.basis_hash != basis.content_hash():
         return None
-    vectors = []
-    for path in (psi_path, phi_path):
-        with _naming(path), open(path) as fh:
-            vectors.append(StateVector.from_csv(fh.read(), basis).data)
+    vectors = [_read_vector(path, basis) for path in (psi_path, phi_path)]
     return row, RestoredScale(basis, row.energy, np.asarray(row.grad_e, dtype=float),
                               *vectors)
 

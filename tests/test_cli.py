@@ -11,6 +11,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nelsonlab
@@ -588,21 +590,52 @@ def test_sweep_rerun_resumes_byte_identical(sweep_dir):
         assert first[name] == second[name], f"{name} changed across reruns"
 
 
-def test_resume_refuses_a_checkpoint_with_an_imaginary_part(tmp_path, small_ini,
-                                                           capsys):
+def _saved_bytes(save, *args, **kw):
+    buf = io.BytesIO()
+    save(buf, *args, **kw)
+    return buf.getvalue()
+
+
+# each defect: (what scale_01_psi.npy becomes, given its vector and bytes;
+# what the error must say)
+CHECKPOINT_VECTOR_DEFECTS = {
+    "empty": (lambda vec, data: b"", "EOF"),
+    "truncated header": (lambda vec, data: data[:20], "EOF"),
+    "truncated data": (lambda vec, data: data[:-8], "read all data"),
+    # the analogue of a nonzero im cell in the text format
+    "complex128": (lambda vec, data: _saved_bytes(np.save, vec.astype(complex)),
+                   "dtype complex128, expected float64"),
+    "wrong length": (lambda vec, data: _saved_bytes(np.save, vec[:-1]),
+                     "does not match basis dim"),
+    "2-D": (lambda vec, data: _saved_bytes(np.save, vec.reshape(1, -1)),
+            "does not match basis dim"),
+    "pickled objects": (lambda vec, data: _saved_bytes(
+        np.save, vec.astype(object), allow_pickle=True), "allow_pickle=False"),
+    "npz archive": (lambda vec, data: _saved_bytes(np.savez, psi=vec),
+                    "magic string"),
+    "csv text": (lambda vec, data: b"index,re,im\n0,1.0,0.0\n", "magic string"),
+    "trailing bytes": (lambda vec, data: data + bytes(8),
+                       "trailing bytes after the array"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CHECKPOINT_VECTOR_DEFECTS))
+def test_resume_refuses_a_checkpoint_vector_that_is_not_its_array(
+        tmp_path, small_ini, capsys, defect):
     argv = ["sweep", "--config", str(small_ini), "--scales", "1",
             "--epsilon", "0.5", "--out", str(tmp_path / "run")]
     assert main(argv) == 0
-    psi = tmp_path / "run" / "checkpoints" / "lam0p1" / "scale_01_psi.csv"
-    lines = psi.read_text().splitlines()
-    assert lines[2].endswith(",0.0")
-    lines[2] = lines[2][:-len("0.0")] + "0.001"
-    psi.write_text("\n".join(lines) + "\n")
+    psi = tmp_path / "run" / "checkpoints" / "lam0p1" / "scale_01_psi.npy"
+    data = psi.read_bytes()
+    vec = np.load(psi, allow_pickle=False)
+    assert vec.dtype == np.float64 and vec.ndim == 1 and len(vec) > 1
+    make, why = CHECKPOINT_VECTOR_DEFECTS[defect]
+    psi.write_bytes(make(vec, data))
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "sweep failed" in err and "line 3 has im = 0.001" in err
-    assert "scale_01_psi.csv" in err
+    assert "sweep failed: checkpoint " in err and "scale_01_psi.npy" in err
+    assert why in err
 
 
 @pytest.mark.parametrize("defect", ["truncated", "unknown key"])
@@ -642,7 +675,7 @@ def test_fresh_sweeps_write_the_same_bytes(tmp_path):
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
     vectors = [{p.relative_to(out).as_posix(): p.read_bytes()
-                for p in sorted((out / "checkpoints").rglob("*.csv"))}
+                for p in sorted((out / "checkpoints").rglob("*.npy"))}
                for out in outs]
     assert len(vectors[0]) == 2 * 3  # psi and phi at scales 1-3
     assert vectors[0] == vectors[1]

@@ -349,6 +349,64 @@ def test_partial_resume_matches_fresh_sweep(tmp_path):
     assert [cells(r) for r in resumed.rows] == [cells(r) for r in fresh.rows]
 
 
+def test_resumed_vectors_keep_every_bit(tmp_path, monkeypatch):
+    cfg = small_config(n_scales=3)
+    computed, loaded = {}, {}
+    compute, load = multiscale._compute_scale, multiscale._load_checkpoint
+
+    def recording_compute(config, n, *args):
+        row, state = compute(config, n, *args)
+        computed[n] = state
+        return row, state
+
+    def recording_load(directory, config, n, *args):
+        found = load(directory, config, n, *args)
+        if found is not None:
+            loaded[n] = found[1]
+        return found
+
+    monkeypatch.setattr(multiscale, "_compute_scale", recording_compute)
+    monkeypatch.setattr(multiscale, "_load_checkpoint", recording_load)
+    run_sweep(cfg, checkpoint_dir=tmp_path)
+    run_sweep(cfg, checkpoint_dir=tmp_path)
+    assert sorted(computed) == sorted(loaded) == [1, 2]
+    for n, state in computed.items():
+        for name in ("psi", "phi"):
+            back = getattr(loaded[n], name)
+            assert back.dtype == np.float64
+            assert back.tobytes() == getattr(state, name).tobytes()
+
+
+def test_text_checkpoints_of_older_code_are_recomputed(tmp_path, monkeypatch):
+    # older code stored each vector as index,re,im CSV text beside the
+    # same JSON; with no .npy beside it the scale is recomputed, not refused
+    cfg = small_config(n_scales=3)
+    fresh = run_sweep(cfg, checkpoint_dir=tmp_path)
+    for npy in sorted(tmp_path.glob("*.npy")):
+        vec = np.load(npy, allow_pickle=False)
+        npy.with_suffix(".csv").write_text("index,re,im\n" + "".join(
+            f"{i},{r!r},0.0\n" for i, r in enumerate(vec.tolist())))
+        npy.unlink()
+    recomputed = []
+    compute = multiscale._compute_scale
+
+    def recording(config, n, *args):
+        recomputed.append(n)
+        return compute(config, n, *args)
+
+    monkeypatch.setattr(multiscale, "_compute_scale", recording)
+    resumed = run_sweep(cfg, checkpoint_dir=tmp_path)
+    assert recomputed == [1, 2]
+    assert sorted(p.name for p in tmp_path.glob("*.npy")) == [
+        f"scale_0{n}_{v}.npy" for n in (1, 2) for v in ("phi", "psi")]
+
+    def cells(row):
+        d = asdict(row)
+        del d["wall_time"]
+        return repr(d)
+    assert [cells(r) for r in resumed.rows] == [cells(r) for r in fresh.rows]
+
+
 def test_dimension_cap_stops_the_sweep():
     res = run_sweep(small_config(dim_cap=100))
     # scale 4 would need a 153-dimensional basis; the sweep stops before it
