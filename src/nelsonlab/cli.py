@@ -413,8 +413,7 @@ def cmd_derivatives(cfg: RunConfig) -> int:
 def cmd_wavefunctions(cfg: RunConfig) -> int:
     import numpy as np
     from .wavefunctions import (BareGround, bound_constant_f1, extract_f1,
-                                extract_fq, froehlich_f1, froehlich_fq,
-                                ordering_sums)
+                                extract_fq, froehlich_values)
     ctx = RunContext("wavefunctions", cfg)
     params, grid, basis = _model_setup(cfg, ctx)
     with ctx.timed("ground_state"):
@@ -423,37 +422,39 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
     if q_top < cfg.q_max:
         ctx.warnings.append(
             f"q_max {cfg.q_max} clamped to photon cap {cfg.photon_cap}")
-    with ctx.timed("f1"):
+    n = bg.grid.n_modes
+    with ctx.timed("extract"):
         f1 = extract_f1(bg)
-        f1_pull = froehlich_f1(bg, tol=cfg.tol)
         c_bound, ratios = bound_constant_f1(bg, f1)
+        tables = {q: extract_fq(bg, q) for q in range(2, q_top + 1)}
+    probes = [T for table in tables.values() for T in sorted(table)[:cfg.max_probes]]
+    with ctx.timed("pullthrough"):
+        # every f^1 mode and every probed tuple in one walk, so that each
+        # multiset is solved once
+        pull = froehlich_values(bg, [(m,) for m in range(n)] + probes, cfg.tol)
+    f1_pull = np.array(pull[:n])
+    probed = dict(zip(probes, pull[n:]))
     lines = ["mode,kx,ky,kz,radius,f1_extract,f1_pullthrough,envelope_ratio"]
-    for m in range(bg.grid.n_modes):
+    for m in range(n):
         cells = [str(m)] + [repr(float(x)) for x in
                             (*bg.grid.k[m], bg.grid.r[m], f1[m], f1_pull[m],
                              ratios[m])]
         lines.append(",".join(cells))
     ctx.write_text("f1.csv", "\n".join(lines) + "\n")
-    summary = {"n_modes": bg.grid.n_modes, "bound_constant_f1": c_bound,
+    summary = {"n_modes": n, "bound_constant_f1": c_bound,
                "max_route_gap_f1": float(np.max(np.abs(f1 - f1_pull),
                                                 initial=0.0)),
-               "tables": {"1": bg.grid.n_modes}}
-    for q in range(2, q_top + 1):
-        with ctx.timed(f"f{q}"):
-            table = extract_fq(bg, q)
-            tuples = sorted(table)
-            # the probed sums are solved together, one level at a time
-            ordering_sums(bg, tuples[:cfg.max_probes], cfg.tol)
-            rows = ["modes,value,pullthrough"]
-            worst = 0.0
-            for i, modes in enumerate(tuples):
-                val = float(table[modes])
-                pull = ""
-                if i < cfg.max_probes:
-                    pval = float(froehlich_fq(bg, modes, tol=cfg.tol))
-                    worst = max(worst, abs(pval - val))
-                    pull = repr(pval)
-                rows.append(f"{';'.join(map(str, modes))},{val!r},{pull}")
+               "tables": {"1": n}}
+    for q, table in tables.items():
+        rows = ["modes,value,pullthrough"]
+        worst = 0.0
+        for modes in sorted(table):
+            val = float(table[modes])
+            cell = ""
+            if modes in probed:
+                worst = max(worst, abs(probed[modes] - val))
+                cell = repr(probed[modes])
+            rows.append(f"{';'.join(map(str, modes))},{val!r},{cell}")
         ctx.write_text(f"f{q}.csv", "\n".join(rows) + "\n")
         summary["tables"][str(q)] = len(table)
         summary[f"max_route_gap_f{q}_probed"] = worst
@@ -614,8 +615,7 @@ def _verify_checks(cfg: RunConfig, corrupt_weight: bool, timed):
     from .grid import GridSpec, MomentumGrid, build_grid
     from .spectral import ground_state
     from .wavefunctions import (BareGround, extract_f1, extract_fq,
-                                froehlich_f1, froehlich_fq,
-                                permutation_identity_gap)
+                                froehlich_values, permutation_identity_gap)
 
     rng = np.random.default_rng(cfg.seed)
     results = []
@@ -713,10 +713,10 @@ def _verify_checks(cfg: RunConfig, corrupt_weight: bool, timed):
                            [(0.25, 1.0)], 0.25, 1.0, GridSpec(1, 1, 1))
         toy_params = _model_params(cfg, coupling=0.35).with_sigma(0.25)
         bg = BareGround.solve(toy_params, toy, build_basis(2, 14), cfg.tol)
-        worst = float(np.max(np.abs(extract_f1(bg) - froehlich_f1(bg, tol=cfg.tol))))
         table = extract_fq(bg, 2)
-        for pair, val in table.items():
-            worst = max(worst, abs(val - froehlich_fq(bg, pair, tol=cfg.tol)))
+        tuples = [(m,) for m in range(toy.n_modes)] + list(table)
+        pull = froehlich_values(bg, tuples, cfg.tol)
+        worst = max(abs(a - b) for a, b in zip([*extract_f1(bg), *table.values()], pull))
         record("wavefunction-routes", worst, 1e-9,
                "eigenvector extraction vs pull-through resolvent chains")
 

@@ -22,11 +22,12 @@ The last link R_q depends only on the multiset T of the modes, through
 their total momentum and total frequency, so every ordering of T ends in
 the same R(T), and the sum S(T) over the orderings of T obeys
       S(T) = R(T) sum_{positions p} S(T - p),    S(empty) = psi.
-`ordering_sums` runs this recursion one level (multiset size) at a time
-and memoizes S in `BareGround.chains` under (sorted T, tol): one shifted
-solve per sub-multiset instead of one per ordering prefix.  f^1, f^2 and
-f^3 share every common sub-multiset: S((m,)) is the f^1 solve, and each
-f^3 sum reads the f^2 sums below it.
+`froehlich_values` runs this recursion one level (multiset size) at a
+time over every sub-multiset of the tuples it is asked for: one shifted
+solve per sub-multiset instead of one per ordering prefix.  The f^1,
+f^2 and f^3 of one call share every common sub-multiset: S((m,)) is the
+f^1 solve, and each f^3 sum reads the f^2 sums below it.  Nothing
+outlives the call; a caller asks for all its values at once.
 
 A momentum shift moves only the diagonal of H, and H is diagonal on its
 top photon sector, so the R(T) of one level are `solve_shifted` calls on
@@ -62,7 +63,7 @@ __all__ = [
     "extract_f1",
     "froehlich_fq",
     "froehlich_f1",
-    "ordering_sums",
+    "froehlich_values",
     "permutation_tail_sum",
     "permutation_identity_gap",
     "bound_constant_f1",
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 BLOCK_WIDTH = 8
-"""Most columns (multisets) one `solve_shifted` call of `ordering_sums`
+"""Most columns (multisets) one `solve_shifted` call of `froehlich_values`
 takes.  One sparse product serves a block's columns, so wider blocks cut
 the per-step overhead, while each column of the block keeps (dim,) arrays
 for the right-hand side, the shift and the solution alive."""
@@ -80,9 +81,8 @@ for the right-hand side, the shift and the solution alive."""
 class BareGround:
     """Bare fiber ground-state bundle consumed by the wavefunction routines.
 
-    `chains` maps (sorted mode tuple T, tol) to the ordering sum S(T) that
-    `ordering_sums` computed for it; it fills as the pull-through routines
-    run.  `split` is the bare H, held only as its split at the top photon
+    A plain value: the pull-through routines read it and store nothing
+    on it.  `split` is the bare H, held only as its split at the top photon
     sector (`SchurSplit`), which serves the bare solve, every shifted solve
     and every reduced solve.  `H` names the same split for the benchmark's
     exactness check (`perfbench/checks.py`), which rebuilds a bundle from
@@ -95,8 +95,6 @@ class BareGround:
     split: SchurSplit = field(repr=False, compare=False)
     energy: float
     psi: np.ndarray
-    chains: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def H(self) -> SchurSplit:
@@ -166,10 +164,10 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     return solve_shifted(bg.split, bg.energy - freq_total - shift, rhs, tol)
 
 
-def _solve_block(bg: BareGround, pf: np.ndarray, block: list,
+def _solve_block(bg: BareGround, pf: np.ndarray, block: list, below: dict,
                  tol: float) -> np.ndarray:
     """The (dim, len(block)) array of S(T) for the sorted tuples T of
-    `block`, all of one size with their sub-multisets in `bg.chains`, by
+    `block`, all of one size q, from the sums `below` of size q - 1, by
     one `solve_shifted` with a column per T.  Column j solves with
     H_{P - K_j} - E + |K_j|, K_j and |K_j| the total momentum and frequency
     of T_j; H_{P - K_j} - H_P is the diagonal (|P - K_j|^2 - |P|^2) / 2 +
@@ -183,61 +181,58 @@ def _solve_block(bg: BareGround, pf: np.ndarray, block: list,
     z += bg.energy - freq - 0.5 * (np.sum((P - k_total) ** 2, axis=1) - P @ P)
     rhs = np.empty((bg.basis.dim, len(block)))
     for j, T in enumerate(block):
-        parts = [_stored_sum(bg, T[:p] + T[p + 1:], tol) for p in range(len(T))]
+        parts = [below[T[:p] + T[p + 1:]] for p in range(len(T))]
         rhs[:, j] = sum(parts[1:], parts[0])
     return solve_shifted(bg.split, z, rhs, tol)
 
 
-def _stored_sum(bg: BareGround, T: tuple, tol: float) -> np.ndarray:
-    return bg.chains[(T, tol)] if T else bg.psi
+def froehlich_values(bg: BareGround, tuples, tol: float) -> list:
+    """[f^q(T) for T in tuples], each mode tuple T through the sum S(T)
+    over its orderings of the chains R_q ... R_1 psi (module docstring);
+    exact on the untruncated discrete model.
 
-
-def ordering_sums(bg: BareGround, tuples, tol: float) -> list:
-    """[S(T) for T in tuples]: the sums over the orderings of each mode
-    tuple T of R_q ... R_1 psi, by the recursion of the module docstring.
-
-    The multisets these sums need and `bg.chains` lacks are solved level by
-    level, smallest first: each level sorted, in blocks of at most
-    BLOCK_WIDTH columns, one `solve_shifted` per block.  Every S is stored
-    in `bg.chains` under the key (sorted T, tol), so a sum costs one column
-    per sub-multiset not solved before."""
+    Every sub-multiset of the tuples is solved once, level by level,
+    smallest first: each level sorted, in blocks of at most BLOCK_WIDTH
+    columns, one `solve_shifted` per block.  A level's sums are kept only
+    while the level above is built from them, and of each sum only its
+    vacuum component, which is f^q up to its prefactor."""
     keys = [tuple(sorted(T)) for T in tuples]
     levels: dict = {}
     todo = list(keys)
     while todo:
         T = todo.pop()
-        if T and (T, tol) not in bg.chains and T not in levels.setdefault(len(T), set()):
+        if T and T not in levels.setdefault(len(T), set()):
             levels[len(T)].add(T)
             todo.extend(T[:p] + T[p + 1:] for p in range(len(T)))
+    below = {(): bg.psi}
+    vacuum = {(): bg.psi[0]}
     if levels:
         pf = pf_diagonals(bg.basis, bg.grid)
     for q in sorted(levels):
         level = sorted(levels[q])
+        sums = {}
         for start in range(0, len(level), BLOCK_WIDTH):
             block = level[start:start + BLOCK_WIDTH]
-            sums = _solve_block(bg, pf, block, tol).T.copy()
-            bg.chains.update(((T, tol), S) for T, S in zip(block, sums))
-    return [_stored_sum(bg, T, tol) for T in keys]
+            sums.update(zip(block, _solve_block(bg, pf, block, below, tol).T))
+        vacuum.update((T, S[0]) for T, S in sums.items())
+        below = sums
+    out = []
+    for T in keys:
+        q = len(T)
+        ff = float(np.prod(form_factor(bg.grid.k[list(T)], bg.params)))
+        out.append(float((-1.0) ** q * ff * vacuum[T] / math.sqrt(math.factorial(q))))
+    return out
 
 
 def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
-    """f^q at a tuple of grid modes via the permutation sum of resolvent
-    chains; exact on the untruncated discrete model."""
-    modes = tuple(modes)
-    q = len(modes)
-    vac = ordering_sums(bg, [modes], tol)[0][0]
-    ff = float(np.prod(form_factor(bg.grid.k[list(modes)], bg.params)))
-    return (-1.0) ** q * ff * vac / math.sqrt(math.factorial(q))
+    """f^q at one tuple of grid modes (`froehlich_values`)."""
+    return froehlich_values(bg, [modes], tol)[0]
 
 
 def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
-    """One-photon wavefunction via single resolvent solves at every grid
-    node, all in one call of `ordering_sums`."""
-    sums = ordering_sums(bg, [(m,) for m in range(bg.grid.n_modes)], tol)
-    out = np.zeros(bg.grid.n_modes)
-    for m, S in enumerate(sums):
-        out[m] = -float(form_factor(bg.grid.k[m], bg.params)) * S[0]
-    return out
+    """One-photon wavefunction at every grid node (`froehlich_values`)."""
+    tuples = [(m,) for m in range(bg.grid.n_modes)]
+    return np.array(froehlich_values(bg, tuples, tol))
 
 
 # ---------------------------------------------------------------------------

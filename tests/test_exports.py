@@ -349,3 +349,44 @@ def test_frozen_dataclasses_set_fields_only_to_coerce_them(path):
     # ROADMAP aim 2: no setattr-on-dataclass caches; the one use left is
     # the coercion of a field to its own array form in `__post_init__`
     assert _setattr_outside_coercions(ast.parse(path.read_text())) == []
+
+
+def _factory_fields(tree):
+    """`Class.field` for each field of a frozen dataclass that is given a
+    `default_factory`: a mutable default that fills after construction."""
+    def frozen(decorator):
+        return isinstance(decorator, ast.Call) \
+            and ast.unparse(decorator.func).split(".")[-1] == "dataclass" \
+            and any(kw.arg == "frozen" and ast.unparse(kw.value) == "True"
+                    for kw in decorator.keywords)
+
+    return [f"{cls.name}.{node.target.id}" for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and any(map(frozen, cls.decorator_list))
+            for node in cls.body if isinstance(node, ast.AnnAssign)
+            and isinstance(node.value, ast.Call)
+            and any(kw.arg == "default_factory" for kw in node.value.keywords)]
+
+
+def test_factory_field_guard_sees_every_frozen_dataclass():
+    snippet = ("@dataclass(frozen=True)\n"
+               "class A:\n"
+               "    x: int\n"
+               "    cache: dict = field(default_factory=dict, init=False)\n"
+               "    split: object = field(repr=False)\n"
+               "@dataclasses.dataclass(frozen=True, eq=False)\n"
+               "class B:\n"
+               "    memo: list = dataclasses.field(default_factory=list)\n"
+               "@dataclass\n"
+               "class C:\n"
+               "    args: list = field(default_factory=list)\n"
+               "@dataclass(frozen=False)\n"
+               "class D:\n"
+               "    args: list = field(default_factory=list)\n")
+    assert _factory_fields(ast.parse(snippet)) == ["A.cache", "B.memo"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_frozen_dataclasses_fill_no_field_after_construction(path):
+    # ROADMAP aim 2: a frozen dataclass is a value; a `default_factory`
+    # field would give it a mutable part that fills as it is used
+    assert _factory_fields(ast.parse(path.read_text())) == []

@@ -62,52 +62,50 @@ def solves(monkeypatch):
     return calls
 
 
-def _fresh(bg):
-    """The same ground state with an empty chain cache."""
-    return wf.BareGround(bg.params, bg.grid, bg.basis, bg.split, bg.energy, bg.psi)
-
-
-def test_chains_share_prefixes_across_q(three_mode, solves):
+def test_one_call_solves_each_sub_multiset_once(three_mode, solves):
     """The ordering sum of a mode multiset reads the sums of its
-    sub-multisets: f^2 sums start from f^1 solves, f^3 sums from f^2 sums,
-    and each multiset costs one solve, however many orderings it has; the
-    values are those of a cold cache bit for bit."""
-    bg = _fresh(three_mode)
-    runs = [(wf.froehlich_f1, None), (wf.froehlich_fq, (0, 1)),
-            (wf.froehlich_fq, (0, 0, 1))]
-    counts = []
-    for fn, modes in runs:
-        before = len(solves)
-        val = fn(bg) if modes is None else fn(bg, modes)
-        counts.append(len(solves) - before)
-        cold = fn(_fresh(bg)) if modes is None else fn(_fresh(bg), modes)
-        assert np.all(val == cold)
-    assert counts == [3, 1, 2]
-
-
-def test_chain_cache_is_keyed_by_tol(three_mode, solves):
-    bg = _fresh(three_mode)
-    wf.froehlich_fq(bg, (0, 1))
-    assert len(solves) == 3
-    wf.froehlich_fq(bg, (0, 1))
-    assert len(solves) == 3
-    wf.froehlich_fq(bg, (0, 1), tol=1e-9)
+    sub-multisets: the f^2 sum of (0, 1) starts from the f^1 solves, the
+    f^3 sum of (0, 0, 1) from the f^2 sums (0, 0) and (0, 1), and each
+    multiset costs one column, however many orderings it has.  A value
+    does not depend on which tuples share its call or its block."""
+    tuples = [(0,), (1,), (2,), (0, 1), (0, 0, 1)]
+    values = wf.froehlich_values(three_mode, tuples, 1e-10)
     assert len(solves) == 6
+    assert len({id(args) for args in solves}) == 3
+    for T, value in zip(tuples, values):
+        assert value == wf.froehlich_fq(three_mode, T)
 
 
-def test_chains_are_contiguous_float_vectors(three_mode):
-    bg = _fresh(three_mode)
-    wf.froehlich_f1(bg)
-    wf.froehlich_fq(bg, (0, 1, 2))
-    wf.froehlich_fq(bg, (1, 1))
-    assert len(bg.chains) == 3 + 3 + 1 + 1
-    for value in bg.chains.values():
-        assert value.ndim == 1 and value.dtype == np.float64
-        assert value.flags.c_contiguous
+def test_permuted_tuples_are_one_multiset(three_mode, solves):
+    assert wf.froehlich_fq(three_mode, (1, 0)) == wf.froehlich_fq(three_mode, (0, 1))
+    del solves[:]
+    values = wf.froehlich_values(three_mode, [(1, 0), (0, 1)], 1e-10)
+    # the singles (0,) and (1,) share one block, then one pair column
+    assert len(solves) == 3 and solves[0] is solves[1] is not solves[2]
+    assert values[0] == values[1]
+
+
+def test_calls_share_no_state(three_mode, solves):
+    # two identical calls make the same solves, each with the caller's
+    # tol, and store nothing on the ground-state bundle
+    before = dict(vars(three_mode))
+    tuples = [(0, 1), (2,)]
+    runs = []
+    for tol in (1e-10, 1e-10, 1e-9):
+        del solves[:]
+        runs.append((wf.froehlich_values(three_mode, tuples, tol), solves[:]))
+    (first, calls), (second, again), (_, coarse) = runs
+    assert second == first and len(again) == len(calls) == 4
+    for a, b in zip(again, calls):
+        assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+    assert [args[3] for args in calls] == [1e-10] * 4
+    assert [args[3] for args in coarse] == [1e-9] * 4
+    assert vars(three_mode).keys() == before.keys()
+    assert all(vars(three_mode)[k] is v for k, v in before.items())
 
 
 def test_shifted_solves_receive_the_split_built_once(three_mode, solves):
-    bg = _fresh(three_mode)
+    bg = three_mode
     assert bg.split.split == bg.basis.offsets[bg.basis.n_max]
     wf.froehlich_fq(bg, (0, 1))
     assert len(solves) == 3 and all(args[0] is bg.split for args in solves)
@@ -154,16 +152,8 @@ def explicit_ordering_fq(bg, modes, tol=1e-10):
 
 @pytest.mark.parametrize("modes", [(0, 1, 2), (0, 0, 1), (1, 1, 1), (1, 0)])
 def test_ordering_sum_matches_explicit_orderings(three_mode, modes):
-    value = wf.froehlich_fq(_fresh(three_mode), modes)
+    value = wf.froehlich_fq(three_mode, modes)
     assert abs(value - explicit_ordering_fq(three_mode, modes)) < 1e-12
-
-
-def test_unsorted_modes_reuse_the_sorted_sum(three_mode, solves):
-    bg = _fresh(three_mode)
-    value = wf.froehlich_fq(bg, (0, 1))
-    before = len(solves)
-    assert wf.froehlich_fq(bg, (1, 0)) == value
-    assert len(solves) == before
 
 
 def extract_fq_reference(bg, q):
