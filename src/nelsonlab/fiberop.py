@@ -323,17 +323,16 @@ def assemble(op: FiberOperator, basis: FockBasis) -> sp.csr_matrix | FiberMatrix
     if op.n_modes != basis.n_modes:
         raise ValueError("operator and basis mode counts differ")
     diag = np.full(basis.dim, op.e, dtype=float) + basis.number_diagonal(op.d)
-    vop = VectorFiberOperator(op.w, op.K, op.C)
     top = basis.photon_count == basis.n_max
     components, lowerings = [], []
     for j in range(3):
         c = op.C[:, j]
+        a = basis.number_diagonal(op.K[:, j]) + op.w[j]
         if np.any(c):
-            components.append(assemble_vector_component(vop, j, basis))
+            components.append(basis.operator(c, a))
             lowerings.append(basis.top_lowering(c))
             diag[top] += 0.5 * float(c @ c)
         else:
-            a = basis.number_diagonal(op.K[:, j]) + op.w[j]
             diag += 0.5 * a * a
     if not components:
         return basis.operator(op.g, diag)

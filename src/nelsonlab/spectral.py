@@ -68,13 +68,12 @@ reads, once per operator, the smallest index n with H[n:, n:] diagonal
 (the top photon sector of the bare Fock H, 8,436 of 9,139 states at
 photon cap 3), and MINRES runs on the Schur complement over the first n
 states only.  Its residual is still checked on the full system, column by
-column.  Tail rows with a pivot exactly 0 in any column stay unknowns of
-the reduced system, so no row is divided by 0.  One call solves a block of
-right-hand sides, each with its own shift: one sparse product then serves
-every column, which is what makes the pull-through levels of
-`wavefunctions` cheap, while every column's result is the one it gets
-alone.  The split's `nnz` counts what one product with the
-Schur complement streams, not the entries of H.
+column.  A tail pivot exactly 0 is refused before MINRES runs, so no row
+is divided by 0.  One call solves a block of right-hand sides, each with
+its own shift: one sparse product then serves every column, which is what
+makes the pull-through levels of `wavefunctions` cheap, while every
+column's result is the one it gets alone.  The split's `nnz` counts what
+one product with the Schur complement streams, not the entries of H.
 
 MINRES is preconditioned by the diagonal M^{-1} = |diag(H) - z|^{-1} on
 the rows it keeps, with exact zeros of diag(H) - z replaced by 1.
@@ -383,7 +382,7 @@ def ground_state(H, tol: float = 1e-10, gap: bool = True,
     vectors = [np.ascontiguousarray(_fix_phase(vecs[:, j])) for j in range(k)]
     psi = vectors[0]
     resid = float(np.linalg.norm(H @ psi - vals[0] * psi))
-    if resid > budget:
+    if not resid <= budget:  # a nan residual fails too
         raise ArithmeticError(f"eigensolver residual {resid:.3e} exceeds "
                               f"budget ({budget:.3e}); method={method}")
     if k == 2:
@@ -499,12 +498,12 @@ def _block_minres(apply, inv: np.ndarray, rhs: np.ndarray, tol: float) -> np.nda
 
 def _check_residual(resid: np.ndarray, rhs: np.ndarray, tol: float, what: str):
     """Raise ArithmeticError when the true residual of a linear solve exceeds
-    1e3 tol max(1, ||rhs||): of the vector, or of each column of a (dim, b)
-    block, naming the first column over."""
+    1e3 tol max(1, ||rhs||) or is nan: of the vector, or of each column of a
+    (dim, b) block, naming the first column over."""
     cols, rhs = resid.reshape(len(resid), -1), rhs.reshape(len(rhs), -1)
     norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
     budgets = 1e3 * tol * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->j", rhs, rhs)))
-    over = np.flatnonzero(norms > budgets)
+    over = np.flatnonzero(~(norms <= budgets))
     if over.size:
         j = over[0]
         where = f" column {j}" if resid.ndim == 2 else ""
@@ -523,10 +522,9 @@ def solve_reduced_resolvent(H, energy: float, psi: np.ndarray, rhs: np.ndarray,
     The preconditioner is Q D Q with D = |diag(H) - energy|^{-1} (zeros
     replaced by 1).  D is positive definite, so Q D Q is symmetric positive
     definite on range(Q), where the right-hand side and every MINRES iterate
-    lie."""
+    lie.  A right-hand side parallel to psi projects to 0, where MINRES
+    returns its start 0, and x comes back as exact zeros."""
     rhs_p = _project_out(np.asarray(rhs, dtype=float), psi)
-    if not np.any(rhs_p):
-        return np.zeros(H.shape[0])
     inv = _jacobi(H.diagonal() - energy)
 
     def apply(v):
@@ -555,8 +553,9 @@ class SchurSplit:
     off-diagonal entries (i, j), so 0 for a diagonal H.  The bare Fock H is
     diagonal inside each photon sector and couples only neighbouring ones,
     so there n = `basis.offsets[n_max]` and the tail is the top sector; a
-    generic matrix splits at its last row.  The factors are K = H[:n, :n],
-    B = H[n:, :n] and B^T = H[:n, n:].  B is stored by columns (CSC): a row
+    generic matrix splits at its last row.  The factors are K = H[:n, :n]
+    and B = H[n:, :n]; `Bt` is B's transpose view, which is H[:n, n:] by
+    rows (CSR) for the symmetric H.  B is stored by columns (CSC): a row
     of the top sector q holds at most q entries, and by columns a product
     with a block of 8 columns takes 83 us against 110 us by rows on
     `pullthrough_q3`.  `nnz` counts the entries one product with the Schur
@@ -581,7 +580,8 @@ class SchurSplit:
         dim = H.shape[0]
         self.H, self.split, self.diag, self.shift = H, n, H.diagonal(), None
         R = H[n:, :n]  # B by rows
-        self.K, self.B, self.Bt = H[:n, :n], R.tocsc(), H[:n, n:]
+        self.K, self.B = H[:n, :n], R.tocsc()
+        self.Bt = self.B.T
         self.off_abs = np.bincount(C.row[off], np.abs(C.data[off]), dim)
         self.pairs = None
         if 0 < n <= DENSE_CUTOFF < dim:
@@ -647,11 +647,8 @@ def solve_shifted(split: SchurSplit, z, rhs: np.ndarray,
 
     and MINRES solves for u on the n unknowns, with S applied as three
     sparse products.  A diagonal H (n = 0) takes no MINRES: x = rhs / (D - z).
-    Tail rows whose pivot D_i - z_i is exactly 0 in any column of the block
-    are not divided by: they stay in the reduced system of every column,
-    with x_i as one more unknown (the bordered system [S, B_Z^T; B_Z,
-    D_Z - z_Z] over those rows Z, still symmetric), so only H - z, not
-    every pivot, has to be nonsingular.
+    A tail pivot D_i - z_i exactly 0, in any column of the block, raises
+    ArithmeticError naming the state i and the column, before any MINRES.
 
     All columns run through one `_block_minres`, so one sparse product
     serves the whole block, and a column leaves it when its own stop test
@@ -675,35 +672,31 @@ def solve_shifted(split: SchurSplit, z, rhs: np.ndarray,
     z = np.asarray(z, dtype=float)
     Z = np.broadcast_to(z[:, None] if z.ndim == 1 else z, R.shape)
     pivot = split.diag[n:, None] - Z[n:]
-    zero = np.unique(np.flatnonzero(pivot == 0.0) // R.shape[1])
-    kept = pivot[zero]  # bordered rows: their pivots stay on the diagonal
-    pivot[zero] = np.inf  # g = 1 / pivot = 0 there
+    zero = np.flatnonzero(pivot == 0.0)
+    if zero.size:
+        i, j = divmod(int(zero[0]), R.shape[1])
+        raise ArithmeticError(f"shifted solve: tail pivot D - z of state {n + i} "
+                              f"is exactly 0 in column {j}")
     z_low, R_top = Z[:n], R[n:]
-    inv = _jacobi(np.concatenate([split.diag[:n, None] - z_low, kept]))
+    inv = _jacobi(split.diag[:n, None] - z_low)
 
-    def apply(Y):
+    def apply(U):
         # in place on the one top-sector temporary B U: each further array
         # of that size costs fresh pages, more than its arithmetic
-        U, Y_zero = Y[:n], Y[n:]
         W = B @ U
-        T_zero = W[zero]
         W /= pivot
-        W[zero] = -Y_zero
-        return np.concatenate([K @ U - z_low * U - Bt @ W,
-                               T_zero + kept * Y_zero])
+        return K @ U - z_low * U - Bt @ W
 
-    Y = np.zeros((0, R.shape[1]))
-    if n + len(zero):
-        reduced = np.concatenate([R[:n] - Bt @ (R_top / pivot), R_top[zero]])
-        Y = _block_minres(apply, inv, reduced, tol)
+    U = np.zeros((0, R.shape[1]))
+    if n:
+        U = _block_minres(apply, inv, R[:n] - Bt @ (R_top / pivot), tol)
     # the pivots and x_top are freed before the residual checks, so that
     # at most four (dim, b) arrays are alive at once, rhs and z included
-    X_top = B @ Y[:n]
+    X_top = B @ U
     np.subtract(R_top, X_top, out=X_top)
     X_top /= pivot
-    X_top[zero] = Y[n:]
     del pivot
-    X = np.concatenate([Y[:n], X_top])
+    X = np.concatenate([U, X_top])
     del X_top
     # H X - Z X - rhs, formed in place a slab of rows at a time, so that no
     # further (dim, b) array is made

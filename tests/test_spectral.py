@@ -22,7 +22,7 @@ from nelsonlab.spectral import (
     solve_shifted,
 )
 
-from helpers import random_momentum_grid
+from helpers import assert_same_csr, random_momentum_grid
 
 
 def toeplitz_tridiag(n, a, b):
@@ -110,6 +110,19 @@ def test_dense_pair_over_budget_raises(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigh", perturbed)
     with pytest.raises(ArithmeticError, match="method=dense"):
+        ground_state(toeplitz_tridiag(40, 2.0, 0.7))
+
+
+def test_dense_pair_with_a_nan_residual_raises(monkeypatch):
+    # a nan residual, as from a broken solver, fails the budget too
+    real_eigh = spectral.eigh
+
+    def broken(A, **kwargs):
+        vals, vecs = real_eigh(A, **kwargs)
+        return np.full_like(vals, np.nan), vecs
+
+    monkeypatch.setattr(spectral, "eigh", broken)
+    with pytest.raises(ArithmeticError, match="residual nan .*method=dense"):
         ground_state(toeplitz_tridiag(40, 2.0, 0.7))
 
 
@@ -682,15 +695,20 @@ def test_solve_shifted_divides_a_diagonal_operator(monkeypatch):
                           block / (d[:, None] - shifts))
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3])
-def test_bare_split_is_the_top_photon_sector(cap):
-    params = ModelParams(coupling=0.1, sigma=0.25, P=(1 / 6, 0.0, 0.0))
+def bare_hamiltonian(cap, coupling=0.1):
+    """The bare H on a GridSpec(2, 2, 2) grid at photon cap `cap`, and its
+    basis."""
+    params = ModelParams(coupling=coupling, sigma=0.25, P=(1 / 6, 0.0, 0.0))
     grid = build_grid(params, GridSpec(2, 2, 2))
     basis = build_basis(grid.n_modes, cap)
-    H = assemble(nelson_hamiltonian(params, grid), basis)
+    return assemble(nelson_hamiltonian(params, grid), basis), basis
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_bare_split_is_the_top_photon_sector(cap):
+    H, basis = bare_hamiltonian(cap)
     assert SchurSplit(H).split == basis.offsets[cap]
-    free_params = ModelParams(coupling=0.0, sigma=0.25, P=(1 / 6, 0.0, 0.0))
-    free = assemble(nelson_hamiltonian(free_params, grid), basis)
+    free, _ = bare_hamiltonian(cap, coupling=0.0)
     assert SchurSplit(free).split == 0
 
 
@@ -707,18 +725,15 @@ def test_off_diagonal_tail_entry_shrinks_the_tail():
     assert np.linalg.norm(solve_shifted(split, z, rhs) - exact) < 1e-10 * np.linalg.norm(exact)
 
 
-def test_zero_tail_pivot_stays_in_the_reduced_system():
-    # a per-state shift that makes the tail pivot of state 70 exactly 0:
-    # H - z stays nonsingular, and the row is solved, not divided by 0
-    H, rhs = planted_tail_case(3, 30, 50)
-    Hd, dim = H.toarray(), H.shape[0]
-    z = np.full(dim, np.linalg.eigvalsh(Hd)[0] - 0.5)
-    z[70] = Hd[70, 70]
-    assert H.diagonal()[70] - z[70] == 0.0
-    exact = np.linalg.solve(Hd - np.diag(z), rhs)
-    x = solve_shifted(SchurSplit(H), z, rhs)
-    assert np.all(np.isfinite(x))
-    assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact)
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_split_keeps_b_once(cap):
+    # B^T is B's transpose view, the same CSR arrays as H[:n, n:]
+    H, _ = bare_hamiltonian(cap)
+    split = SchurSplit(H)
+    n = split.split
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(split.Bt, name), getattr(split.B, name)), name
+    assert_same_csr(split.Bt, H[:n, n:])
 
 
 def block_shift_case(seed=9, width=8):
@@ -747,19 +762,28 @@ def test_block_solve_shifted_matches_dense_solves_per_column():
             assert np.linalg.norm(X[:, j] - exact) < 1e-10 * np.linalg.norm(exact), (name, j)
 
 
-def test_zero_tail_pivot_in_one_column_only():
-    # state 70's pivot is 0 in column 1 alone: that row stays an unknown of
-    # every column's reduced system, bordered with its own pivot elsewhere
-    H, block, shifts = block_shift_case(width=3)
-    Hd = H.toarray()
-    shifts[70, 1] = Hd[70, 70]
-    assert H.diagonal()[70] - shifts[70, 1] == 0.0
-    assert np.all(H.diagonal()[70] - shifts[70, [0, 2]] != 0.0)
-    X = solve_shifted(SchurSplit(H), shifts, block)
-    assert np.all(np.isfinite(X))
-    for j in range(3):
-        exact = np.linalg.solve(Hd - np.diag(shifts[:, j]), block[:, j])
-        assert np.linalg.norm(X[:, j] - exact) < 1e-10 * np.linalg.norm(exact), j
+@pytest.mark.parametrize("width, column", [(None, 0), (3, 1)],
+                         ids=["vector", "block"])
+def test_zero_tail_pivot_is_refused_before_minres(monkeypatch, width, column):
+    # a shift that makes the tail pivot of state 70 exactly 0, for a vector
+    # with one shift per state or in one column of a block, is refused by
+    # name before any MINRES step
+    if width is None:
+        H, rhs = planted_tail_case(3, 30, 50)
+        z = np.full(H.shape[0], np.linalg.eigvalsh(H.toarray())[0] - 0.5)
+        z[70] = H.diagonal()[70]
+        assert np.all(np.delete(H.diagonal() - z, 70) != 0.0)
+    else:
+        H, rhs, z = block_shift_case(width=width)
+        z[70, column] = H.diagonal()[70]
+        assert np.count_nonzero(H.diagonal()[:, None] - z == 0.0) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("MINRES ran")
+
+    monkeypatch.setattr(spectral, "_block_minres", refuse)
+    with pytest.raises(ArithmeticError, match=f"state 70 is exactly 0 in column {column}$"):
+        solve_shifted(SchurSplit(H), z, rhs)
 
 
 def test_block_columns_do_not_depend_on_their_neighbours():
@@ -790,6 +814,15 @@ def test_a_block_column_over_budget_raises(monkeypatch):
         solve_shifted(SchurSplit(H), shifts, block)
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+def test_a_nan_residual_raises(block):
+    # a breakdown that leaves nan in a solution must not pass as one
+    resid = np.array([[0.0, 0.0], [0.0, np.nan]]) if block else np.array([np.nan, 0.0])
+    where = " column 1" if block else ""
+    with pytest.raises(ArithmeticError, match=f"^x{where} residual nan"):
+        spectral._check_residual(resid, np.ones_like(resid), 1e-10, "x")
+
+
 def test_solve_shifted_returns_contiguous_float_vectors():
     H, rhs = planted_tail_case(5, 30, 50)
     for op in (SchurSplit(H), SchurSplit(sp.diags(H.diagonal()).tocsr())):
@@ -814,6 +847,18 @@ def test_reduced_resolvent_ground_state_on_a_basis_vector():
     x = solve_reduced_resolvent(H, energy, psi, rhs)
     assert np.linalg.norm(x - oracle) < 1e-9 * np.linalg.norm(oracle)
     assert x[0] == 0.0
+
+
+def test_reduced_resolvent_along_psi_is_exact_zeros():
+    # psi = e_0 and rhs = 0.7 e_0 project to exact zeros; MINRES returns its
+    # start 0, and the last projection sets no sign bit
+    T, _ = toeplitz_case(17, 80, 0.3, 1.0, 4.0)
+    H = sp.block_diag([sp.csr_matrix([[0.2]]), T], format="csr")
+    psi = np.zeros(H.shape[0])
+    psi[0] = 1.0
+    x = solve_reduced_resolvent(H, 0.2, psi, 0.7 * psi)
+    assert x.shape == psi.shape
+    assert not np.any(x) and not np.any(np.signbit(x))
 
 
 @pytest.fixture(scope="module")
