@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -219,7 +221,7 @@ class RunContext:
     config echo, code version, hashes, warnings, and the file index).
     Existing manifest entries for files this run did not touch are carried
     over, so sequential commands into one directory keep the index
-    complete.
+    complete; a file named in `unindexed` is dropped from it.
     """
 
     def __init__(self, command: str, cfg: RunConfig):
@@ -230,6 +232,7 @@ class RunContext:
         self.files: dict[str, dict] = {}
         self.info: dict = {}
         self.warnings: list[str] = []
+        self.unindexed: set[str] = set()
         self.timings: dict[str, float] = {}
 
     @contextmanager
@@ -269,7 +272,8 @@ class RunContext:
         if old.exists():
             try:
                 for entry in json.loads(old.read_text()).get("outputs", []):
-                    if (self.out / entry["name"]).exists():
+                    if (self.out / entry["name"]).exists() \
+                            and entry["name"] not in self.unindexed:
                         outputs[entry["name"]] = entry
             except (json.JSONDecodeError, KeyError, TypeError):
                 outputs = {}
@@ -427,13 +431,15 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
         f1 = extract_f1(bg)
         c_bound, ratios = bound_constant_f1(bg, f1)
         tables = {q: extract_fq(bg, q) for q in range(2, q_top + 1)}
-    probes = [T for table in tables.values() for T in sorted(table)[:cfg.max_probes]]
+    # each table follows the sector rows, so it is sorted, and its first
+    # max_probes entries are the probed tuples
+    probes = [T for table in tables.values()
+              for T in itertools.islice(table, cfg.max_probes)]
     with ctx.timed("pullthrough"):
         # every f^1 mode and every probed tuple in one walk, so that each
         # multiset is solved once
         pull = froehlich_values(bg, [(m,) for m in range(n)] + probes, cfg.tol)
     f1_pull = np.array(pull[:n])
-    probed = dict(zip(probes, pull[n:]))
     lines = ["mode,kx,ky,kz,radius,f1_extract,f1_pullthrough,envelope_ratio"]
     for m in range(n):
         cells = [str(m)] + [repr(float(x)) for x in
@@ -445,16 +451,21 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
                "max_route_gap_f1": float(np.max(np.abs(f1 - f1_pull),
                                                 initial=0.0)),
                "tables": {"1": n}}
+    at = n
     for q, table in tables.items():
+        probed = pull[at:at + min(cfg.max_probes, len(table))]
+        at += len(probed)
+        items = iter(table.items())
         rows = ["modes,value,pullthrough"]
         worst = 0.0
-        for modes in sorted(table):
-            val = float(table[modes])
-            cell = ""
-            if modes in probed:
-                worst = max(worst, abs(probed[modes] - val))
-                cell = repr(probed[modes])
-            rows.append(f"{';'.join(map(str, modes))},{val!r},{cell}")
+        # modes;...,value, with the modes' str and the value's repr; one %
+        # format per row is faster than joining the modes
+        row = ";".join(["%d"] * q) + ",%r,"
+        # zip stops at the last probe without drawing the next table entry
+        for value, (modes, val) in zip(probed, items):
+            worst = max(worst, abs(value - val))
+            rows.append(row % (*modes, val) + repr(value))
+        rows.extend(row % (*modes, val) for modes, val in items)
         ctx.write_text(f"f{q}.csv", "\n".join(rows) + "\n")
         summary["tables"][str(q)] = len(table)
         summary[f"max_route_gap_f{q}_probed"] = worst
@@ -467,6 +478,10 @@ def cmd_wavefunctions(cfg: RunConfig) -> int:
 
 def _lambda_tag(coupling: float) -> str:
     return "lam" + f"{coupling:g}".replace(".", "p").replace("-", "m")
+
+
+# the files `multiscale` writes per scale: scale_NN.json, _psi.npy, _phi.npy
+_CHECKPOINT_NAME = re.compile(r"scale_\d{2,}(\.json|_psi\.npy|_phi\.npy)")
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -492,9 +507,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
         path = ctx.out / f"ledger_{tag}.csv"
         result.to_csv(path)
         ctx.add_file(path)
+        # only the current checkpoint format enters the manifest: files beside
+        # it, such as older code's _psi.csv vectors, are named in one warning,
+        # kept out of the index and left in place
+        stale = []
         for ck in sorted(ckpt.rglob("*")):
             if ck.is_file():
-                ctx.add_file(ck)
+                if ck.parent == ckpt and _CHECKPOINT_NAME.fullmatch(ck.name):
+                    ctx.add_file(ck)
+                else:
+                    stale.append(str(ck.relative_to(ctx.out)))
+        if stale:
+            ctx.unindexed.update(stale)
+            ctx.warnings.append(f"sweep {tag}: not indexed, not a current "
+                                f"checkpoint file: {', '.join(stale)}")
         truncated = len(result.rows) < sweep_cfg.n_scales
         if truncated:
             ctx.warnings.append(

@@ -11,7 +11,9 @@ Sector q is stored once, as an (n_q, q) int64 array of nondecreasing mode
 rows; nothing else holds a state.  A row's position inside its sector is its
 lexicographic rank, which `_sector_rank` computes in closed form (the
 combinatorial number system; Weisse and Fehske, Lect. Notes Phys. 739
-(2008)); it finds every annihilation target and every embedded parent state.
+(2008)); it finds every annihilation target, every embedded parent state
+and every image of a state under a mode permutation
+(`FockBasis.permutation`).
 
 Every matrix built on a basis shares one sparsity pattern, that of
 D + sum_m (b_m + b*_m) with D diagonal, which `FockBasis.operator_pattern`
@@ -228,6 +230,23 @@ class FockBasis:
         top_indptr = self.n_modes * np.arange(len(rows) + 1, dtype=np.int32)
         return _csr_without_zeros(lower[source[at].ravel()], indices[at].ravel(),
                                   top_indptr, self.dim)
+
+    def permutation(self, perm) -> np.ndarray:
+        """Index map u that the mode permutation m -> perm[m] induces on the
+        basis: state i, its modes mapped and sorted, is state u[i], so the
+        unitary U e_i = e_{u[i]} has (U x)[u] = x and U b_m U^T =
+        b_{perm[m]}.  u maps each sector onto itself and the vacuum to 0.
+        O(dim) and not cached.  A perm that is not a permutation of
+        range(n_modes) raises ValueError."""
+        perm = np.asarray(perm)
+        if perm.shape != (self.n_modes,) or perm.dtype.kind not in "iu" \
+                or not np.array_equal(np.sort(perm), np.arange(self.n_modes)):
+            raise ValueError(f"not a permutation of the {self.n_modes} modes: {perm!r}")
+        u = np.empty(self.dim, dtype=np.int64)
+        for q, rows in enumerate(self.sectors):
+            u[self.offsets[q]:self.offsets[q + 1]] = self.offsets[q] + \
+                _sector_rank(np.sort(perm[rows], axis=1), self.n_modes)
+        return u
 
 
 def _csr_without_zeros(data, indices, indptr, n_cols) -> sp.csr_matrix:

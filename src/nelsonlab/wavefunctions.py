@@ -29,6 +29,15 @@ f^2 and f^3 of one call share every common sub-multiset: S((m,)) is the
 f^1 solve, and each f^3 sum reads the f^2 sums below it.  Nothing
 outlives the call; a caller asks for all its values at once.
 
+Rotation covariance saves more solves.  A symmetry R of the grid with
+R P = P (`grid.point_group_permutations`) permutes the modes, and its
+state map U (`FockBasis.permutation`) commutes with H, fixes psi and the
+vacuum, and carries S(T) to S(R T).  So f^q is constant on each orbit of
+mode multisets, and the walk solves one canonical representative per orbit:
+on `pullthrough_q3`'s grid the group has order 4 and the walk solves 64
+columns instead of 84.  A right-hand side gathers the sum of a
+non-canonical sub-multiset from its representative through U.
+
 A momentum shift moves only the diagonal of H, and H is diagonal on its
 top photon sector, so the R(T) of one level are `solve_shifted` calls on
 `BareGround.split`, the one handle on H, split once where H is assembled,
@@ -53,7 +62,8 @@ from .dressing import hellmann_feynman_gradient
 from .fiberop import assemble, momentum_shift_diagonal, nelson_hamiltonian, \
     pf_diagonals
 from .fock import FockBasis
-from .grid import ModelParams, MomentumGrid, form_factor
+from .grid import ModelParams, MomentumGrid, form_factor, \
+    point_group_permutations
 from .spectral import SchurSplit, ground_state, solve_reduced_resolvent, \
     solve_shifted
 
@@ -164,10 +174,10 @@ def _shifted_solve(bg: BareGround, k_total: np.ndarray, freq_total: float,
     return solve_shifted(bg.split, bg.energy - freq_total - shift, rhs, tol)
 
 
-def _solve_block(bg: BareGround, pf: np.ndarray, block: list, below: dict,
+def _solve_block(bg: BareGround, pf: np.ndarray, block: list, below,
                  tol: float) -> np.ndarray:
     """The (dim, len(block)) array of S(T) for the sorted tuples T of
-    `block`, all of one size q, from the sums `below` of size q - 1, by
+    `block`, all of one size q, from the sums `below(X)` of size q - 1, by
     one `solve_shifted` with a column per T.  Column j solves with
     H_{P - K_j} - E + |K_j|, K_j and |K_j| the total momentum and frequency
     of T_j; H_{P - K_j} - H_P is the diagonal (|P - K_j|^2 - |P|^2) / 2 +
@@ -181,9 +191,22 @@ def _solve_block(bg: BareGround, pf: np.ndarray, block: list, below: dict,
     z += bg.energy - freq - 0.5 * (np.sum((P - k_total) ** 2, axis=1) - P @ P)
     rhs = np.empty((bg.basis.dim, len(block)))
     for j, T in enumerate(block):
-        parts = [below[T[:p] + T[p + 1:]] for p in range(len(T))]
+        parts = [below(T[:p] + T[p + 1:]) for p in range(len(T))]
         rhs[:, j] = sum(parts[1:], parts[0])
     return solve_shifted(bg.split, z, rhs, tol)
+
+
+def _checked_map(bg: BareGround, perm: np.ndarray, g: int) -> np.ndarray:
+    """The state map u of point-group element g (`FockBasis.permutation`),
+    once it has passed the split's diagonal: diag[u] equals diag to 1e-12
+    relative, else ArithmeticError names g."""
+    u = bg.basis.permutation(perm)
+    diag = bg.split.diag
+    if np.max(np.abs(diag[u] - diag), initial=0.0) \
+            > 1e-12 * np.max(np.abs(diag), initial=0.0):
+        raise ArithmeticError(f"point-group element {g} (mode permutation "
+                              f"{perm.tolist()}) does not fix diag(H)")
+    return u
 
 
 def froehlich_values(bg: BareGround, tuples, tol: float) -> list:
@@ -191,36 +214,69 @@ def froehlich_values(bg: BareGround, tuples, tol: float) -> list:
     over its orderings of the chains R_q ... R_1 psi (module docstring);
     exact on the untruncated discrete model.
 
-    Every sub-multiset of the tuples is solved once, level by level,
-    smallest first: each level sorted, in blocks of at most BLOCK_WIDTH
-    columns, one `solve_shifted` per block.  A level's sums are kept only
-    while the level above is built from them, and of each sum only its
-    vacuum component, which is f^q up to its prefactor."""
+    Only one multiset per orbit of the point group that fixes P
+    (`grid.point_group_permutations`) is solved: its canonical
+    representative C, the least sorted image of the orbit's members, each
+    member T mapped onto C by the first group element g that does so.
+    Every sub-multiset of the tuples has its representative solved once,
+    level by level, smallest first: each level sorted, in blocks of at most
+    BLOCK_WIDTH columns, one `solve_shifted` per block.  A right-hand side
+    reads S(X) of a sub-multiset X that is not canonical as S(C)[u_g], u_g
+    the state map of g (`FockBasis.permutation`), built once per call and
+    element, on first use, and checked against diag(H) first.  A level's
+    sums are kept only while the level above is built from them, and of
+    each sum only its vacuum component, which is f^q up to its prefactor;
+    u_g fixes the vacuum, so the members of an orbit share it.  With a
+    trivial group every multiset is its own representative and no map is
+    built."""
+    perms = point_group_permutations(bg.grid, bg.params.P_vec)
+    group = [p.tolist() for p in perms]
+    rep = {(): ((), 0)}  # multiset -> (representative, group element onto it)
+
+    def canon(T):
+        if T not in rep:
+            rep[T] = min((tuple(sorted(p[m] for m in T)), g)
+                         for g, p in enumerate(group))
+        return rep[T][0]
+
     keys = [tuple(sorted(T)) for T in tuples]
     levels: dict = {}
-    todo = list(keys)
+    todo = [canon(T) for T in keys]
     while todo:
-        T = todo.pop()
-        if T and T not in levels.setdefault(len(T), set()):
-            levels[len(T)].add(T)
-            todo.extend(T[:p] + T[p + 1:] for p in range(len(T)))
-    below = {(): bg.psi}
+        C = todo.pop()
+        if C and C not in levels.setdefault(len(C), set()):
+            levels[len(C)].add(C)
+            todo.extend(canon(C[:p] + C[p + 1:]) for p in range(len(C)))
+    maps: dict = {}
+    sums = {(): bg.psi}
+
+    def below(X):
+        # S(X) for a multiset X of the level that `sums` holds
+        C, g = rep[X]
+        if not g:
+            return sums[C]
+        if g not in maps:
+            maps[g] = _checked_map(bg, perms[g], g)
+        return sums[C][maps[g]]
+
     vacuum = {(): bg.psi[0]}
     if levels:
         pf = pf_diagonals(bg.basis, bg.grid)
     for q in sorted(levels):
         level = sorted(levels[q])
-        sums = {}
+        solved = {}
         for start in range(0, len(level), BLOCK_WIDTH):
             block = level[start:start + BLOCK_WIDTH]
-            sums.update(zip(block, _solve_block(bg, pf, block, below, tol).T))
-        vacuum.update((T, S[0]) for T, S in sums.items())
-        below = sums
+            solved.update(zip(block, _solve_block(bg, pf, block, below, tol).T))
+        vacuum.update((C, S[0]) for C, S in solved.items())
+        sums = solved
+    v = form_factor(bg.grid.k, bg.params)
     out = []
     for T in keys:
         q = len(T)
-        ff = float(np.prod(form_factor(bg.grid.k[list(T)], bg.params)))
-        out.append(float((-1.0) ** q * ff * vacuum[T] / math.sqrt(math.factorial(q))))
+        ff = float(np.prod(v[list(T)]))
+        out.append(float((-1.0) ** q * ff * vacuum[canon(T)]
+                         / math.sqrt(math.factorial(q))))
     return out
 
 

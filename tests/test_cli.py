@@ -423,6 +423,44 @@ def test_wavefunctions_outputs(tmp_path, small_ini):
     assert summary["max_route_gap_f1"] < gap2["max_route_gap_f1"] / 5.0
 
 
+def test_wavefunction_tables_match_a_reference_formatting(tmp_path, small_ini,
+                                                          monkeypatch):
+    # the f-tables are written in one pass over each extracted table; the
+    # reference sorts each table, probes its first max_probes tuples and
+    # formats every row with a lookup, as a plain loop would
+    import nelsonlab.wavefunctions as wf
+    seen = {}
+    extract, pull = wf.extract_fq, wf.froehlich_values
+
+    def recording_extract(bg, q):
+        seen[q] = extract(bg, q)
+        return seen[q]
+
+    def recording_pull(bg, tuples, tol):
+        seen["pull"] = dict(zip(tuples, pull(bg, tuples, tol)))
+        return list(seen["pull"].values())
+
+    monkeypatch.setattr(wf, "extract_fq", recording_extract)
+    monkeypatch.setattr(wf, "froehlich_values", recording_pull)
+    out = tmp_path / "run"
+    assert main(["wavefunctions", "--config", str(small_ini), "--photon-cap", "3",
+                 "--q-max", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "wavefunctions.json").read_text())
+    for q in (2, 3):
+        table, probed = seen[q], set(sorted(seen[q])[:4])  # max_probes 4
+        assert len(seen["pull"]) > len(probed) and probed <= seen["pull"].keys()
+        rows = ["modes,value,pullthrough"]
+        worst = 0.0
+        for modes in sorted(table):
+            cell = ""
+            if modes in probed:
+                cell = repr(seen["pull"][modes])
+                worst = max(worst, abs(seen["pull"][modes] - table[modes]))
+            rows.append(";".join(str(m) for m in modes) + f",{table[modes]!r},{cell}")
+        assert (out / f"f{q}.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert summary[f"max_route_gap_f{q}_probed"] == worst
+
+
 def test_wavefunctions_on_empty_grid(tmp_path, small_ini):
     # sigma = kappa is a valid configuration with no photon modes
     out = tmp_path / "run"
@@ -588,6 +626,39 @@ def test_sweep_rerun_resumes_byte_identical(sweep_dir):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} changed across reruns"
+
+
+def test_resume_leaves_stale_checkpoint_files_out_of_the_manifest(tmp_path,
+                                                                   small_ini):
+    # vectors in an older checkpoint format beside the current files, and
+    # listed by an older manifest: a resume indexes only the current
+    # format, names each file left out in one warning and deletes nothing
+    out = tmp_path / "run"
+    argv = ["sweep", "--config", str(small_ini), "--scales", "1",
+            "--epsilon", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    ckpt = out / "checkpoints" / "lam0p1"
+    stale = ["checkpoints/lam0p1/scale_01_phi.csv",
+             "checkpoints/lam0p1/scale_01_psi.csv"]
+    for name in stale:
+        (out / name).write_text("index,re,im\n0,1.0,0.0\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"] += [{"name": name, "sha256": "0" * 64, "bytes": 21}
+                            for name in stale]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {e["name"] for e in manifest["outputs"]}
+    assert not listed & set(stale)
+    assert {f"checkpoints/lam0p1/{p.name}" for p in ckpt.iterdir()} - listed \
+        == set(stale)
+    assert all((out / name).exists() for name in stale)
+    warned = [w for w in manifest["warnings"] if "not indexed" in w]
+    assert len(warned) == 1 and all(name in warned[0] for name in stale)
+    # the current files keep their entries and hashes
+    for name in stale:
+        (out / name).unlink()
+    check_manifest(out)
 
 
 def _saved_bytes(save, *args, **kw):

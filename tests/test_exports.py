@@ -301,6 +301,17 @@ def test_the_bare_h_is_split_only_where_it_is_assembled():
                      "wavefunctions.BareGround.solve"]
 
 
+def test_only_fock_ranks_sector_rows():
+    # a state's rank is read in closed form in three places, all in fock:
+    # annihilation targets, embedded parent states and permuted states;
+    # everyone else maps states through `FockBasis.permutation`
+    calls = sorted(f"{path.stem}.{scope}" for path in SRC.glob("*.py")
+                   for scope in _scoped_calls(ast.parse(path.read_text()),
+                                              "_sector_rank"))
+    assert calls == ["fock.FockBasis.annihilation_arrays",
+                     "fock.FockBasis.permutation", "fock.embed"]
+
+
 def _setattr_outside_coercions(tree):
     """Lines of `object.__setattr__(self, name, value)` calls that are not a
     coercion of a field in place: outside a `__post_init__`, or with a

@@ -4,7 +4,7 @@ second-P-derivative cancellation demonstration."""
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ import pytest
 from nelsonlab import wavefunctions as wf
 from nelsonlab.dressing import dressed_ground_state
 from nelsonlab.fiberop import momentum_shift_diagonal
-from nelsonlab.fock import apply_displacement, build_basis
-from nelsonlab.grid import GridSpec, ModelParams, build_grid, form_factor
+from nelsonlab.fock import FockBasis, apply_displacement, build_basis
+from nelsonlab.grid import GridSpec, ModelParams, build_grid, form_factor, \
+    point_group_permutations
 from nelsonlab.spectral import DENSE_CUTOFF, SchurSplit, solve_shifted
 
 from helpers import basis_states, random_momentum_grid, toy_grid
@@ -286,3 +287,122 @@ def test_cancellation_demo_pole_terms():
     assert growth > 4.0
     # ...but the sum gains a power of |k|: the ratio drops ~linearly
     assert inner["cancellation_ratio"] < 0.6 * outer["cancellation_ratio"]
+
+
+# ---------------------------------------------------------------------------
+# one solve per orbit of the point group that fixes P
+
+
+@pytest.fixture(scope="module")
+def symmetric():
+    """GridSpec(2, 3, 3) with P on the x axis: 9 modes in 4 orbits of a
+    point group of order 4; cap 3, dim 220."""
+    params = ModelParams(coupling=0.3, sigma=0.5, P=(1 / 6, 0.0, 0.0))
+    grid = build_grid(params, GridSpec(2, 3, 3))
+    bg = wf.BareGround.solve(params, grid, build_basis(grid.n_modes, 3))
+    perms = point_group_permutations(grid, params.P_vec)
+    assert grid.n_modes == 9 and len(perms) == 4
+    return bg, perms
+
+
+def all_tuples(n_modes, q_max):
+    return [T for q in range(1, q_max + 1)
+            for T in combinations_with_replacement(range(n_modes), q)]
+
+
+def chain_sum(bg, T, memo, tol=1e-10):
+    """S(T) = R(T) sum_p S(T - p) with one `solve_shifted` per sorted
+    sub-multiset and no symmetry; memo starts as {(): psi}."""
+    if T not in memo:
+        P = bg.params.P_vec
+        k_sum = bg.grid.k[list(T)].sum(axis=0)
+        shift = momentum_shift_diagonal(bg.basis, bg.grid, P, P - k_sum)
+        rhs = sum(chain_sum(bg, T[:p] + T[p + 1:], memo, tol) for p in range(len(T)))
+        memo[T] = solve_shifted(bg.split, bg.energy - bg.grid.r[list(T)].sum() - shift,
+                                rhs, tol)
+    return memo[T]
+
+
+def test_orbit_walk_matches_per_tuple_chains(symmetric):
+    bg, _ = symmetric
+    tuples = all_tuples(bg.grid.n_modes, 3)
+    values = wf.froehlich_values(bg, tuples, 1e-10)
+    memo = {(): bg.psi}
+    for T, value in zip(tuples, values):
+        q = len(T)
+        ff = float(np.prod(form_factor(bg.grid.k[list(T)], bg.params)))
+        want = (-1.0) ** q * ff * chain_sum(bg, T, memo)[0] / math.sqrt(math.factorial(q))
+        assert abs(value - want) <= 1e-13 * abs(want), T
+
+
+def orbit_of(T, perms):
+    return frozenset(tuple(sorted(int(p[m]) for m in T)) for p in perms)
+
+
+def test_orbit_members_share_the_vacuum_component(symmetric, monkeypatch):
+    # with unit form factors, f^q(T) is the vacuum component of S(T) up to
+    # the sign and sqrt(q!), which the members of an orbit share
+    bg, perms = symmetric
+    monkeypatch.setattr(wf, "form_factor", lambda k, params: np.ones(len(k)))
+    tuples = all_tuples(bg.grid.n_modes, 3)
+    by_orbit = {}
+    for T, value in zip(tuples, wf.froehlich_values(bg, tuples, 1e-10)):
+        by_orbit.setdefault(orbit_of(T, perms), set()).add(value)
+    assert any(len(orbit) > 1 for orbit in by_orbit)
+    assert all(len(values) == 1 for values in by_orbit.values())
+
+
+def test_single_tuple_calls_repeat_the_batched_bits(symmetric):
+    bg, _ = symmetric
+    tuples = [(0,), (8,), (1, 2), (2, 1), (0, 5, 7), (3, 3, 6), (2, 4, 4)]
+    values = wf.froehlich_values(bg, tuples, 1e-10)
+    assert [wf.froehlich_fq(bg, T) for T in tuples] == values
+
+
+def test_orbit_walk_solves_one_column_per_orbit(symmetric, solves):
+    bg, perms = symmetric
+    tuples = all_tuples(bg.grid.n_modes, 2) + [(0, 1, 2), (4, 4, 8), (2, 3, 7)]
+    wf.froehlich_values(bg, tuples, 1e-10)
+    subsets = {S for T in tuples for q in range(1, len(T) + 1)
+               for S in combinations(T, q)}
+    orbits = {orbit_of(S, perms) for S in subsets}
+    assert len(solves) == len(orbits) < len(subsets)
+
+
+def test_trivial_group_solves_every_sub_multiset(solves, monkeypatch):
+    # P off the axes, P_z != 0: no symmetry of the grid fixes P, every
+    # sub-multiset is solved, and no state map is built
+    params = ModelParams(coupling=0.3, sigma=0.5, P=(0.1, 0.05, 0.02))
+    grid = build_grid(params, GridSpec(2, 3, 3))
+    assert len(point_group_permutations(grid, params.P_vec)) == 1
+    bg = wf.BareGround.solve(params, grid, build_basis(grid.n_modes, 3))
+
+    def refuse(self, perm):
+        raise AssertionError("a state map for the trivial group")
+
+    monkeypatch.setattr(FockBasis, "permutation", refuse)
+    tuples = all_tuples(grid.n_modes, 2) + [(0, 1, 2), (4, 4, 8)]
+    values = wf.froehlich_values(bg, tuples, 1e-10)
+    subsets = {S for T in tuples for q in range(1, len(T) + 1)
+               for S in combinations(T, q)}
+    assert len(solves) == len(subsets)
+    memo = {(): bg.psi}
+    for T, value in zip(tuples, values):
+        q = len(T)
+        ff = float(np.prod(form_factor(bg.grid.k[list(T)], bg.params)))
+        want = (-1.0) ** q * ff * chain_sum(bg, T, memo)[0] / math.sqrt(math.factorial(q))
+        assert abs(value - want) <= 1e-13 * abs(want), T
+
+
+def test_a_map_that_moves_the_diagonal_is_refused(symmetric, monkeypatch):
+    bg, _ = symmetric
+    original = FockBasis.permutation
+
+    def corrupted(self, perm):
+        u = original(self, perm).copy()
+        u[[1, 2]] = u[[2, 1]]  # two one-photon states of unequal energy
+        return u
+
+    monkeypatch.setattr(FockBasis, "permutation", corrupted)
+    with pytest.raises(ArithmeticError, match="point-group element"):
+        wf.froehlich_values(bg, all_tuples(bg.grid.n_modes, 2), 1e-10)
