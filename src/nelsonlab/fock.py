@@ -37,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-__all__ = ["FockBasis", "StateVector", "basis_dimension", "build_basis", "embed",
-           "displacement_generator", "apply_displacement"]
+__all__ = ["FockBasis", "StateVector", "basis_dimension", "basis_hash", "build_basis",
+           "embed", "displacement_generator", "apply_displacement"]
 
 
 def _enumerate_sectors(n_modes: int, n_max: int) -> list:
@@ -131,9 +131,7 @@ class FockBasis:
             shape=(self.dim, self.n_modes))
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"fock:{self.n_modes}:{self.n_max}".encode())
-        return h.hexdigest()[:16]
+        return basis_hash(self.n_modes, self.n_max)
 
     def number_diagonal(self, f) -> np.ndarray:
         """Diagonal of sum_m f[m] * n_m over the basis."""
@@ -335,6 +333,12 @@ def basis_dimension(n_modes: int, n_max: int) -> int:
     """Number of states with at most n_max photons in n_modes modes, known
     before enumerating them (stars and bars): C(n_modes + n_max, n_max)."""
     return math.comb(n_modes + n_max, n_max)
+
+
+def basis_hash(n_modes: int, n_max: int) -> str:
+    """Content hash of the basis over n_modes modes with at most n_max
+    photons, known before enumerating it: the states follow from the two."""
+    return hashlib.sha256(f"fock:{n_modes}:{n_max}".encode()).hexdigest()[:16]
 
 
 def build_basis(n_modes: int, n_max: int, dim_cap: int = 2_000_000) -> FockBasis:

@@ -18,7 +18,15 @@ analysis tracks:
   hessians, third derivatives, and resolvent-chain norms per scale.
 
 Scale 0 has an empty annulus: closed forms E = |P|^2/2, psi = vacuum, and
-continuum gap kappa (1 - |P|) + kappa^2 / 2 seed the iteration.
+continuum gap kappa (1 - |P|) + kappa^2 / 2 seed the iteration; nothing is
+assembled or solved for it.
+
+A resumed sweep reads instead of recomputing: a checkpointed scale is
+checked against its config, grid and basis hashes and its vector length
+C(M + Q, Q), all known from the mode count M and the photon cap Q, so no
+basis is enumerated for it.  A basis is built only for a scale that is
+computed, and for its predecessor when that one was loaded or is scale 0,
+since the Cauchy differences embed the predecessor's vectors.
 
 Log-log exponent fits over sigma are ordinary least squares with a slope
 standard error, so scaling claims carry uncertainties.
@@ -32,7 +40,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +55,8 @@ from .derivatives import (
 from .dressing import DressedScaleState, dispersion_probe, dressed_ground_state
 from .fiberop import assemble, assemble_vector_component, gamma_operator, \
     transformed_hamiltonian, weyl_coefficients
-from .fock import FockBasis, apply_displacement, basis_dimension, build_basis, \
-    embed
+from .fock import FockBasis, apply_displacement, basis_dimension, basis_hash, \
+    build_basis, embed
 from .grid import GridSpec, ModelParams, MomentumGrid, build_grid, refine_annulus
 from .spectral import contour_sup_norm, ground_state
 from .wavefunctions import BareGround, bound_constant_f1, extract_f1
@@ -237,10 +245,13 @@ class SweepResult:
 
 class RestoredScale(NamedTuple):
     """The part of a scale that the next scale reads of its predecessor,
-    whether computed or loaded from a checkpoint.  Carrying only these five
-    fields releases the previous scale's matrices before the next starts."""
+    whether computed, loaded from a checkpoint or the closed-form scale 0.
+    Carrying only these five fields releases the previous scale's matrices
+    before the next starts.  `basis` is None for a loaded scale and for
+    scale 0: `run_sweep` enumerates it only when the next scale is
+    computed."""
 
-    basis: FockBasis
+    basis: FockBasis | None
     energy: float
     grad_e: np.ndarray
     psi: np.ndarray
@@ -270,17 +281,35 @@ def _state_row(n: int, sigma: float, state: DressedScaleState) -> ScaleRow:
 
 def _scale_zero_row(config: SweepConfig) -> tuple:
     """Closed-form seed: empty annulus at sigma_0 = kappa.  Returns the row,
-    the carry for scale 1 and the scale-0 grid."""
+    the carry for scale 1 (without a basis) and the scale-0 grid.
+
+    On the one-state basis the bare and the dressed Hamiltonian are the
+    numbers |P|^2/2, the ground state is the vacuum, grad E = P and nothing
+    is displaced.  The two energies are the two float expressions the
+    pipeline's assembly forms, so they keep its bits, including the 1-ulp
+    energy_mismatch some P give: the bare one sums |A|^2/2 component by
+    component, the dressed one is the constant term of the closed route."""
     params = config.params.with_sigma(config.sigma_at(0))
     grid = build_grid(params, config.spec)
-    basis = build_basis(0, config.photon_cap)
-    state = dressed_ground_state(params, grid, basis, config.tol)
-    pnorm = float(np.linalg.norm(params.P_vec))
+    P = params.P_vec
+    energy = 0.0
+    for p in P.tolist():
+        energy += 0.5 * p * p
+    energy_w = 0.5 * float(P @ P)
+    pnorm = float(np.linalg.norm(P))
     kap = params.kappa
     gap_closed = kap * (1.0 - pnorm) + 0.5 * kap * kap
-    row = replace(_state_row(0, params.sigma, state), gap=gap_closed,
-                  gap_w=gap_closed, alpha_min=1.0 - pnorm)
-    return row, RestoredScale.of(state), grid
+    row = ScaleRow(
+        n=0, sigma=params.sigma, n_modes=grid.n_modes,
+        dim=basis_dimension(grid.n_modes, config.photon_cap),
+        energy=energy, energy_w=energy_w, gap=gap_closed, gap_w=gap_closed,
+        grad_e=P.tolist(), grad_norm=pnorm, alpha_min=1.0 - pnorm,
+        h_norm=0.0, energy_mismatch=abs(energy - energy_w), dressing_defect=0.0,
+        grad_defect_norm=0.0, grid_hash=grid.content_hash(),
+        basis_hash=basis_hash(grid.n_modes, config.photon_cap),
+    )
+    vacuum = np.ones(1)
+    return row, RestoredScale(None, energy, P, vacuum, vacuum), grid
 
 
 def _aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -399,8 +428,8 @@ def _naming(path):
         raise ValueError(f"checkpoint {path}: {exc}") from exc
 
 
-def _read_vector(path, basis: FockBasis) -> np.ndarray:
-    """One checkpoint vector: a .npy float64 array of shape (basis.dim,) and
+def _read_vector(path, dim: int) -> np.ndarray:
+    """One checkpoint vector: a .npy float64 array of shape (dim,) and
     nothing after it.  Anything else (a short or foreign file, a pickle, a
     complex or misshapen array) raises ValueError naming path."""
     with _naming(path), open(path, "rb") as fh:
@@ -408,19 +437,20 @@ def _read_vector(path, basis: FockBasis) -> np.ndarray:
         if vec.dtype != _VECTOR_DTYPE:
             raise ValueError(f"dtype {vec.dtype}, expected float64; "
                              "state vectors are real")
-        if vec.shape != (basis.dim,):
-            raise ValueError(f"shape {vec.shape} does not match basis dim "
-                             f"{basis.dim}")
+        if vec.shape != (dim,):
+            raise ValueError(f"shape {vec.shape} does not match basis dim {dim}")
         if fh.read(1):
             raise ValueError("trailing bytes after the array")
     return vec
 
 
-def _load_checkpoint(directory, config, n, grid, basis):
+def _load_checkpoint(directory, config, n, grid):
     """Read a scale from disk; returns (row, RestoredScale), or None when a
     file is missing or a stored hash does not match, so that the scale is
-    recomputed.  A file that does not parse, or a row that is not a ledger
-    row, raises ValueError naming the file."""
+    recomputed.  A file that does not parse, a row that is not a ledger
+    row, or a vector that is not a float64 array of length
+    C(M + Q, Q), raises ValueError naming the file.  The basis is known
+    from (M, Q) alone, so none is enumerated: the carry has basis None."""
     meta, psi_path, phi_path = _checkpoint_paths(directory, n)
     if not (os.path.exists(meta) and os.path.exists(psi_path)
             and os.path.exists(phi_path)):
@@ -431,10 +461,12 @@ def _load_checkpoint(directory, config, n, grid, basis):
         if payload.get("config_hash") != config.content_hash():
             return None
         row = ScaleRow(**payload["row"])
-    if row.grid_hash != grid.content_hash() or row.basis_hash != basis.content_hash():
+    if row.grid_hash != grid.content_hash() \
+            or row.basis_hash != basis_hash(grid.n_modes, config.photon_cap):
         return None
-    vectors = [_read_vector(path, basis) for path in (psi_path, phi_path)]
-    return row, RestoredScale(basis, row.energy, np.asarray(row.grad_e, dtype=float),
+    dim = basis_dimension(grid.n_modes, config.photon_cap)
+    vectors = [_read_vector(path, dim) for path in (psi_path, phi_path)]
+    return row, RestoredScale(None, row.energy, np.asarray(row.grad_e, dtype=float),
                               *vectors)
 
 
@@ -451,13 +483,16 @@ def run_sweep(config: SweepConfig, checkpoint_dir=None,
         next_grid = refine_annulus(grid, sigma)
         if basis_dimension(next_grid.n_modes, config.photon_cap) > config.dim_cap:
             break  # the only early stop: callers see fewer than n_scales rows
-        basis = build_basis(next_grid.n_modes, config.photon_cap)
         loaded = None
         if checkpoint_dir is not None:
-            loaded = _load_checkpoint(checkpoint_dir, config, n, next_grid, basis)
+            loaded = _load_checkpoint(checkpoint_dir, config, n, next_grid)
         if loaded is not None:
             row, prev = loaded
         else:
+            if prev.basis is None:  # embedded into this scale's basis
+                prev = prev._replace(basis=build_basis(grid.n_modes,
+                                                       config.photon_cap))
+            basis = build_basis(next_grid.n_modes, config.photon_cap)
             row, prev = _compute_scale(config, n, next_grid, basis, prev)
             if checkpoint_dir is not None:
                 _save_checkpoint(checkpoint_dir, config, n, row, prev)

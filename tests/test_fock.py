@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from helpers import (assert_same_csr, basis_states, lowering_matrix,
                      reference_lowering, state_index)
 from nelsonlab.fiberop import assemble, nelson_hamiltonian
-from nelsonlab.fock import (StateVector, apply_displacement, build_basis,
-                            displacement_generator, embed)
+from nelsonlab.fock import (StateVector, apply_displacement, basis_hash,
+                            build_basis, displacement_generator, embed)
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, point_group_permutations
 
 
@@ -48,6 +48,19 @@ def test_index_round_trip():
         assert b.offsets[q] <= i < b.offsets[q + 1]
         assert tuple(b.sectors[q][i - b.offsets[q]]) == s
         assert b.photon_count[i] == q
+
+
+@pytest.mark.parametrize("Q", range(4))
+def test_basis_hash_is_known_before_enumerating(Q):
+    # a checkpoint's basis is checked against basis_hash(M, Q) without
+    # enumerating it, so the enumerated basis must hash the same, and the
+    # hashes of stored checkpoints must not move
+    for M in (0, 1, 4, 9, 36):
+        assert build_basis(M, Q).content_hash() == basis_hash(M, Q)
+    assert len({basis_hash(M, Q) for M in range(40)}) == 40
+    if Q == 2:
+        assert basis_hash(0, 2) == "178386a83a562f42"
+        assert basis_hash(36, 2) == "a1edf23e1d3181ac"
 
 
 def test_dim_cap_guard():

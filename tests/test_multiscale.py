@@ -5,13 +5,13 @@ import gc
 import json
 import math
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from nelsonlab import dressing, fiberop, multiscale, spectral
+from nelsonlab import dressing, multiscale, spectral
 from nelsonlab.fiberop import assemble, transformed_hamiltonian, weyl_coefficients
 from nelsonlab.fock import build_basis
 from nelsonlab.grid import GridSpec, ModelParams, build_grid, refine_annulus
@@ -77,6 +77,47 @@ def test_scale_zero_closed_forms(sweep):
     assert abs(row.gap - (kappa * (1.0 - p) + 0.5 * kappa**2)) < 1e-12
     assert abs(row.alpha_min - (1.0 - p)) < 1e-12
     assert row.h_norm == 0.0
+
+
+def _pipeline_scale_zero(config):
+    """Scale 0's row and state from the full bare/dress/re-solve pipeline on
+    the one-state basis: the oracle of `_scale_zero_row`."""
+    params = config.params.with_sigma(config.sigma_at(0))
+    grid = build_grid(params, config.spec)
+    state = dressing.dressed_ground_state(params, grid,
+                                          build_basis(0, config.photon_cap),
+                                          config.tol)
+    pnorm = float(np.linalg.norm(params.P_vec))
+    gap = params.kappa * (1.0 - pnorm) + 0.5 * params.kappa**2
+    row = replace(multiscale._state_row(0, params.sigma, state), gap=gap,
+                  gap_w=gap, alpha_min=1.0 - pnorm)
+    return row, state
+
+
+def test_scale_zero_closed_form_matches_the_pipeline_bit_for_bit():
+    # the benchmark's three momenta (|P| = 1/6 at azimuths 0, 120 and 240
+    # degrees), then seeded random ones; the bare and dressed energies are
+    # two float expressions of |P|^2/2 that differ by one ulp at some P,
+    # and the closed form must give both
+    momenta = [(math.cos(2 * math.pi * s / 3) / 6, math.sin(2 * math.pi * s / 3) / 6,
+                0.0) for s in range(3)]
+    rng = np.random.default_rng(35)
+    momenta += [tuple(float(x) for x in rng.uniform(-0.5, 0.5, 3))
+                for _ in range(200)]
+    one_ulp = 0
+    for i, P in enumerate(momenta):
+        config = small_config(params=ModelParams(coupling=0.1, P=P),
+                              photon_cap=i % 4)
+        row, carry, _ = multiscale._scale_zero_row(config)
+        want, state = _pipeline_scale_zero(config)
+        assert repr(row) == repr(want), P
+        assert repr(carry.energy) == repr(state.energy), P
+        for name in ("grad_e", "psi", "phi"):
+            got, ref = getattr(carry, name), getattr(state, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), P
+        assert carry.basis is None and row.dim == state.basis.dim == 1
+        one_ulp += row.energy_mismatch != 0.0
+    assert one_ulp > 0
 
 
 def test_lambda_zero_sweep_is_exactly_free():
@@ -227,18 +268,34 @@ def test_checkpoints_resume_and_invalidate(tmp_path, monkeypatch):
     assert abs(current.rows[1].energy - original) < 1e-8
 
 
+def _recording_builds(monkeypatch):
+    """The mode counts of the bases `run_sweep` enumerates, in order."""
+    built = []
+    build = multiscale.build_basis
+
+    def recording_build(n_modes, n_max, *args):
+        built.append(n_modes)
+        return build(n_modes, n_max, *args)
+
+    monkeypatch.setattr(multiscale, "build_basis", recording_build)
+    return built
+
+
 def test_full_resume_assembles_no_matrix(tmp_path, monkeypatch):
+    # nor enumerates a basis or solves anything, scale 0 included
     cfg = small_config(n_scales=3)
     run_sweep(cfg, checkpoint_dir=tmp_path).to_csv(tmp_path / "first.csv")
 
-    def refuse(op, basis):
-        if basis.dim > 1:
-            raise AssertionError(f"resume assembled a dim-{basis.dim} matrix")
-        return fiberop.assemble(op, basis)
+    def refuse(*args):
+        raise AssertionError("resume assembled or solved")
 
     for mod in (multiscale, dressing):
         monkeypatch.setattr(mod, "assemble", refuse)
+        monkeypatch.setattr(mod, "ground_state", refuse)
+    monkeypatch.setattr(multiscale, "dressed_ground_state", refuse)
+    built = _recording_builds(monkeypatch)
     run_sweep(cfg, checkpoint_dir=tmp_path).to_csv(tmp_path / "resumed.csv")
+    assert built == []
     assert (tmp_path / "resumed.csv").read_bytes() == \
         (tmp_path / "first.csv").read_bytes()
 
@@ -255,8 +312,9 @@ def test_next_scale_starts_without_the_previous_state(monkeypatch):
         return state
 
     def checking_compute(config, n, grid, basis, prev):
+        # scale 0 is closed-form, so scale n sees n - 1 dressed states
         gc.collect()
-        assert len(states) == n and all(ref() is None for ref in states)
+        assert len(states) == n - 1 and all(ref() is None for ref in states)
         assert isinstance(prev, multiscale.RestoredScale)
         return compute(config, n, grid, basis, prev)
 
@@ -276,7 +334,9 @@ def test_each_scale_splits_its_bare_h_once(monkeypatch):
 
     monkeypatch.setattr(spectral.SchurSplit, "__init__", recording_init)
     res = run_sweep(small_config(n_scales=3))
-    assert splits == [row.dim for row in res.rows] == [1, 15, 45]
+    # scale 0 is closed-form and splits nothing
+    assert [row.dim for row in res.rows] == [1, 15, 45]
+    assert splits == [row.dim for row in res.rows[1:]] == [15, 45]
 
 
 def acceptance_config(n_scales):
@@ -336,11 +396,15 @@ def test_start_blocks_are_built_only_for_lobpcg(monkeypatch):
     assert built == [("soft", 703), ("pair", 703)]
 
 
-def test_partial_resume_matches_fresh_sweep(tmp_path):
+def test_partial_resume_matches_fresh_sweep(tmp_path, monkeypatch):
     cfg = small_config(n_scales=3)
     fresh = run_sweep(cfg, checkpoint_dir=tmp_path)
     (tmp_path / "scale_02.json").unlink()
+    built = _recording_builds(monkeypatch)
     resumed = run_sweep(cfg, checkpoint_dir=tmp_path)
+    # loaded scale 1's basis is enumerated once, at the boundary, for the
+    # embedding into computed scale 2's
+    assert built == [fresh.rows[1].n_modes, fresh.rows[2].n_modes]
 
     def cells(row):  # repr, so that nan cells compare equal
         d = asdict(row)
