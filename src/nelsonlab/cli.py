@@ -9,8 +9,9 @@ be audited against the manifest.  Per-operation timings go to a separate
 timings.json, the single file excluded from the byte-identity contract —
 everything else a rerun writes is byte-identical.
 
-Heavy imports happen inside the command functions so that --jobs can cap
-the BLAS thread pool before numpy is loaded.
+Heavy imports happen inside the command functions so that `main` can set
+the BLAS thread count (one unless --jobs asks for more) before numpy is
+loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 import time
 from contextlib import contextmanager
@@ -66,7 +66,7 @@ class RunConfig:
     out: str = "nelson_out"
     seed: int = 7
     q_max: int = 2
-    jobs: int = 0
+    jobs: int = 1
 
     def sweep_couplings(self):
         return tuple(self.lambdas) if self.lambdas else (self.coupling,)
@@ -171,8 +171,8 @@ def validate_config(cfg: RunConfig) -> None:
         bad("q_max", "must be >= 1")
     if cfg.seed < 0:
         bad("seed", "must be >= 0")
-    if cfg.jobs < 0:
-        bad("jobs", "must be >= 0")
+    if cfg.jobs < 1:
+        bad("jobs", "must be >= 1")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -301,6 +301,10 @@ class RunContext:
         return path
 
 
+# the variables that set the BLAS thread count; `main` sets each to `jobs`
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _environment() -> dict:
     """Library versions, BLAS builds and the thread caps in effect: what else
     besides the config decides the bytes a run writes."""
@@ -311,9 +315,7 @@ def _environment() -> dict:
         info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas[name] = {"name": info.get("name"), "version": info.get("version")}
     return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
-            "threads": {var: os.environ.get(var) for var in
-                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                         "MKL_NUM_THREADS")}}
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES}}
 
 
 def _model_params(cfg: RunConfig, coupling: float | None = None):
@@ -361,14 +363,7 @@ def cmd_ground_state(cfg: RunConfig) -> int:
     ctx = RunContext("ground-state", cfg)
     state = _solve_state(cfg, ctx)
     record = {
-        "energy": state.energy,
-        "energy_w": state.energy_w,
-        "gap": state.gap,
-        "gap_w": state.gap_w,
-        "grad_e": [float(x) for x in state.grad_e],
-        "grad_norm": state.grad_norm,
-        "alpha_min": state.alpha_min,
-        "h_norm": float(np.linalg.norm(state.h)),
+        **state.record(),
         "diagnostics": state.diagnostics,
         "free_energy_p2_over_2": 0.5 * float(np.dot(cfg.p, cfg.p)),
     }
@@ -385,32 +380,16 @@ def cmd_ground_state(cfg: RunConfig) -> int:
 
 
 def cmd_derivatives(cfg: RunConfig) -> int:
-    import numpy as np
-    from .derivatives import (hessian_E, phi_first_derivatives,
-                              radial_direction, scaling_norms,
-                              third_derivative_E)
+    from .derivatives import derivative_record
     ctx = RunContext("derivatives", cfg)
     state = _solve_state(cfg, ctx)
-    radial = radial_direction(state)
     with ctx.timed("derivatives"):
-        hess = hessian_E(state)
-        cols = phi_first_derivatives(state)
-        norms = scaling_norms(state, radial)
-        d3 = third_derivative_E(state, radial)
-    record = {
-        "grad_e": [float(x) for x in state.grad_e],
-        "hessian": [[float(x) for x in row] for row in hess],
-        "radial_hessian": float(radial @ hess @ radial),
-        "d3_radial": d3,
-        "scaling_norms": norms,
-        "phi_derivative_norms": [float(x) for x in
-                                 np.linalg.norm(cols, axis=0)],
-        "tol": cfg.tol,
-    }
+        record = derivative_record(state)
+    record.update(grad_e=[float(x) for x in state.grad_e], tol=cfg.tol)
     ctx.write_json("derivatives.json", record)
     ctx.finish()
     print(f"radial hessian = {record['radial_hessian']:.9g}  "
-          f"d3 = {d3:.6g}  -> {ctx.out}")
+          f"d3 = {record['d3_radial']:.6g}  -> {ctx.out}")
     return 0
 
 
@@ -480,12 +459,8 @@ def _lambda_tag(coupling: float) -> str:
     return "lam" + f"{coupling:g}".replace(".", "p").replace("-", "m")
 
 
-# the files `multiscale` writes per scale: scale_NN.json, _psi.npy, _phi.npy
-_CHECKPOINT_NAME = re.compile(r"scale_\d{2,}(\.json|_psi\.npy|_phi\.npy)")
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
-    from .multiscale import SweepConfig, run_sweep
+    from .multiscale import CHECKPOINT_NAME, SweepConfig, run_sweep
     from .svgplot import LogLogSeries, loglog_svg
     ctx = RunContext("sweep", cfg)
     all_fits = {}
@@ -513,7 +488,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         stale = []
         for ck in sorted(ckpt.rglob("*")):
             if ck.is_file():
-                if ck.parent == ckpt and _CHECKPOINT_NAME.fullmatch(ck.name):
+                if ck.parent == ckpt and CHECKPOINT_NAME.fullmatch(ck.name):
                     ctx.add_file(ck)
                 else:
                     stale.append(str(ck.relative_to(ctx.out)))
@@ -815,7 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(overrides NELSON_LAB_OUT)")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--jobs", type=int,
-                        help="cap BLAS worker threads (0 = library default)")
+                        help="BLAS worker threads (default 1; more may "
+                             "change the last digits of the outputs)")
 
     parser = argparse.ArgumentParser(
         prog="nelson-lab",
@@ -856,10 +832,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if cfg.jobs:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(cfg.jobs)
+    # before any command imports numpy; a caller that loaded it already
+    # keeps the thread count it started with
+    for var in _THREAD_VARIABLES:
+        os.environ[var] = str(cfg.jobs)
     try:
         if args.command == "verify":
             return cmd_verify(cfg, corrupt_weight=args.corrupt_weight)

@@ -35,12 +35,13 @@ __all__ = [
     "third_derivative_E",
     "scaling_norms",
     "radial_direction",
+    "derivative_record",
 ]
 
 
 def grad_E_dressed(state: DressedScaleState) -> np.ndarray:
     """Exact gradient of the truncated dressed eigenvalue:
-    gradE0_i - <phi, Gamma_i phi>."""
+    gradE0_i - <phi, Gamma_i phi>.  An oracle: only tests call it."""
     return state.grad_e - state.phi @ state.gamma_phi
 
 
@@ -65,7 +66,7 @@ def directional_hessian(state: DressedScaleState, direction) -> float:
 
 
 def phi_second_derivative(state: DressedScaleState, i: int, j: int) -> np.ndarray:
-    """d2 phi / dP_i dP_j:
+    """d2 phi / dP_i dP_j (an oracle: only tests call it):
 
         R0 (Gamma_i - gamma_i) d_j phi + R0 (Gamma_j - gamma_j) d_i phi
         - <d_i phi, d_j phi> phi.
@@ -131,3 +132,19 @@ def scaling_norms(state: DressedScaleState, direction=None) -> dict:
     return {"n0": float(np.linalg.norm(u)),
             "n1": float(np.linalg.norm(chain)),
             "n2": float(np.linalg.norm(square))}
+
+
+def derivative_record(state: DressedScaleState) -> dict:
+    """What `derivatives.json` and a ledger row report: the Hessian, the
+    radial values (n . Hess E . n, the third derivative, the chain norms),
+    all along the ledger's vector, `radial_direction` normalised as each
+    directional routine does, and the column norms ||R0 Gamma_i phi||."""
+    n = radial_direction(state)
+    return {
+        "hessian": hessian_E(state).tolist(),
+        "radial_hessian": directional_hessian(state, n),
+        "d3_radial": third_derivative_E(state, n),
+        "scaling_norms": scaling_norms(state, n),
+        "phi_derivative_norms":
+            np.linalg.norm(phi_first_derivatives(state), axis=0).tolist(),
+    }

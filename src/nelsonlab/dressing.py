@@ -101,6 +101,15 @@ class DressedScaleState:
             return 1.0
         return float(np.min(alpha_factors(self.grid, self.grad_e)))
 
+    def record(self) -> dict:
+        """The numbers `ground_state.json` and a ledger row report: both
+        energies and gaps, grad E and its norm, alpha_min and ||h||."""
+        return {"energy": self.energy, "energy_w": self.energy_w,
+                "gap": self.gap, "gap_w": self.gap_w,
+                "grad_e": [float(g) for g in self.grad_e],
+                "grad_norm": self.grad_norm, "alpha_min": self.alpha_min,
+                "h_norm": float(np.linalg.norm(self.h))}
+
     @cached_property
     def gamma(self) -> list:
         """The three compressed components Gamma_j of the dressed momentum

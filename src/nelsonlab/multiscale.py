@@ -39,19 +39,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .derivatives import (
-    directional_hessian,
-    phi_first_derivatives,
-    radial_direction,
-    scaling_norms,
-    third_derivative_E,
-)
+from .derivatives import derivative_record
 from .dressing import DressedScaleState, dispersion_probe, dressed_ground_state
 from .fiberop import assemble, assemble_vector_component, gamma_operator, \
     transformed_hamiltonian, weyl_coefficients
@@ -67,6 +62,7 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "fit_exponent",
+    "CHECKPOINT_NAME",
 ]
 
 # Version of the numerics behind every checkpointed number.  It is part of
@@ -78,6 +74,12 @@ NUMERICS_VERSION = 14
 # dtype of the checkpoint vectors: little-endian, so their bytes do not
 # depend on the host.
 _VECTOR_DTYPE = np.dtype("<f8")
+
+# a checkpointed scale is scale_NN plus each suffix (row, psi, phi), and
+# CHECKPOINT_NAME matches every file of a current checkpoint directory
+_CHECKPOINT_SUFFIXES = (".json", "_psi.npy", "_phi.npy")
+CHECKPOINT_NAME = re.compile(r"scale_\d{2,}(%s)"
+                             % "|".join(map(re.escape, _CHECKPOINT_SUFFIXES)))
 
 
 @dataclass(frozen=True)
@@ -267,11 +269,7 @@ def _state_row(n: int, sigma: float, state: DressedScaleState) -> ScaleRow:
     defaults until later stages fill them."""
     return ScaleRow(
         n=n, sigma=sigma, n_modes=state.grid.n_modes, dim=state.basis.dim,
-        energy=state.energy, energy_w=state.energy_w,
-        gap=state.gap, gap_w=state.gap_w,
-        grad_e=[float(g) for g in state.grad_e],
-        grad_norm=state.grad_norm, alpha_min=state.alpha_min,
-        h_norm=float(np.linalg.norm(state.h)),
+        **state.record(),
         energy_mismatch=state.diagnostics["energy_mismatch"],
         dressing_defect=state.diagnostics["dressing_defect"],
         grad_defect_norm=state.diagnostics["grad_defect_norm"],
@@ -364,15 +362,12 @@ def _intermediate_quantities(config: SweepConfig, state: DressedScaleState,
 
 
 def _derivative_quantities(state: DressedScaleState, row: ScaleRow):
-    n = radial_direction(state)
-    norms = scaling_norms(state, n)
-    row.n0, row.n1, row.n2 = norms["n0"], norms["n1"], norms["n2"]
-    row.radial_hessian = directional_hessian(state, n)
-    row.d3_radial = third_derivative_E(state, n)
+    rec = derivative_record(state)
+    row.radial_hessian, row.d3_radial = rec["radial_hessian"], rec["d3_radial"]
+    row.n0, row.n1, row.n2 = (rec["scaling_norms"][k] for k in ("n0", "n1", "n2"))
     # largest of the three reduced-resolvent norms ||R0 Gamma_i phi||; its
     # growth exponent over sigma is the delta-hat ledger quantity
-    U = phi_first_derivatives(state)
-    row.rgamma_norm = float(np.linalg.norm(U, axis=0).max())
+    row.rgamma_norm = max(rec["phi_derivative_norms"])
 
 
 def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
@@ -402,7 +397,7 @@ def _compute_scale(config: SweepConfig, n: int, grid: MomentumGrid,
 
 def _checkpoint_paths(directory, n):
     base = os.path.join(str(directory), f"scale_{n:02d}")
-    return base + ".json", base + "_psi.npy", base + "_phi.npy"
+    return tuple(base + suffix for suffix in _CHECKPOINT_SUFFIXES)
 
 
 def _save_checkpoint(directory, config, n, row, state):

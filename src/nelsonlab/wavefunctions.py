@@ -281,12 +281,14 @@ def froehlich_values(bg: BareGround, tuples, tol: float) -> list:
 
 
 def froehlich_fq(bg: BareGround, modes, tol: float = 1e-10) -> float:
-    """f^q at one tuple of grid modes (`froehlich_values`)."""
+    """f^q at one tuple of grid modes (`froehlich_values`).  An oracle:
+    only tests and perfbench call it."""
     return froehlich_values(bg, [modes], tol)[0]
 
 
 def froehlich_f1(bg: BareGround, tol: float = 1e-10) -> np.ndarray:
-    """One-photon wavefunction at every grid node (`froehlich_values`)."""
+    """One-photon wavefunction at every grid node (`froehlich_values`).  An
+    oracle: only tests and perfbench call it."""
     tuples = [(m,) for m in range(bg.grid.n_modes)]
     return np.array(froehlich_values(bg, tuples, tol))
 

@@ -18,13 +18,20 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nelsonlab
-from nelsonlab.cli import _INI_SCHEMA, RunConfig, build_parser, main
+from nelsonlab import multiscale
+from nelsonlab.cli import (_INI_SCHEMA, _THREAD_VARIABLES, RunConfig, _grid_spec,
+                           _model_params, build_parser, load_config, main)
+from nelsonlab.derivatives import derivative_record
+from nelsonlab.dressing import dressed_ground_state
+from nelsonlab.fock import build_basis
+from nelsonlab.grid import build_grid
 
 LEDGER_HEADER = (
     "n,sigma,n_modes,dim,energy,energy_w,gap,gap_w,"
@@ -64,6 +71,15 @@ def small_ini(tmp_path):
         seed = 3
     """))
     return path
+
+
+def fresh_env(threads: str = "1") -> dict:
+    """The environment of a fresh `nelson-lab` process: the package on the
+    path and the BLAS thread variables set, since in-process `main` calls
+    rewrite them."""
+    src = str(Path(nelsonlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src,
+                **dict.fromkeys(_THREAD_VARIABLES, threads))
 
 
 def snapshot(out: Path) -> dict:
@@ -349,10 +365,8 @@ def test_formats_doc_lists_the_ini_schema():
 
 def test_cli_import_leaves_numpy_unloaded():
     # the thread variables only take effect if numpy is not loaded yet
-    src = str(Path(nelsonlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, nelsonlab.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
@@ -367,6 +381,34 @@ def test_config_file_jobs_caps_blas_threads(tmp_path, small_ini, monkeypatch):
                  "--out", str(tmp_path / "run")]) == 0
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_one_blas_thread_unless_jobs_asks_for_more(tmp_path, small_ini,
+                                                   monkeypatch):
+    # main sets every thread variable, so a caller's own setting never
+    # decides the thread count; the manifest records what was set
+    for var in _THREAD_VARIABLES:
+        monkeypatch.setenv(var, "2")
+    for jobs, threads in (([], "1"), (["--jobs", "3"], "3")):
+        out = tmp_path / f"threads_{threads}"
+        assert main(["ground-state", "--config", str(small_ini), *jobs,
+                     "--out", str(out)]) == 0
+        expected = dict.fromkeys(_THREAD_VARIABLES, threads)
+        assert {var: os.environ[var] for var in _THREAD_VARIABLES} == expected
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["threads"] == expected
+        assert manifest["config"]["jobs"] == int(threads)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_below_one_is_refused(tmp_path, capsys, value):
+    # 0 no longer means "the library default": that default is what the
+    # thread contract rules out
+    out = tmp_path / "o"
+    assert main(["ground-state", "--jobs", value, "--out", str(out)]) == 2
+    assert "invalid config value for 'jobs': must be >= 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +433,50 @@ def test_derivatives_outputs(tmp_path, small_ini):
     assert record["radial_hessian"] == pytest.approx(along, rel=0, abs=1e-12)
     assert len(record["phi_derivative_norms"]) == 3
     check_manifest(out)
+
+
+def _state_of(argv):
+    """The dressed state a single-cutoff command solves for argv, and its
+    resolved config."""
+    cfg = load_config(build_parser().parse_args(argv))
+    params = _model_params(cfg)
+    grid = build_grid(params, _grid_spec(cfg))
+    basis = build_basis(grid.n_modes, cfg.photon_cap)
+    return dressed_ground_state(params, grid, basis, cfg.tol), cfg
+
+
+@pytest.mark.parametrize("p", ["0.1,-0.07,0.03", "0.16666666666666666,0,0"],
+                         ids=["off_axis", "on_axis"])
+def test_derivatives_json_is_the_ledger_record(tmp_path, small_ini, p):
+    # one producer: every value is the state's derivative record, bit for
+    # bit, and its radial values are the sweep's, taken along the ledger's
+    # vector (at the off-axis P, P-hat normalised once and twice differ in
+    # the last bit)
+    argv = ["derivatives", "--config", str(small_ini), f"--P={p}",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    written = json.loads((tmp_path / "run" / "derivatives.json").read_text())
+    state, cfg = _state_of(argv)
+    row = multiscale._state_row(1, cfg.sigma, state)
+    multiscale._derivative_quantities(state, row)
+    assert (written["radial_hessian"], written["d3_radial"]) \
+        == (row.radial_hessian, row.d3_radial)
+    assert written["scaling_norms"] == {"n0": row.n0, "n1": row.n1, "n2": row.n2}
+    assert max(written["phi_derivative_norms"]) == row.rgamma_norm
+    assert written == {**derivative_record(state),
+                       "grad_e": state.grad_e.tolist(), "tol": cfg.tol}
+
+
+def test_ground_state_json_is_the_ledger_row(tmp_path, small_ini):
+    argv = ["ground-state", "--config", str(small_ini),
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    written = json.loads((tmp_path / "run" / "ground_state.json").read_text())
+    state, cfg = _state_of(argv)
+    row = asdict(multiscale._state_row(1, cfg.sigma, state))
+    names = ("energy", "energy_w", "gap", "gap_w", "grad_e", "grad_norm",
+             "alpha_min", "h_norm")
+    assert {k: written[k] for k in names} == {k: row[k] for k in names}
 
 
 def test_wavefunctions_outputs(tmp_path, small_ini):
@@ -735,43 +821,62 @@ def test_resume_names_a_checkpoint_json_that_does_not_parse(tmp_path, small_ini,
 def test_fresh_sweeps_write_the_same_bytes(tmp_path):
     # two runs in fresh processes and fresh directories, at the default
     # configuration, whose dressed scale 3 (dim 1,540) takes the LOBPCG
-    # path from a seeded block; the ledger's wall_time column is the one documented exception
-    src = str(Path(nelsonlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    outs = [tmp_path / "first", tmp_path / "second"]
-    for out in outs:
+    # path from a seeded block: one started with the BLAS thread variables
+    # at 1 and one at 2, neither with --jobs, so both run one thread (at
+    # two threads, scale 1's vectors differ in their last digits).  The
+    # ledger's wall_time column and checkpoint field, with those files'
+    # manifest hashes, are the one documented exception besides
+    # timings.json
+    runs = [tmp_path / "one", tmp_path / "two"]
+    for run, threads in zip(runs, ("1", "2")):
+        run.mkdir()
         done = subprocess.run([sys.executable, "-m", "nelsonlab.cli", "sweep",
                                "--scales", "3", "--epsilon", "0.5",
-                               "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
+                               "--out", "out"], cwd=run, env=fresh_env(threads),
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-    vectors = [{p.relative_to(out).as_posix(): p.read_bytes()
-                for p in sorted((out / "checkpoints").rglob("*.npy"))}
-               for out in outs]
-    assert len(vectors[0]) == 2 * 3  # psi and phi at scales 1-3
-    assert vectors[0] == vectors[1]
+    first, second = (snapshot(run / "out") for run in runs)
+    vectors = [name for name in first if name.endswith(".npy")]
+    assert len(vectors) == 2 * 3  # psi and phi at scales 1-3
+    assert [first[name] for name in vectors] == [second[name] for name in vectors]
 
-    def ledger(out):
-        rows = list(csv.reader((out / "ledger_lam0p1.csv").read_text().splitlines()))
-        keep = [i for i, name in enumerate(rows[0]) if name != "wall_time"]
-        assert len(keep) == len(rows[0]) - 1
-        return [[row[i] for i in keep] for row in rows]
+    def checkpoint_json(name):
+        return name.startswith("checkpoints/") and name.endswith(".json")
 
-    assert ledger(outs[0]) == ledger(outs[1])
+    def without_wall_time(name, data):
+        if name.startswith("ledger_"):
+            rows = list(csv.reader(data.decode().splitlines()))
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_time"]
+            assert len(keep) == len(rows[0]) - 1
+            return [[row[i] for i in keep] for row in rows]
+        if checkpoint_json(name):
+            payload = json.loads(data)
+            del payload["row"]["wall_time"]
+            return payload
+        if name == "manifest.json":
+            manifest = json.loads(data)
+            for entry in manifest["outputs"]:
+                if entry["name"].startswith("ledger_") or checkpoint_json(entry["name"]):
+                    del entry["sha256"], entry["bytes"]
+            return manifest
+        return data
+
+    assert first.keys() == second.keys()
+    for name in first:
+        assert without_wall_time(name, first[name]) \
+            == without_wall_time(name, second[name]), name
 
 
 def test_fresh_wavefunction_runs_write_the_same_bytes(tmp_path):
     # two runs in fresh processes: the extraction tables and every
     # pull-through value, f^3 included, repeat byte for byte
-    src = str(Path(nelsonlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     outs = [tmp_path / "first", tmp_path / "second"]
     for out in outs:
         done = subprocess.run([sys.executable, "-m", "nelsonlab.cli",
                                "wavefunctions", "--sigma", "0.5",
                                "--photon-cap", "3", "--q-max", "3",
-                               "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
+                               "--out", str(out)], env=fresh_env(),
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
     names = ["f1.csv", "f2.csv", "f3.csv", "wavefunctions.json"]
     first, second = ([(out / name).read_bytes() for name in names] for out in outs)

@@ -4,6 +4,7 @@ and checkpointing."""
 import gc
 import json
 import math
+import os
 import weakref
 from dataclasses import asdict, replace
 
@@ -483,3 +484,17 @@ def test_config_hash_tracks_content():
     changed = small_config(params=ModelParams(coupling=0.2,
                                               P=(0.1, 0.05, 0.02)))
     assert changed.content_hash() != small_config().content_hash()
+
+
+def test_checkpoint_name_matches_every_checkpoint_path(tmp_path):
+    # cli indexes a checkpoint directory by this pattern, so each file
+    # `_checkpoint_paths` names must match it, and nothing else
+    for n in (0, 1, 9, 10, 99, 100, 1234):
+        paths = multiscale._checkpoint_paths(tmp_path, n)
+        assert len(paths) == 3
+        for path in paths:
+            assert multiscale.CHECKPOINT_NAME.fullmatch(os.path.basename(path)), path
+    for name in ("scale_01_psi.csv", "scale_01_phi.csv", "scale_1.json",
+                 "scale_01.npy", "scale_01_chi.npy", "scale_01.json.tmp",
+                 "xscale_01.json", "scale_ab.json"):
+        assert not multiscale.CHECKPOINT_NAME.fullmatch(name), name
